@@ -11,6 +11,7 @@ the CLI.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,36 +204,47 @@ def generate_gaussian(n: int, sigma: float, rows: int, cols: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 # file formats
 
+# values formatted per write: bounds the temporary strings to a few MB
+_WRITE_CHUNK = 1 << 17
+
+
+def _write_rows(fh, values: np.ndarray, row_format: str) -> None:
+    """Write each row of the 2D ``values`` through ``row_format``, one ``%`` per chunk."""
+    step = max(1, _WRITE_CHUNK // values.shape[1])
+    for start in range(0, values.shape[0], step):
+        chunk = values[start:start + step]
+        fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def save_points(points, path) -> None:
     """Write points as one ``x,y`` pair per line."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# x,y\n")
-        for x, y in pts:
-            fh.write(f"{x:.10g},{y:.10g}\n")
+        _write_rows(fh, pts, "%.10g,%.10g\n")
 
 
 def load_points(path) -> np.ndarray:
-    """Read a point file; ``#`` comment lines and blank lines are ignored."""
-    xs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'x,y', got {line!r}")
-            xs.append((float(parts[0]), float(parts[1])))
-    return np.asarray(xs, dtype=np.float64).reshape(-1, 2)
+    """Read a point file; ``#`` comment lines and blank lines are ignored.
+
+    Raises ValueError on a line that is not one ``x,y`` pair of numbers.
+    """
+    with warnings.catch_warnings():
+        # a file holding only its header is an empty dataset
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
+        pts = np.loadtxt(path, dtype=np.float64, delimiter=",", comments="#", ndmin=2)
+    if pts.size == 0:
+        return np.empty((0, 2), dtype=np.float64)
+    if pts.shape[1] != 2:
+        raise ValueError(f"{path}: expected 'x,y' per line, got {pts.shape[1]} values")
+    return pts
 
 
 def save_matrix(matrix: FrequencyMatrix, path) -> None:
     """Snapshot export: header ``N M total`` then N rows of M integers."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.rows} {matrix.cols} {matrix.total}\n")
-        for row in matrix.counts:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        _write_rows(fh, matrix.counts, " ".join(["%d"] * matrix.cols) + "\n")
 
 
 def load_matrix(path) -> FrequencyMatrix:

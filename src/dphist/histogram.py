@@ -106,4 +106,6 @@ class PrivateHistogram:
                     raise ValueError(f"{path}: malformed leaf line {i + 1}")
                 bounds[i] = [int(v) for v in parts[:4]]
                 ncounts[i] = float(parts[4])
+            if fh.read().strip():
+                raise ValueError(f"{path}: content after the {leaf_count} leaves the header declares")
         return cls(shape=(rows, cols), bounds=bounds, ncounts=ncounts, eps_total=eps_total)

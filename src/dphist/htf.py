@@ -8,18 +8,22 @@ uniformity error of partially overlapping range queries, so the tree
 spends a small structure budget to find good split lines and the rest
 on the released counts.
 
-The release runs three stages on a single total budget:
+The release runs on a single total budget, in two passes:
 
 1. height estimation: perturb the dataset size and derive the tree
    depth from ``noisy_total * eps_total / height_constant``;
-2. partitioning: per level, a fixed slice of the structure budget
-   drives a quartering search over candidate split indices, each
-   evaluation perturbed with sensitivity-2 Laplace noise;
-3. perturb-and-prune: node counts are perturbed top-down under a
-   geometric per-level allocation (leaves get the largest share), and
-   a stop condition on the noisy count or cell extent prunes a subtree,
-   re-perturbing the pruned node with the entire budget its path would
-   have spent below.
+2. partition and perturb-and-prune, in one top-down walk: node counts
+   are perturbed under a geometric per-level allocation (leaves get the
+   largest share), and a stop condition on the noisy count or cell
+   extent prunes a subtree, re-perturbing the pruned node with the
+   entire budget its path would have spent below. Only a node the stop
+   condition keeps is split: per level, a fixed slice of the structure
+   budget drives a quartering search over candidate split indices, each
+   evaluation perturbed with sensitivity-2 Laplace noise. A pruned
+   node's unspent structure budget is charged as reserved, so every
+   path is charged the full total. Every draw is keyed by tree path, so
+   the walk releases exactly what perturb-and-prune releases on the
+   fully partitioned tree (``build_partitioning``).
 """
 
 from __future__ import annotations
@@ -300,6 +304,76 @@ def estimate_height(
     return min(max(height, 1), cap)
 
 
+class _Splitter:
+    """Private split search for single nodes of one release's tree.
+
+    Holds what every split needs: the counts, the per-level structure
+    budget, the search length, the noise and the ledger. ``split`` grows
+    a node's two children in place; ``reserve`` charges the structure
+    budget a pruned node's subtree will no longer spend.
+    """
+
+    def __init__(
+        self,
+        matrix: FrequencyMatrix,
+        level_budget: float,
+        search_iters: int,
+        noise: NoiseSource,
+        ledger: BudgetLedger,
+    ):
+        self.matrix = matrix
+        self.level_budget = level_budget
+        self.search_iters = search_iters
+        self.noise = noise
+        self.ledger = ledger
+
+    def split(self, node: TreeNode) -> bool:
+        """Give ``node`` two children; False if neither axis can be divided.
+
+        The axis alternates with height (even heights divide rows, odd
+        heights divide columns); a node whose preferred axis is a single
+        cell wide tries the other axis. A node that cannot split at all
+        has the structure budget of its remaining levels recorded as a
+        reserved charge, so path accounting stays exact.
+        """
+        region, h = node.region, node.height
+        preferred = "y" if h % 2 == 0 else "x"
+        fallback = "x" if preferred == "y" else "y"
+        axis = next((a for a in (preferred, fallback) if _axis_extent(region, a) >= 2), None)
+        if axis is None:
+            self.ledger.charge(PARTITION_RESERVED, self.level_budget * h, path=node.path, level=h)
+            return False
+        k = get_split_point(
+            self.matrix,
+            axis,
+            self.level_budget,
+            self.search_iters,
+            self.noise,
+            ledger=self.ledger,
+            path=node.path,
+            level=h,
+            region=region,
+        )
+        if axis == "y":
+            first = Region(region.row_lo, region.row_lo + k, region.col_lo, region.col_hi)
+            second = Region(region.row_lo + k, region.row_hi, region.col_lo, region.col_hi)
+        else:
+            first = Region(region.row_lo, region.row_hi, region.col_lo, region.col_lo + k)
+            second = Region(region.row_lo, region.row_hi, region.col_lo + k, region.col_hi)
+        node.left = self.make_node(first, h - 1, node.path + (0,))
+        node.right = self.make_node(second, h - 1, node.path + (1,))
+        return True
+
+    def reserve(self, node: TreeNode) -> None:
+        """Charge the split levels below ``node`` that pruning leaves unspent."""
+        levels = node.height if node.is_leaf else node.height - 1
+        if levels > 0:
+            self.ledger.charge(PARTITION_RESERVED, self.level_budget * levels, path=node.path, level=node.height)
+
+    def make_node(self, region: Region, height: int, path: tuple[int, ...] = ()) -> TreeNode:
+        return TreeNode(region=region, height=height, count=self.matrix.region_sum(region), path=path)
+
+
 def build_partitioning(
     matrix: FrequencyMatrix,
     height: int,
@@ -310,52 +384,21 @@ def build_partitioning(
 ) -> TreeNode:
     """Recursive private partitioning from the full domain down to height 0.
 
-    The split axis alternates with height (even heights divide rows,
-    odd heights divide columns); a node whose preferred axis is a single
-    cell wide tries the other axis before becoming a leaf. When a node
-    cannot split at all, the structure budget its path can no longer
-    spend is recorded as a reserved charge so path accounting stays
-    exact.
+    Splits every node of the full tree; ``release`` instead splits only
+    the nodes that perturb-and-prune keeps, with the same draws.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
+    splitter = _Splitter(matrix, eps_partition_level, search_iters, noise, ledger)
 
-    def build(region: Region, h: int, path: tuple[int, ...]) -> TreeNode:
-        node = TreeNode(region=region, height=h, count=matrix.region_sum(region), path=path)
-        if h == 0:
-            return node
-        preferred = "y" if h % 2 == 0 else "x"
-        fallback = "x" if preferred == "y" else "y"
-        axis = None
-        for candidate in (preferred, fallback):
-            if _axis_extent(region, candidate) >= 2:
-                axis = candidate
-                break
-        if axis is None:
-            ledger.charge(PARTITION_RESERVED, eps_partition_level * h, path=path, level=h)
-            return node
-        k = get_split_point(
-            matrix,
-            axis,
-            eps_partition_level,
-            search_iters,
-            noise,
-            ledger=ledger,
-            path=path,
-            level=h,
-            region=region,
-        )
-        if axis == "y":
-            first = Region(region.row_lo, region.row_lo + k, region.col_lo, region.col_hi)
-            second = Region(region.row_lo + k, region.row_hi, region.col_lo, region.col_hi)
-        else:
-            first = Region(region.row_lo, region.row_hi, region.col_lo, region.col_lo + k)
-            second = Region(region.row_lo, region.row_hi, region.col_lo + k, region.col_hi)
-        node.left = build(first, h - 1, path + (0,))
-        node.right = build(second, h - 1, path + (1,))
-        return node
+    def build(node: TreeNode) -> None:
+        if node.height > 0 and splitter.split(node):
+            build(node.left)
+            build(node.right)
 
-    return build(matrix.full_region(), height, ())
+    root = splitter.make_node(matrix.full_region(), height)
+    build(root)
+    return root
 
 
 def perturb_and_prune(
@@ -366,6 +409,7 @@ def perturb_and_prune(
     height: int,
     noise: NoiseSource,
     ledger: BudgetLedger,
+    splitter: _Splitter | None = None,
 ) -> list[tuple[Region, float]]:
     """Top-down count perturbation with stop-condition pruning.
 
@@ -376,6 +420,11 @@ def perturb_and_prune(
     budget remaining on its path; the first noisy count only serves the
     decision. Height-0 nodes are released with their geometric-budget
     count as-is.
+
+    Without ``splitter`` the tree must be built already. With it, a kept
+    node that has no children yet is split on the spot, and a pruned node
+    charges the structure budget its subtree no longer spends, so every
+    path still totals the full budget.
     """
     if eps_data <= 0:
         raise ValueError("eps_data must be positive")
@@ -396,6 +445,11 @@ def perturb_and_prune(
             leaves.append((node.region, node.ncount))
             return
         stop = node.ncount <= stop_count or node.region.cells < stop_cells
+        if splitter is not None:
+            if stop:
+                splitter.reserve(node)
+            elif node.is_leaf:
+                splitter.split(node)
         if stop or node.is_leaf:
             eps_remain = eps_data - eps_used
             if eps_remain > 1e-12:
@@ -421,7 +475,7 @@ def release(
     *,
     audit: bool = True,
 ) -> PrivateHistogram:
-    """Full pipeline: estimate height, partition, perturb-and-prune.
+    """Full pipeline: estimate height, then partition and perturb-and-prune.
 
     Returns the released histogram with its resolved budget split and
     the consumption ledger attached. With ``audit`` the leaf cover and
@@ -462,10 +516,13 @@ def release(
         eps_partition_level=params.eps_partition_level,
     )
 
-    root = build_partitioning(matrix, height, level_budget, params.search_iters, noise, ledger)
-    data_height = 0 if root.is_leaf else height
+    # The root is split before its stop test: an unsplittable root is the
+    # degenerate single-node release, which takes the whole data budget.
+    splitter = _Splitter(matrix, level_budget, params.search_iters, noise, ledger)
+    root = splitter.make_node(matrix.full_region(), height)
+    data_height = height if splitter.split(root) else 0
     leaves = perturb_and_prune(
-        root, split.eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger
+        root, split.eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
     )
 
     hist = PrivateHistogram(

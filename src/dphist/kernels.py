@@ -1,41 +1,22 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels.
 
 Two inner loops dominate runtime on large grids: evaluating the
 homogeneity objective for candidate split indices while the tree is
-built, and expanding released leaves against a query workload. Both
-carry a pure-numpy implementation (the ``*_np`` functions) and, when
-numba is importable and the ``DPHIST_NUMBA`` environment variable is
-not set to ``0``, a JIT-compiled loop version that is exported under
-the public name instead. ``benchmarks/bench_kernels.py`` times the two
-backends against each other.
+built, and expanding released leaves against a query workload.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
-    "backend",
     "objective_at",
     "objective_scan",
     "answer_workload",
-    "objective_at_np",
-    "objective_scan_np",
-    "answer_workload_np",
 ]
 
 
-def _numba_wanted() -> bool:
-    return os.environ.get("DPHIST_NUMBA", "1").strip().lower() not in ("0", "false", "no")
-
-
-# ---------------------------------------------------------------------------
-# pure numpy backend
-
-def _objective_at_rows_np(counts, r0, r1, c0, c1, k):
+def _objective_at_rows(counts, r0, r1, c0, c1, k):
     u = r1 - r0
     v = c1 - c0
     top = counts[r0:r0 + k, c0:c1]
@@ -48,7 +29,7 @@ def _objective_at_rows_np(counts, r0, r1, c0, c1, k):
     return float(dev)
 
 
-def objective_at_np(counts, r0, r1, c0, c1, k, row_split):
+def objective_at(counts, r0, r1, c0, c1, k, row_split):
     """Homogeneity objective for one candidate split of a sub-grid.
 
     The sub-grid ``counts[r0:r1, c0:c1]`` is cut into a first cluster of
@@ -58,11 +39,11 @@ def objective_at_np(counts, r0, r1, c0, c1, k, row_split):
     undivided block.
     """
     if row_split:
-        return _objective_at_rows_np(counts, r0, r1, c0, c1, k)
-    return _objective_at_rows_np(counts.T, c0, c1, r0, r1, k)
+        return _objective_at_rows(counts, r0, r1, c0, c1, k)
+    return _objective_at_rows(counts.T, c0, c1, r0, r1, k)
 
 
-def _objective_scan_rows_np(counts, r0, r1, c0, c1):
+def _objective_scan_rows(counts, r0, r1, c0, c1):
     block = counts[r0:r1, c0:c1].astype(np.float64)
     u, v = block.shape
     row_tot = block.sum(axis=1)
@@ -79,14 +60,14 @@ def _objective_scan_rows_np(counts, r0, r1, c0, c1):
     return out
 
 
-def objective_scan_np(counts, r0, r1, c0, c1, row_split):
+def objective_scan(counts, r0, r1, c0, c1, row_split):
     """Objective values for every candidate split ``k = 1 .. extent``."""
     if row_split:
-        return _objective_scan_rows_np(counts, r0, r1, c0, c1)
-    return _objective_scan_rows_np(counts.T, c0, c1, r0, r1)
+        return _objective_scan_rows(counts, r0, r1, c0, c1)
+    return _objective_scan_rows(counts.T, c0, c1, r0, r1)
 
 
-def answer_workload_np(bounds, ncounts, queries):
+def answer_workload(bounds, ncounts, queries):
     """Uniform-density expansion of released leaves over query rectangles.
 
     ``bounds`` is an ``(L, 4)`` array of half-open leaf rectangles
@@ -103,126 +84,3 @@ def answer_workload_np(bounds, ncounts, queries):
         overlap = np.maximum(r_hi - r_lo, 0) * np.maximum(c_hi - c_lo, 0)
         out[q] = float(np.sum(ncounts * overlap / cells))
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-NUMBA_ENABLED = False
-
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via DPHIST_NUMBA=0 runs
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _objective_at_rows_nb(counts, r0, r1, c0, c1, k):
-        u = r1 - r0
-        v = c1 - c0
-        s1 = 0.0
-        for i in range(r0, r0 + k):
-            for j in range(c0, c1):
-                s1 += counts[i, j]
-        mu1 = s1 / (k * v)
-        dev = 0.0
-        for i in range(r0, r0 + k):
-            for j in range(c0, c1):
-                d = counts[i, j] - mu1
-                dev += d if d >= 0.0 else -d
-        if k < u:
-            s2 = 0.0
-            for i in range(r0 + k, r1):
-                for j in range(c0, c1):
-                    s2 += counts[i, j]
-            mu2 = s2 / ((u - k) * v)
-            for i in range(r0 + k, r1):
-                for j in range(c0, c1):
-                    d = counts[i, j] - mu2
-                    dev += d if d >= 0.0 else -d
-        return dev
-
-    @njit(cache=True)
-    def _objective_scan_rows_nb(counts, r0, r1, c0, c1):
-        u = r1 - r0
-        v = c1 - c0
-        row_tot = np.zeros(u, dtype=np.float64)
-        for i in range(u):
-            for j in range(c0, c1):
-                row_tot[i] += counts[r0 + i, j]
-        total = 0.0
-        for i in range(u):
-            total += row_tot[i]
-        out = np.empty(u, dtype=np.float64)
-        acc = 0.0
-        for k in range(1, u + 1):
-            acc += row_tot[k - 1]
-            mu1 = acc / (k * v)
-            dev = 0.0
-            for i in range(r0, r0 + k):
-                for j in range(c0, c1):
-                    d = counts[i, j] - mu1
-                    dev += d if d >= 0.0 else -d
-            if k < u:
-                mu2 = (total - acc) / ((u - k) * v)
-                for i in range(r0 + k, r1):
-                    for j in range(c0, c1):
-                        d = counts[i, j] - mu2
-                        dev += d if d >= 0.0 else -d
-            out[k - 1] = dev
-        return out
-
-    @njit(cache=True)
-    def _answer_workload_nb(bounds, ncounts, queries):
-        nq = queries.shape[0]
-        nl = bounds.shape[0]
-        out = np.zeros(nq, dtype=np.float64)
-        for q in range(nq):
-            acc = 0.0
-            for l in range(nl):
-                r_lo = bounds[l, 0] if bounds[l, 0] > queries[q, 0] else queries[q, 0]
-                r_hi = bounds[l, 1] if bounds[l, 1] < queries[q, 1] else queries[q, 1]
-                if r_hi <= r_lo:
-                    continue
-                c_lo = bounds[l, 2] if bounds[l, 2] > queries[q, 2] else queries[q, 2]
-                c_hi = bounds[l, 3] if bounds[l, 3] < queries[q, 3] else queries[q, 3]
-                if c_hi <= c_lo:
-                    continue
-                cells = (bounds[l, 1] - bounds[l, 0]) * (bounds[l, 3] - bounds[l, 2])
-                acc += ncounts[l] * (r_hi - r_lo) * (c_hi - c_lo) / cells
-            out[q] = acc
-        return out
-
-    def objective_at(counts, r0, r1, c0, c1, k, row_split):
-        if row_split:
-            return float(_objective_at_rows_nb(counts, r0, r1, c0, c1, k))
-        return float(_objective_at_rows_nb(counts.T, c0, c1, r0, r1, k))
-
-    def objective_scan(counts, r0, r1, c0, c1, row_split):
-        if row_split:
-            return _objective_scan_rows_nb(counts, r0, r1, c0, c1)
-        return _objective_scan_rows_nb(counts.T, c0, c1, r0, r1)
-
-    def answer_workload(bounds, ncounts, queries):
-        return _answer_workload_nb(
-            np.ascontiguousarray(bounds, dtype=np.int64),
-            np.ascontiguousarray(ncounts, dtype=np.float64),
-            np.ascontiguousarray(queries, dtype=np.int64),
-        )
-
-    objective_at.__doc__ = objective_at_np.__doc__
-    objective_scan.__doc__ = objective_scan_np.__doc__
-    answer_workload.__doc__ = answer_workload_np.__doc__
-else:
-    objective_at = objective_at_np
-    objective_scan = objective_scan_np
-    answer_workload = answer_workload_np
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if NUMBA_ENABLED else "numpy"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,66 @@ class TestGaussianGenerator:
             generate_gaussian(10, 0.0, 8, 8, seed=0)
 
 
+def reference_points_text(pts):
+    # one line at a time, as the format is specified
+    return "# x,y\n" + "".join(f"{x:.10g},{y:.10g}\n" for x, y in pts)
+
+
+def reference_matrix_text(matrix):
+    lines = [f"{matrix.rows} {matrix.cols} {matrix.total}"]
+    lines += [" ".join(str(int(v)) for v in row) for row in matrix.counts]
+    return "\n".join(lines) + "\n"
+
+
 class TestFileFormats:
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.empty((0, 2)),
+            np.array([[-0.0, 0.0], [1e300, -1e-300], [5e-324, 123456789.123456789], [0.1, 1 / 3]]),
+            np.random.default_rng(11).normal(0.0, 1e3, size=(70_000, 2)),
+        ],
+        ids=["empty", "edge-values", "more-than-one-chunk"],
+    )
+    def test_points_match_per_line_format(self, tmp_path, pts):
+        path = tmp_path / "pts.txt"
+        save_points(pts, path)
+        text = path.read_text()
+        assert text == reference_points_text(pts)
+        parsed = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+        assert np.array_equal(load_points(path), np.array(parsed).reshape(-1, 2))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([[0]]),
+            np.array([[0, 10**15], [7, 1]]),
+            np.random.default_rng(12).integers(0, 10**6, size=(700, 200)),
+        ],
+        ids=["single-cell", "large-count", "more-than-one-chunk"],
+    )
+    def test_matrix_matches_per_line_format(self, tmp_path, counts):
+        matrix = FrequencyMatrix(counts)
+        path = tmp_path / "matrix.txt"
+        save_matrix(matrix, path)
+        assert path.read_text() == reference_matrix_text(matrix)
+        assert load_matrix(path) == matrix
+
+    @pytest.mark.parametrize("line", ["1,2,3", "abc,1", "1", "1,2\n3,4,5"])
+    def test_points_malformed_line_rejected(self, tmp_path, line):
+        path = tmp_path / "pts.txt"
+        path.write_text(f"# x,y\n{line}\n")
+        with pytest.raises(ValueError):
+            load_points(path)
+
+    def test_points_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        save_points(np.empty((0, 2)), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = load_points(path)
+        assert pts.shape == (0, 2)
+
     def test_points_round_trip(self, tmp_path):
         pts = np.array([[0.25, 1.5], [3.125, 0.0625]])
         path = tmp_path / "pts.txt"

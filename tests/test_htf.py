@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dphist.grid import FrequencyMatrix, Region
+from dphist.histogram import PrivateHistogram
 from dphist.htf import (
     HEIGHT,
     NODE_COUNT,
@@ -414,3 +417,59 @@ class TestRelease:
         loaded.save(second)
         assert path.read_bytes() == second.read_bytes()
         assert np.array_equal(loaded.bounds, hist.bounds)
+
+    def test_load_rejects_content_after_leaves(self, tmp_path):
+        matrix = FrequencyMatrix(np.random.default_rng(5).integers(0, 20, size=(16, 16)))
+        hist = release(matrix, HtfParams(eps_total=0.2, height_override=3), NoiseSource(6))
+        path = tmp_path / "hist.txt"
+        hist.save(path)
+        text = path.read_text()
+        path.write_text(text + "\n\n")
+        assert len(PrivateHistogram.load(path)) == len(hist)
+        path.write_text(text + text.splitlines()[-1] + "\n")
+        with pytest.raises(ValueError, match="after the"):
+            PrivateHistogram.load(path)
+
+
+@st.composite
+def release_cases(draw):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, draw(st.integers(1, 60)), size=(rows, cols))
+    params = HtfParams(
+        eps_total=0.5,
+        height_override=draw(st.integers(1, 7)),
+        stop_count=draw(st.floats(-20.0, 400.0)),
+        stop_cells=draw(st.integers(1, 12)),
+    )
+    return FrequencyMatrix(counts), params, draw(st.integers(0, 2**31 - 1))
+
+
+class TestLazyReleaseProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(release_cases())
+    def test_matches_full_tree_tiles_and_spends_exactly(self, case):
+        matrix, params, seed = case
+        hist = release(matrix, params, NoiseSource(seed))
+
+        height = params.height_override
+        root = build_partitioning(
+            matrix, height, params.eps_partition_level, params.search_iters, NoiseSource(seed), BudgetLedger()
+        )
+        leaves = perturb_and_prune(
+            root, hist.split.eps_data, params.stop_count, params.stop_cells,
+            0 if root.is_leaf else height, NoiseSource(seed), BudgetLedger(),
+        )
+        assert hist.bounds.tolist() == [list(r.as_tuple()) for r, _ in leaves]
+        assert hist.ncounts.tolist() == [n for _, n in leaves]
+
+        paint = np.zeros(matrix.shape, dtype=int)
+        for r0, r1, c0, c1 in hist.bounds:
+            paint[r0:r1, c0:c1] += 1
+        assert (paint == 1).all()
+
+        totals = hist.ledger.chain_totals()
+        assert totals
+        for total in totals.values():
+            assert total == pytest.approx(params.eps_total, abs=1e-12)

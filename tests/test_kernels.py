@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -42,15 +38,6 @@ class TestObjectiveKernels:
                 for k in range(1, extent + 1):
                     ref = objective_value(block, k, row_split)
                     assert kernels.objective_at(counts, r0, r1, c0, c1, k, row_split) == pytest.approx(ref)
-                    assert kernels.objective_at_np(counts, r0, r1, c0, c1, k, row_split) == pytest.approx(ref)
-
-    def test_numba_and_numpy_paths_agree(self):
-        for seed in range(10):
-            counts, r0, r1, c0, c1 = random_case(seed + 100)
-            for row_split in (True, False):
-                a = kernels.objective_scan(counts, r0, r1, c0, c1, row_split)
-                b = kernels.objective_scan_np(counts, r0, r1, c0, c1, row_split)
-                assert a == pytest.approx(b, abs=1e-9)
 
 
 class TestAnswerWorkload:
@@ -85,25 +72,4 @@ class TestAnswerWorkload:
             bounds, ncounts, queries = self.make_case(seed)
             ref = self.reference(bounds.tolist(), ncounts.tolist(), queries.tolist())
             assert kernels.answer_workload(bounds, ncounts, queries) == pytest.approx(ref, abs=1e-9)
-            assert kernels.answer_workload_np(bounds, ncounts, queries) == pytest.approx(ref, abs=1e-9)
 
-
-class TestBackendSelection:
-    def test_backend_reports(self):
-        assert kernels.backend() in ("numba", "numpy")
-
-    def test_env_flag_disables_numba(self):
-        env = dict(os.environ, DPHIST_NUMBA="0")
-        code = (
-            "from dphist import kernels; "
-            "assert kernels.backend() == 'numpy', kernels.backend(); "
-            "import numpy as np; "
-            "c = np.arange(12).reshape(3, 4); "
-            "print(kernels.objective_at(c, 0, 3, 0, 4, 1, True))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        expected = kernels.objective_at(np.arange(12).reshape(3, 4), 0, 3, 0, 4, 1, True)
-        assert float(out.stdout.strip()) == pytest.approx(expected)
