@@ -23,7 +23,6 @@ from .grid import (
     load_points,
     save_matrix,
     save_points,
-    subgrid_sum,
 )
 from .histogram import CoverageError, PrivateHistogram
 from .htf import (
@@ -48,7 +47,6 @@ from .privacy import (
 )
 from .queries import (
     EvalReport,
-    RangeQuery,
     Workload,
     WorkloadSpec,
     answer_query,

@@ -141,7 +141,11 @@ def cmd_evaluate(args) -> int:
     matrix = grid.load_matrix(args.matrix)
     hist = PrivateHistogram.load(args.hist)
     workload = _workload_for(args, *matrix.shape)
-    report = queries.evaluate(hist, matrix, workload, smoothing=args.smoothing)
+    try:
+        report = queries.evaluate(hist, matrix, workload, smoothing=args.smoothing)
+    except CoverageError as exc:
+        # the leaves came from a file: a bad tiling is bad input, not a broken release
+        raise ValueError(f"{args.hist}: {exc}") from exc
     report.save(args.out)
     print(f"evaluated {len(workload)} queries: mre={report.mre:.4f} -> {args.out}")
     return 0

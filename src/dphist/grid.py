@@ -20,7 +20,7 @@ __all__ = [
     "Region",
     "FrequencyMatrix",
     "discretize",
-    "subgrid_sum",
+    "first_outside",
     "sample_gaussian_points",
     "generate_gaussian",
     "save_points",
@@ -61,6 +61,13 @@ class Region:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.row_lo, self.row_hi, self.col_lo, self.col_hi)
+
+
+def first_outside(rects: np.ndarray, rows: int, cols: int) -> int | None:
+    """Index of the first ``(K, 4)`` half-open rectangle that is empty or leaves a rows x cols grid."""
+    r0, r1, c0, c1 = rects.T
+    ok = (0 <= r0) & (r0 < r1) & (r1 <= rows) & (0 <= c0) & (c0 < c1) & (c1 <= cols)
+    return None if ok.all() else int(ok.argmin())
 
 
 class FrequencyMatrix:
@@ -120,13 +127,18 @@ class FrequencyMatrix:
             + p[region.row_lo, region.col_lo]
         )
 
+    def region_sums(self, rects) -> np.ndarray:
+        """Totals inside the ``(K, 4)`` half-open rectangles ``rects``, four prefix lookups each."""
+        rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+        bad = first_outside(rects, self.rows, self.cols)
+        if bad is not None:
+            raise ValueError(f"region {bad} {tuple(rects[bad].tolist())} is empty or outside the {self.rows}x{self.cols} grid")
+        r0, r1, c0, c1 = rects.T
+        p = self._prefix
+        return p[r1, c1] - p[r0, c1] - p[r1, c0] + p[r0, c0]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FrequencyMatrix) and np.array_equal(self._counts, other._counts)
-
-
-def subgrid_sum(matrix: FrequencyMatrix, region: Region) -> int:
-    """Total count inside ``region``; O(1) via the prefix-sum table."""
-    return matrix.region_sum(region)
 
 
 def discretize(points, bounds, rows: int, cols: int) -> tuple[FrequencyMatrix, int]:
@@ -208,7 +220,7 @@ def generate_gaussian(n: int, sigma: float, rows: int, cols: int, seed: int) -> 
 _WRITE_CHUNK = 1 << 17
 
 
-def _write_rows(fh, values: np.ndarray, row_format: str) -> None:
+def write_rows(fh, values: np.ndarray, row_format: str) -> None:
     """Write each row of the 2D ``values`` through ``row_format``, one ``%`` per chunk."""
     step = max(1, _WRITE_CHUNK // values.shape[1])
     for start in range(0, values.shape[0], step):
@@ -221,7 +233,23 @@ def save_points(points, path) -> None:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# x,y\n")
-        _write_rows(fh, pts, "%.10g,%.10g\n")
+        write_rows(fh, pts, "%.10g,%.10g\n")
+
+
+def read_rows(path, dtype, width: int, delimiter=None) -> np.ndarray:
+    """Read a ``(K, width)`` table of numbers; ``#`` comments and blank lines are ignored.
+
+    Raises ValueError on a line that is not ``width`` numbers of ``dtype``.
+    """
+    with warnings.catch_warnings():
+        # a file holding only comments is an empty table
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
+        values = np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments="#", ndmin=2)
+    if values.size == 0:
+        return np.empty((0, width), dtype=dtype)
+    if values.shape[1] != width:
+        raise ValueError(f"{path}: expected {width} values per line, got {values.shape[1]}")
+    return values
 
 
 def load_points(path) -> np.ndarray:
@@ -229,22 +257,14 @@ def load_points(path) -> np.ndarray:
 
     Raises ValueError on a line that is not one ``x,y`` pair of numbers.
     """
-    with warnings.catch_warnings():
-        # a file holding only its header is an empty dataset
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
-        pts = np.loadtxt(path, dtype=np.float64, delimiter=",", comments="#", ndmin=2)
-    if pts.size == 0:
-        return np.empty((0, 2), dtype=np.float64)
-    if pts.shape[1] != 2:
-        raise ValueError(f"{path}: expected 'x,y' per line, got {pts.shape[1]} values")
-    return pts
+    return read_rows(path, np.float64, 2, delimiter=",")
 
 
 def save_matrix(matrix: FrequencyMatrix, path) -> None:
     """Snapshot export: header ``N M total`` then N rows of M integers."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.rows} {matrix.cols} {matrix.total}\n")
-        _write_rows(fh, matrix.counts, " ".join(["%d"] * matrix.cols) + "\n")
+        write_rows(fh, matrix.counts, " ".join(["%d"] * matrix.cols) + "\n")
 
 
 def load_matrix(path) -> FrequencyMatrix:

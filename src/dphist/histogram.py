@@ -7,13 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Region
+from .kernels import CoverageError, leaf_owner
 from .privacy import BudgetLedger, BudgetSplit
 
 __all__ = ["CoverageError", "PrivateHistogram"]
-
-
-class CoverageError(RuntimeError):
-    """Released leaves fail to tile the domain exactly."""
 
 
 @dataclass
@@ -48,27 +45,7 @@ class PrivateHistogram:
 
     def validate_cover(self) -> None:
         """Check the leaves are pairwise disjoint and tile the full grid."""
-        rows, cols = self.shape
-        b = self.bounds
-        ok = (
-            (0 <= b[:, 0]) & (b[:, 0] < b[:, 1]) & (b[:, 1] <= rows)
-            & (0 <= b[:, 2]) & (b[:, 2] < b[:, 3]) & (b[:, 3] <= cols)
-        )
-        if not ok.all():
-            bad = b[np.argmin(ok)]
-            raise CoverageError(f"leaf {tuple(bad)} outside {rows}x{cols} grid")
-        # 2D difference array: rectangle corners +1/-1, prefix-sum to per-cell
-        # coverage counts without touching each rectangle's interior
-        diff = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-        np.add.at(diff, (b[:, 0], b[:, 2]), 1)
-        np.add.at(diff, (b[:, 0], b[:, 3]), -1)
-        np.add.at(diff, (b[:, 1], b[:, 2]), -1)
-        np.add.at(diff, (b[:, 1], b[:, 3]), 1)
-        paint = diff.cumsum(axis=0).cumsum(axis=1)[:rows, :cols]
-        if (paint > 1).any():
-            raise CoverageError("overlapping leaves in release")
-        if (paint == 0).any():
-            raise CoverageError("released leaves do not cover the grid")
+        leaf_owner(self.bounds, self.shape)
 
     def clamp_nonnegative(self) -> "PrivateHistogram":
         """Post-processed copy with negative counts raised to zero."""
@@ -108,4 +85,7 @@ class PrivateHistogram:
                 ncounts[i] = float(parts[4])
             if fh.read().strip():
                 raise ValueError(f"{path}: content after the {leaf_count} leaves the header declares")
+        finite = np.isfinite(ncounts)
+        if not finite.all():
+            raise ValueError(f"{path}: leaf line {int(finite.argmin()) + 1} has a non-finite count")
         return cls(shape=(rows, cols), bounds=bounds, ncounts=ncounts, eps_total=eps_total)

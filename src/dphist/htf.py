@@ -398,6 +398,7 @@ def build_partitioning(
 
     root = splitter.make_node(matrix.full_region(), height)
     build(root)
+    del build  # see perturb_and_prune
     return root
 
 
@@ -465,6 +466,9 @@ def perturb_and_prune(
         visit(node.right, eps_used)
 
     visit(root, 0.0)
+    # visit refers to itself through its closure; unlinking it frees the splitter
+    # and its matrix now instead of at the next full garbage collection
+    del visit
     return leaves
 
 

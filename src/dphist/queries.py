@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .grid import FrequencyMatrix, Region
+from .grid import FrequencyMatrix, Region, first_outside, read_rows, write_rows
 from .histogram import PrivateHistogram
 
 __all__ = [
-    "RangeQuery",
     "WorkloadSpec",
     "Workload",
     "EvalReport",
@@ -31,8 +30,6 @@ __all__ = [
     "save_workload",
     "load_workload",
 ]
-
-RangeQuery = Region
 
 DEFAULT_SMOOTHING = 20.0
 
@@ -86,28 +83,27 @@ class EvalReport:
 
     def save(self, path) -> None:
         """Per-query rows plus a summary footer line."""
+        rows = np.column_stack([np.arange(len(self.true)), self.true, self.answers, self.rel_errors])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("query_id,true,answer,rel_err\n")
-            for i, (t, a, e) in enumerate(zip(self.true, self.answers, self.rel_errors)):
-                fh.write(f"{i},{t:.12g},{a:.12g},{e:.12g}\n")
+            write_rows(fh, rows, "%d,%.12g,%.12g,%.12g\n")
             fh.write(f"# summary mre={self.mre:.12g} queries={len(self.true)} smoothing={self.smoothing:.12g}\n")
-
-
-def _check_query(region: Region, shape: tuple[int, int]) -> None:
-    region.require_within(*shape)
 
 
 def answer_query(hist: PrivateHistogram, query: Region) -> float:
     """Noisy answer under the uniformity assumption inside each leaf."""
-    _check_query(query, hist.shape)
+    query.require_within(*hist.shape)
     q = np.asarray([query.as_tuple()], dtype=np.int64)
-    return float(kernels.answer_workload(hist.bounds, hist.ncounts, q)[0])
+    return float(kernels.answer_workload(hist.bounds, hist.ncounts, q, hist.shape)[0])
 
 
 def answer_workload(hist: PrivateHistogram, workload: Workload) -> np.ndarray:
-    for row in workload.queries:
-        _check_query(Region(*row.tolist()), hist.shape)
-    return kernels.answer_workload(hist.bounds, hist.ncounts, workload.queries)
+    """Answers to every query; ValueError names the first empty or out-of-grid query."""
+    bad = first_outside(workload.queries, *hist.shape)
+    if bad is not None:
+        rows, cols = hist.shape
+        raise ValueError(f"query {bad} {tuple(workload.queries[bad].tolist())} is empty or outside the {rows}x{cols} grid")
+    return kernels.answer_workload(hist.bounds, hist.ncounts, workload.queries, hist.shape)
 
 
 def true_count(matrix: FrequencyMatrix, query: Region) -> int:
@@ -158,9 +154,7 @@ def evaluate(
     if hist.shape != matrix.shape:
         raise ValueError(f"histogram shape {hist.shape} != matrix shape {matrix.shape}")
     answers = answer_workload(hist, workload)
-    true = np.array(
-        [matrix.region_sum(Region(*row.tolist())) for row in workload.queries], dtype=np.float64
-    )
+    true = matrix.region_sums(workload.queries).astype(np.float64)
     denom = np.maximum(true, smoothing)
     rel = np.abs(true - answers) / denom * 100.0
     mre = float(rel.mean()) if len(rel) else 0.0
@@ -177,19 +171,12 @@ def evaluate(
 def save_workload(workload: Workload, path) -> None:
     """One query per line: ``row_lo row_hi col_lo col_hi``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r_lo, r_hi, c_lo, c_hi in workload.queries:
-            fh.write(f"{r_lo} {r_hi} {c_lo} {c_hi}\n")
+        write_rows(fh, workload.queries, "%d %d %d %d\n")
 
 
 def load_workload(path) -> Workload:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 integers")
-            rows.append([int(v) for v in parts])
-    return Workload(queries=np.asarray(rows, dtype=np.int64).reshape(-1, 4))
+    """Read a query file; ``#`` comments and blank lines are ignored.
+
+    Raises ValueError on a line that is not 4 integers.
+    """
+    return Workload(queries=read_rows(path, np.int64, 4))

@@ -124,6 +124,37 @@ class TestEvaluate:
                     "--workload", wl, "--out", report]) == 0
         assert len(report.read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize(
+        "leaves",
+        [
+            ["0 2 0 2 3", "0 1 0 1 1"],  # overlap
+            ["0 1 0 2 3"],  # gap
+            ["0 3 0 2 3"],  # outside the grid
+            ["0 1 0 2 3", "0 1 0 2 1"],  # overlap and gap that cancel in the cell total
+        ],
+        ids=["overlap", "gap", "outside", "overlap-and-gap"],
+    )
+    def test_leaves_that_do_not_tile_exit_2(self, tmp_path, capsys, leaves):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("2 2 3\n1 1\n0 1\n")
+        hist = tmp_path / "h.txt"
+        hist.write_text(f"2 2 0.1 {len(leaves)}\n" + "".join(line + "\n" for line in leaves))
+        wl = tmp_path / "wl.txt"
+        wl.write_text("0 2 0 2\n1 2 1 2\n")
+        report = tmp_path / "r.csv"
+        code = run(["evaluate", "--matrix", matrix, "--hist", hist, "--workload", wl, "--out", report])
+        assert code == 2
+        assert str(hist) in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+    def test_non_finite_count_rejected(self, tmp_path, matrix_file, count):
+        hist = tmp_path / "h.txt"
+        hist.write_text(f"32 32 0.1 2\n0 16 0 32 5\n16 32 0 32 {count}\n")
+        with pytest.raises(ValueError, match="leaf line 2"):
+            PrivateHistogram.load(hist)
+        assert run(["evaluate", "--matrix", matrix_file, "--hist", hist, "--out", tmp_path / "r.csv"]) == 2
+
     def test_missing_histogram_exits_3(self, tmp_path, matrix_file):
         assert run(["evaluate", "--matrix", matrix_file,
                     "--hist", tmp_path / "nope.txt", "--out", tmp_path / "r.csv"]) == 3

@@ -12,7 +12,6 @@ from dphist.grid import (
     load_points,
     save_matrix,
     save_points,
-    subgrid_sum,
 )
 
 from oracles import naive_region_sum
@@ -75,11 +74,11 @@ class TestDiscretize:
 class TestSubgridSum:
     def test_full_domain(self):
         matrix = FrequencyMatrix(FIG_GRID)
-        assert subgrid_sum(matrix, matrix.full_region()) == matrix.total == 18
+        assert matrix.region_sum(matrix.full_region()) == matrix.total == 18
 
     def test_worked_example_block(self):
         matrix = FrequencyMatrix(FIG_GRID)
-        assert subgrid_sum(matrix, Region(0, 3, 0, 2)) == 12
+        assert matrix.region_sum(Region(0, 3, 0, 2)) == 12
 
     def test_against_naive_sum(self):
         rng = np.random.default_rng(7)
@@ -91,6 +90,24 @@ class TestSubgridSum:
             c1 = rng.integers(c0 + 1, 65)
             region = Region(int(r0), int(r1), int(c0), int(c1))
             assert matrix.region_sum(region) == naive_region_sum(counts, r0, r1, c0, c1)
+
+    def test_region_sums_match_region_sum(self):
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 20, size=(17, 23))
+        matrix = FrequencyMatrix(counts)
+        rects = []
+        for _ in range(300):
+            r0, c0 = rng.integers(0, 17), rng.integers(0, 23)
+            rects.append((int(r0), int(rng.integers(r0 + 1, 18)), int(c0), int(rng.integers(c0 + 1, 24))))
+        sums = matrix.region_sums(np.array(rects))
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [matrix.region_sum(Region(*r)) for r in rects]
+        assert matrix.region_sums(np.empty((0, 4), dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("rect", [(0, 5, 0, 4), (2, 2, 0, 4), (-1, 2, 0, 4), (0, 4, 3, 1)])
+    def test_region_sums_reject_bad_rectangles(self, rect):
+        with pytest.raises(ValueError):
+            FrequencyMatrix.zeros(4, 4).region_sums([rect])
 
     def test_disjoint_partition_sums_to_total(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,6 +432,19 @@ class TestRelease:
         path.write_text(text + text.splitlines()[-1] + "\n")
         with pytest.raises(ValueError, match="after the"):
             PrivateHistogram.load(path)
+
+    def test_matrix_freed_when_release_returns(self):
+        # a reference cycle would hold the counts and their prefix table until a full collection
+        matrix = FrequencyMatrix(np.random.default_rng(7).integers(0, 50, size=(32, 32)))
+        alive = weakref.ref(matrix)
+        gc.disable()
+        try:
+            release(matrix, HtfParams(eps_total=0.2, height_override=5), NoiseSource(3))
+            build_partitioning(matrix, 5, 5e-4, 3, NoiseSource(3), BudgetLedger())
+            del matrix
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 @st.composite

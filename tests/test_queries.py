@@ -6,6 +6,7 @@ from dphist.histogram import PrivateHistogram
 from dphist.htf import HtfParams, release
 from dphist.privacy import NoiseSource
 from dphist.queries import (
+    EvalReport,
     Workload,
     WorkloadSpec,
     answer_query,
@@ -185,6 +186,43 @@ class TestEvaluate:
         assert len(lines) == 12  # header + 10 rows + summary footer
         assert lines[-1].startswith("# summary mre=")
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.empty((0, 3)),
+            np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e300], [5e-324, 1 / 3, -123456789.123456789]]),
+            np.random.default_rng(13).normal(0.0, 1e4, size=(40_000, 3)),
+        ],
+        ids=["empty", "edge-values", "more-than-one-chunk"],
+    )
+    def test_report_matches_per_line_format(self, tmp_path, values):
+        true, answers, rel = values.T
+        report = EvalReport(true=true, answers=answers, rel_errors=rel, mre=float(np.mean(rel)) if len(rel) else 0.0, smoothing=20.0)
+        path = tmp_path / "report.csv"
+        report.save(path)
+        # one line at a time, as the format is specified
+        expected = "query_id,true,answer,rel_err\n" + "".join(
+            f"{i},{t:.12g},{a:.12g},{e:.12g}\n" for i, (t, a, e) in enumerate(zip(true, answers, rel))
+        ) + f"# summary mre={report.mre:.12g} queries={len(true)} smoothing=20\n"
+        assert path.read_text() == expected
+
+    def test_rejects_bad_queries_naming_the_first(self):
+        matrix = FrequencyMatrix(FIG_GRID)
+        hist = fig_histogram()
+        for bad in [(0, 4, 0, 3), (1, 1, 0, 3), (0, 3, 2, 1), (-1, 2, 0, 3)]:
+            workload = Workload(queries=[(0, 3, 0, 3), bad, (0, 4, 0, 4)])
+            with pytest.raises(ValueError, match=rf"query 1 \({bad[0]}, {bad[1]}, {bad[2]}, {bad[3]}\)"):
+                evaluate(hist, matrix, workload)
+
+    def test_true_counts_match_naive_loop(self):
+        rng = np.random.default_rng(17)
+        counts = rng.integers(0, 10, size=(9, 13))
+        matrix = FrequencyMatrix(counts)
+        hist = PrivateHistogram(shape=(9, 13), bounds=[(0, 9, 0, 13)], ncounts=[0.0], eps_total=1.0)
+        wl = generate_workload(WorkloadSpec(200, "random", "random", seed=6), 9, 13)
+        report = evaluate(hist, matrix, wl)
+        assert report.true.tolist() == [naive_region_sum(counts, *q) for q in wl.queries.tolist()]
+
 
 class TestWorkloadFiles:
     def test_round_trip(self, tmp_path):
@@ -193,3 +231,21 @@ class TestWorkloadFiles:
         save_workload(wl, path)
         loaded = load_workload(path)
         assert np.array_equal(loaded.queries, wl.queries)
+        assert path.read_text() == "".join(f"{a} {b} {c} {d}\n" for a, b, c, d in wl.queries.tolist())
+
+    def test_comments_and_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "wl.txt"
+        path.write_text("# queries\n0 4 0 4\n\n   \n# more\n1 32 1 32\n")
+        assert load_workload(path).queries.tolist() == [[0, 4, 0, 4], [1, 32, 1, 32]]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "wl.txt"
+        path.write_text("# no queries\n")
+        assert load_workload(path).queries.shape == (0, 4)
+
+    @pytest.mark.parametrize("line", ["0 4 0", "0 4 0 4 7", "0 4.5 0 4", "a b c d", "0 4 0 4\n1 2 3"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        path = tmp_path / "wl.txt"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError):
+            load_workload(path)
