@@ -27,12 +27,9 @@ from .grid import (
 from .histogram import CoverageError, PrivateHistogram
 from .htf import (
     HtfParams,
-    TreeNode,
     UnsplittableAxisError,
     estimate_height,
     get_split_point,
-    noisy_split_baseline,
-    optimal_split_exact,
     release,
     split_objective,
 )

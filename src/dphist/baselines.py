@@ -2,7 +2,9 @@
 
 All builders return the same ``PrivateHistogram`` artifact as the tree
 release so the evaluation harness treats every method uniformly. The
-hierarchical methods optionally run a consistency smoothing pass that
+quadtree and kd-tree are built on the tree core htf uses (``tree``):
+the same node type, alternating split axis, preorder walk and per-height
+count budgets. They optionally run a consistency smoothing pass that
 re-estimates node counts so every parent equals the sum of its children
 (a linear, noise-independent transform that never increases leaf
 variance).
@@ -11,21 +13,16 @@ variance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tree
 from .grid import FrequencyMatrix, Region
 from .histogram import PrivateHistogram
-from .privacy import (
-    BudgetLedger,
-    NoiseSource,
-    geometric_level_budget,
-    laplace_sample,
-)
+from .privacy import BudgetLedger, NoiseSource, laplace_sample
+from .tree import Node
 
 __all__ = [
-    "HierNode",
     "build_uniform_grid",
     "build_adaptive_grid",
     "build_quadtree",
@@ -35,22 +32,6 @@ __all__ = [
     "enforce_hierarchical_consistency",
     "exponential_mechanism_probs",
 ]
-
-
-@dataclass
-class HierNode:
-    """Node of a fixed-fanout hierarchy carrying a noisy count."""
-
-    region: Region
-    height: int
-    count: int = 0
-    ncount: float = 0.0
-    noise_var: float = 0.0
-    children: list["HierNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 def _grid_edges(extent: int, parts: int) -> list[int]:
@@ -164,52 +145,10 @@ def build_adaptive_grid(
     return _hist(matrix, bounds, ncounts, eps_total, "ag", ledger)
 
 
-def _tree_level_budgets(eps_total: float, height: int, alloc: str, fanout: int) -> list[float]:
-    # index = node height: leaves 0 .. root `height`
-    if alloc == "uniform":
-        return [eps_total / (height + 1)] * (height + 1)
-    if alloc == "geometric":
-        return [geometric_level_budget(i, height, eps_total, fanout=fanout) for i in range(height + 1)]
-    raise ValueError(f"alloc must be 'uniform' or 'geometric', got {alloc!r}")
-
-
-def _perturb_hierarchy(root: HierNode, budgets: list[float], noise: NoiseSource, ledger: BudgetLedger, label: str):
-    def visit(node: HierNode, path: tuple[int, ...]) -> None:
-        eps = budgets[node.height]
-        node.ncount = node.count + laplace_sample(1.0, eps, noise.substream(*path, "count"))
-        node.noise_var = 2.0 / (eps * eps)
-        ledger.charge(label, eps, path=path, level=node.height)
-        for idx, child in enumerate(node.children):
-            visit(child, path + (idx,))
-
-    visit(root, ())
-
-
-def _is_complete(root: HierNode) -> bool:
-    fanout = len(root.children)
-    if fanout == 0:
-        return False
-
-    def check(node: HierNode) -> bool:
-        if node.is_leaf:
-            return node.height == 0
-        return len(node.children) == fanout and all(check(c) for c in node.children)
-
-    return check(root)
-
-
-def _collect_leaves(root: HierNode) -> list[HierNode]:
-    out = []
-
-    def walk(node: HierNode) -> None:
-        if node.is_leaf:
-            out.append(node)
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(root)
-    return out
+def _leaves_hist(matrix, root: Node, eps_total, method, ledger) -> PrivateHistogram:
+    leaves = [node for node in tree.preorder(root) if node.is_leaf]
+    bounds = [leaf.region.as_tuple() for leaf in leaves]
+    return _hist(matrix, bounds, [leaf.ncount for leaf in leaves], eps_total, method, ledger)
 
 
 def build_quadtree(
@@ -234,30 +173,26 @@ def build_quadtree(
     height = max(1, min(height, cap))
     ledger = BudgetLedger()
 
-    def build(region: Region, h: int) -> HierNode:
-        node = HierNode(region=region, height=h, count=matrix.region_sum(region))
-        if h == 0 or region.rows < 2 or region.cols < 2:
-            return node
-        r_mid = region.row_lo + region.rows // 2
-        c_mid = region.col_lo + region.cols // 2
-        quads = [
-            Region(region.row_lo, r_mid, region.col_lo, c_mid),
-            Region(region.row_lo, r_mid, c_mid, region.col_hi),
-            Region(r_mid, region.row_hi, region.col_lo, c_mid),
-            Region(r_mid, region.row_hi, c_mid, region.col_hi),
-        ]
-        node.children = [build(q, h - 1) for q in quads]
-        return node
+    def split(node: Node) -> None:
+        r = node.region
+        if r.rows < 2 or r.cols < 2:
+            return
+        r_mid = r.row_lo + r.rows // 2
+        c_mid = r.col_lo + r.cols // 2
+        quads = (
+            Region(r.row_lo, r_mid, r.col_lo, c_mid),
+            Region(r.row_lo, r_mid, c_mid, r.col_hi),
+            Region(r_mid, r.row_hi, r.col_lo, c_mid),
+            Region(r_mid, r.row_hi, c_mid, r.col_hi),
+        )
+        tree.divide(node, quads, matrix.region_sum)
 
-    root = build(matrix.full_region(), height)
-    budgets = _tree_level_budgets(eps_total, height, alloc, fanout=4)
-    _perturb_hierarchy(root, budgets, noise.substream("quadtree"), ledger, "node-count")
-    if smooth and _is_complete(root):
+    root = tree.grow(Node(matrix.full_region(), height, count=matrix.total), split)
+    budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
+    tree.perturb(root, budgets, noise.substream("quadtree"), ledger, "node-count")
+    if smooth and tree.is_complete(root):
         enforce_hierarchical_consistency(root)
-    leaves = _collect_leaves(root)
-    bounds = [leaf.region.as_tuple() for leaf in leaves]
-    ncounts = [leaf.ncount for leaf in leaves]
-    return _hist(matrix, bounds, ncounts, eps_total, "quadtree", ledger)
+    return _leaves_hist(matrix, root, eps_total, "quadtree", ledger)
 
 
 def exponential_mechanism_probs(utilities, eps: float, sensitivity: float = 1.0) -> np.ndarray:
@@ -296,57 +231,31 @@ def build_kdtree(
         raise ValueError("structure_fraction must be in (0, 1)")
     if height < 1:
         raise ValueError("height must be at least 1")
-    cap = max(1, int(math.floor(math.log2(matrix.rows * matrix.cols))) if matrix.rows * matrix.cols > 1 else 1)
-    height = min(height, cap)
+    height = min(height, tree.binary_height_cap(matrix.rows, matrix.cols))
     ledger = BudgetLedger()
     eps_struct_level = structure_fraction * eps_total / height
     eps_counts = (1.0 - structure_fraction) * eps_total
     src = noise.substream("kdtree")
 
-    def median_split(region: Region, axis: str, path: tuple[int, ...], level: int) -> int:
-        if axis == "y":
-            sums = matrix.counts[region.row_lo:region.row_hi, region.col_lo:region.col_hi].sum(axis=1)
-        else:
-            sums = matrix.counts[region.row_lo:region.row_hi, region.col_lo:region.col_hi].sum(axis=0)
+    def split(node: Node) -> None:
+        axis = tree.split_axis(node.region, node.height)
+        if axis is None:
+            return
+        r = node.region
+        sums = matrix.counts[r.row_lo:r.row_hi, r.col_lo:r.col_hi].sum(axis=1 if axis == "y" else 0)
         prefix = np.cumsum(sums)[:-1]  # candidate k = 1 .. extent-1
         utilities = -np.abs(prefix - sums.sum() / 2.0)
         probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-        ledger.charge("em-split", eps_struct_level, path=path, level=level)
-        return src.substream(*path, "em").choice_index(probs) + 1
+        ledger.charge("em-split", eps_struct_level, path=node.path, level=node.height)
+        k = src.substream(*node.path, "em").choice_index(probs) + 1
+        tree.halves(node, axis, k, matrix.region_sum)
 
-    def build(region: Region, h: int, path: tuple[int, ...]) -> HierNode:
-        node = HierNode(region=region, height=h, count=matrix.region_sum(region))
-        if h == 0:
-            return node
-        preferred = "y" if h % 2 == 0 else "x"
-        fallback = "x" if preferred == "y" else "y"
-        axis = None
-        for candidate in (preferred, fallback):
-            extent = region.rows if candidate == "y" else region.cols
-            if extent >= 2:
-                axis = candidate
-                break
-        if axis is None:
-            return node
-        k = median_split(region, axis, path, h)
-        if axis == "y":
-            first = Region(region.row_lo, region.row_lo + k, region.col_lo, region.col_hi)
-            second = Region(region.row_lo + k, region.row_hi, region.col_lo, region.col_hi)
-        else:
-            first = Region(region.row_lo, region.row_hi, region.col_lo, region.col_lo + k)
-            second = Region(region.row_lo, region.row_hi, region.col_lo + k, region.col_hi)
-        node.children = [build(first, h - 1, path + (0,)), build(second, h - 1, path + (1,))]
-        return node
-
-    root = build(matrix.full_region(), height, ())
-    budgets = _tree_level_budgets(eps_counts, height, alloc, fanout=2)
-    _perturb_hierarchy(root, budgets, src, ledger, "node-count")
-    if smooth and _is_complete(root):
+    root = tree.grow(Node(matrix.full_region(), height, count=matrix.total), split)
+    budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
+    tree.perturb(root, budgets, src, ledger, "node-count")
+    if smooth and tree.is_complete(root):
         enforce_hierarchical_consistency(root)
-    leaves = _collect_leaves(root)
-    bounds = [leaf.region.as_tuple() for leaf in leaves]
-    ncounts = [leaf.ncount for leaf in leaves]
-    return _hist(matrix, bounds, ncounts, eps_total, "kdtree", ledger)
+    return _leaves_hist(matrix, root, eps_total, "kdtree", ledger)
 
 
 def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
@@ -385,7 +294,7 @@ def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSo
     )
 
 
-def enforce_hierarchical_consistency(root: HierNode) -> HierNode:
+def enforce_hierarchical_consistency(root: Node) -> Node:
     """Re-estimate noisy counts so each parent equals its children's sum.
 
     Two passes of inverse-variance weighting: upward, each node's count
@@ -396,57 +305,40 @@ def enforce_hierarchical_consistency(root: HierNode) -> HierNode:
     already-consistent tree unchanged. Requires a complete tree with
     uniform fanout.
     """
-    fanout = len(root.children)
-    if fanout == 0:
+    if root.is_leaf:
         return root
+    if not tree.is_complete(root):
+        raise ValueError("consistency smoothing needs a complete tree with uniform fanout")
 
-    def check(node: HierNode) -> None:
+    nodes = list(tree.preorder(root))
+    estimates: dict[Node, tuple[float, float]] = {}
+    for node in reversed(nodes):  # every node after its children
         if node.is_leaf:
-            if node.height != 0:
-                raise ValueError("consistency smoothing needs a complete tree")
+            estimates[node] = (node.ncount, node.noise_var)
+            continue
+        child_sum = 0.0
+        child_var = 0.0
+        for child in node.children:
+            z, s = estimates[child]
+            child_sum += z
+            child_var += s
+        own_var = node.noise_var
+        if own_var <= 0:
+            estimates[node] = (child_sum, child_var)
         else:
-            if len(node.children) != fanout:
-                raise ValueError("consistency smoothing needs uniform fanout")
-            for child in node.children:
-                check(child)
+            z = (child_var * node.ncount + own_var * child_sum) / (child_var + own_var)
+            s = own_var * child_var / (own_var + child_var)
+            estimates[node] = (z, s)
 
-    check(root)
-
-    estimates: dict[int, tuple[float, float]] = {}
-
-    def upward(node: HierNode) -> tuple[float, float]:
+    root.ncount = estimates[root][0]
+    for node in nodes:  # every node before its children
         if node.is_leaf:
-            est = (node.ncount, node.noise_var)
-        else:
-            child_sum = 0.0
-            child_var = 0.0
-            for child in node.children:
-                z, s = upward(child)
-                child_sum += z
-                child_var += s
-            own_var = node.noise_var
-            if own_var <= 0:
-                est = (child_sum, child_var)
-            else:
-                z = (child_var * node.ncount + own_var * child_sum) / (child_var + own_var)
-                s = own_var * child_var / (own_var + child_var)
-                est = (z, s)
-        estimates[id(node)] = est
-        return est
-
-    upward(root)
-
-    def downward(node: HierNode, value: float) -> None:
-        node.ncount = value
-        if node.is_leaf:
-            return
-        child_z = [estimates[id(c)][0] for c in node.children]
-        child_s = [estimates[id(c)][1] for c in node.children]
+            continue
+        child_z = [estimates[c][0] for c in node.children]
+        child_s = [estimates[c][1] for c in node.children]
         total_s = sum(child_s)
-        residual = value - sum(child_z)
+        residual = node.ncount - sum(child_z)
         for child, z, s in zip(node.children, child_z, child_s):
             share = s / total_s if total_s > 0 else 1.0 / len(node.children)
-            downward(child, z + residual * share)
-
-    downward(root, estimates[id(root)][0])
+            child.ncount = z + residual * share
     return root

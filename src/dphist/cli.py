@@ -73,6 +73,14 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+# quadtree and kd-tree height when none is given
+TREE_HEIGHTS = {"quadtree": 6, "kdtree": 8}
+
+
+def _tree_height(method: str, height: int | None) -> int:
+    return TREE_HEIGHTS[method] if height is None else height
+
+
 def build_release(matrix, args, noise) -> PrivateHistogram:
     method = args.method
     if method == "htf":
@@ -97,13 +105,13 @@ def build_release(matrix, args, noise) -> PrivateHistogram:
         return baselines.build_adaptive_grid(matrix, args.eps_total, noise, c0=args.c0, alpha=args.ag_alpha)
     if method == "quadtree":
         return baselines.build_quadtree(
-            matrix, args.eps_total, args.height or 6, noise, alloc=args.alloc, smooth=args.smooth
+            matrix, args.eps_total, _tree_height(method, args.height), noise, alloc=args.alloc, smooth=args.smooth
         )
     if method == "kdtree":
         return baselines.build_kdtree(
             matrix,
             args.eps_total,
-            args.height or 8,
+            _tree_height(method, args.height),
             noise,
             structure_fraction=args.structure_fraction,
             alloc=args.alloc,
@@ -215,10 +223,9 @@ def cmd_sweep(args) -> int:
                 for seed in seeds:
                     for method in methods:
                         task_args = dict(release_args)
-                        if method == "quadtree":
-                            task_args["height"] = int(cfg.get("quadtree_height", task_args["height"] or 6))
-                        elif method == "kdtree":
-                            task_args["height"] = int(cfg.get("kdtree_height", task_args["height"] or 8))
+                        if method in TREE_HEIGHTS:
+                            height = _tree_height(method, task_args["height"])
+                            task_args["height"] = int(cfg.get(f"{method}_height", height))
                         tasks.append(
                             {
                                 "method": method,

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .grid import Region
+from .grid import Region, write_rows
 from .kernels import CoverageError, leaf_owner
 from .privacy import BudgetLedger, BudgetSplit
 
@@ -61,10 +62,12 @@ class PrivateHistogram:
 
     def save(self, path) -> None:
         """Header ``N M eps_total leaf_count``, then one leaf per line."""
+        rows = np.empty((len(self), 5), dtype=np.float64)  # grid coordinates are exact in float64
+        rows[:, :4] = self.bounds
+        rows[:, 4] = self.ncounts
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{self.shape[0]} {self.shape[1]} {self.eps_total:.12g} {len(self)}\n")
-            for (r_lo, r_hi, c_lo, c_hi), ncount in zip(self.bounds, self.ncounts):
-                fh.write(f"{r_lo} {r_hi} {c_lo} {c_hi} {ncount:.12g}\n")
+            write_rows(fh, rows, "%d %d %d %d %.12g\n")
 
     @classmethod
     def load(cls, path) -> "PrivateHistogram":
@@ -75,17 +78,44 @@ class PrivateHistogram:
             rows, cols = int(header[0]), int(header[1])
             eps_total = float(header[2])
             leaf_count = int(header[3])
-            bounds = np.empty((leaf_count, 4), dtype=np.int64)
-            ncounts = np.empty(leaf_count, dtype=np.float64)
-            for i in range(leaf_count):
-                parts = fh.readline().split()
-                if len(parts) != 5:
-                    raise ValueError(f"{path}: malformed leaf line {i + 1}")
-                bounds[i] = [int(v) for v in parts[:4]]
-                ncounts[i] = float(parts[4])
+            if leaf_count < 0:
+                raise ValueError(f"{path}: malformed histogram header")
+            leaves = _parse_leaves(islice(fh, leaf_count), leaf_count)
+            if leaves is None:
+                raise ValueError(f"{path}: malformed leaf line {_first_malformed(path, leaf_count)}")
             if fh.read().strip():
                 raise ValueError(f"{path}: content after the {leaf_count} leaves the header declares")
-        finite = np.isfinite(ncounts)
+        finite = np.isfinite(leaves["ncount"])
         if not finite.all():
             raise ValueError(f"{path}: leaf line {int(finite.argmin()) + 1} has a non-finite count")
-        return cls(shape=(rows, cols), bounds=bounds, ncounts=ncounts, eps_total=eps_total)
+        return cls(shape=(rows, cols), bounds=leaves["bounds"], ncounts=leaves["ncount"], eps_total=eps_total)
+
+
+_LEAF = np.dtype([("bounds", np.int64, (4,)), ("ncount", np.float64)])
+
+
+def _parse_leaves(lines, count: int) -> np.ndarray | None:
+    """The leaf table of ``lines``, four integers and a float each; None unless they are ``count`` leaves."""
+    if count == 0:
+        return np.empty(0, dtype=_LEAF)
+    try:
+        leaves = np.loadtxt(lines, dtype=_LEAF, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return leaves if len(leaves) == count else None  # loadtxt skips blank lines
+
+
+def _first_malformed(path, leaf_count: int) -> int:
+    """1-based number of the first of the declared leaf lines that is not a leaf, or that is missing."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")[1:leaf_count + 1]
+    lo, hi = 0, len(lines)
+    if _parse_leaves(lines, hi) is not None:
+        return hi + 1
+    while hi - lo > 1:  # lines[:lo] parse, and lines[lo:hi] hold a malformed one
+        mid = (lo + hi) // 2
+        if _parse_leaves(lines[lo:mid], mid - lo) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo + 1

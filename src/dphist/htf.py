@@ -18,39 +18,37 @@ The release runs on a single total budget, in two passes:
    extent prunes a subtree, re-perturbing the pruned node with the
    entire budget its path would have spent below. Only a node the stop
    condition keeps is split: per level, a fixed slice of the structure
-   budget drives a quartering search over candidate split indices, each
-   evaluation perturbed with sensitivity-2 Laplace noise. A pruned
-   node's unspent structure budget is charged as reserved, so every
-   path is charged the full total. Every draw is keyed by tree path, so
-   the walk releases exactly what perturb-and-prune releases on the
-   fully partitioned tree (``build_partitioning``).
+   budget, charged once per split as ``split``, drives a quartering
+   search over candidate split indices, each evaluation perturbed with
+   sensitivity-2 Laplace noise. A pruned node's unspent structure
+   budget is charged as reserved, so every path is charged the full
+   total. Every draw is keyed by tree path, so the walk releases
+   exactly what perturb-and-prune releases on the fully partitioned
+   tree (``build_partitioning``).
+
+The tree itself (``tree.Node``, the alternating split axis, the
+preorder walk and the per-height budgets) is the core the kd-tree and
+quadtree baselines share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from . import kernels
+from . import kernels, tree
 from .grid import FrequencyMatrix, Region
 from .histogram import PrivateHistogram
-from .privacy import (
-    BudgetLedger,
-    BudgetSplit,
-    NoiseSource,
-    geometric_level_budget,
-    laplace_sample,
-)
+from .privacy import BudgetLedger, BudgetSplit, NoiseSource, laplace_sample
+from .tree import Node
 
 __all__ = [
     "UnsplittableAxisError",
-    "TreeNode",
     "HtfParams",
     "split_objective",
-    "optimal_split_exact",
-    "noisy_split_baseline",
     "get_split_point",
     "estimate_height",
     "build_partitioning",
@@ -62,7 +60,7 @@ OBJECTIVE_SENSITIVITY = 2.0
 
 # ledger labels
 HEIGHT = "height"
-SPLIT_EVAL = "split-eval"
+SPLIT = "split"
 PARTITION_RESERVED = "partition-reserved"
 NODE_COUNT = "node-count"
 PRUNE_TOPUP = "prune-topup"
@@ -71,21 +69,6 @@ WARN_NO_REMAIN = "warn-no-remaining-budget"
 
 class UnsplittableAxisError(ValueError):
     """The requested axis has fewer than two cells to divide."""
-
-
-@dataclass
-class TreeNode:
-    region: Region
-    height: int
-    count: int = 0
-    ncount: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    path: tuple[int, ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
 
 
 @dataclass(frozen=True)
@@ -162,53 +145,6 @@ def split_objective(matrix, k: int, axis: str) -> float:
     return kernels.objective_at(counts, *region.as_tuple(), k, axis == "y")
 
 
-def optimal_split_exact(matrix, axis: str) -> int:
-    """Non-private argmin of the objective over k in 1..extent-1.
-
-    Ties break toward the smallest index. Test oracle only; release
-    paths never call this.
-    """
-    counts, region = _as_counts(matrix)
-    extent = _axis_extent(region, axis)
-    if extent < 2:
-        raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
-    scan = kernels.objective_scan(counts, *region.as_tuple(), axis == "y")
-    return int(np.argmin(scan[: extent - 1])) + 1
-
-
-def noisy_split_baseline(
-    matrix,
-    axis: str,
-    eps_partition_level: float,
-    noise: NoiseSource,
-    *,
-    ledger: BudgetLedger | None = None,
-    path: tuple[int, ...] = (),
-    level: int = 0,
-) -> int:
-    """Exhaustive private selection: perturb every candidate, take the argmin.
-
-    All ``extent - 1`` real splits are evaluated, each with independent
-    Laplace(2 / eps_eval) noise where ``eps_eval`` divides the per-level
-    budget evenly, so the whole level budget is consumed in one call.
-    """
-    if eps_partition_level <= 0:
-        raise ValueError("eps_partition_level must be positive")
-    counts, region = _as_counts(matrix)
-    extent = _axis_extent(region, axis)
-    if extent < 2:
-        raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
-    eps_eval = eps_partition_level / (extent - 1)
-    scan = kernels.objective_scan(counts, *region.as_tuple(), axis == "y")[: extent - 1]
-    noisy = np.empty_like(scan)
-    for i in range(extent - 1):
-        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise.substream(*path, "baseline-split", i))
-        noisy[i] = scan[i] + draw
-        if ledger is not None:
-            ledger.charge(SPLIT_EVAL, eps_eval, path=path, level=level)
-    return int(np.argmin(noisy)) + 1
-
-
 def get_split_point(
     matrix,
     axis: str,
@@ -216,9 +152,7 @@ def get_split_point(
     search_iters: int,
     noise: NoiseSource,
     *,
-    ledger: BudgetLedger | None = None,
     path: tuple[int, ...] = (),
-    level: int = 0,
     region: Region | None = None,
 ) -> int:
     """Quartering search for a near-optimal split index.
@@ -229,7 +163,8 @@ def get_split_point(
     ``2 * search_iters + 1`` noisy evaluations are performed, each with
     budget ``eps_partition_level / (2 * search_iters + 1)`` and
     sensitivity-2 Laplace noise, so every split consumes one full level
-    budget regardless of how early the interval collapses.
+    budget regardless of how early the interval collapses; the caller
+    charges that level budget.
     """
     if eps_partition_level <= 0:
         raise ValueError("eps_partition_level must be positive")
@@ -252,8 +187,6 @@ def get_split_point(
         value = kernels.objective_at(counts, *region.as_tuple(), k, row_split)
         draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise.substream(*path, "split", eval_idx))
         eval_idx += 1
-        if ledger is not None:
-            ledger.charge(SPLIT_EVAL, eps_eval, path=path, level=level)
         return value + draw
 
     lo, hi = 1, extent
@@ -300,8 +233,7 @@ def estimate_height(
         ledger.charge(HEIGHT, eps_height, path=(), level=0)
     value = max(noisy_total, 1.0) * eps_total / height_constant
     height = int(math.floor(math.log2(value))) if value >= 1.0 else 0
-    cap = max(1, int(math.floor(math.log2(matrix.rows * matrix.cols))) if matrix.rows * matrix.cols > 1 else 1)
-    return min(max(height, 1), cap)
+    return min(max(height, 1), tree.binary_height_cap(matrix.rows, matrix.cols))
 
 
 class _Splitter:
@@ -327,51 +259,33 @@ class _Splitter:
         self.noise = noise
         self.ledger = ledger
 
-    def split(self, node: TreeNode) -> bool:
+    def split(self, node: Node) -> bool:
         """Give ``node`` two children; False if neither axis can be divided.
 
-        The axis alternates with height (even heights divide rows, odd
-        heights divide columns); a node whose preferred axis is a single
-        cell wide tries the other axis. A node that cannot split at all
-        has the structure budget of its remaining levels recorded as a
-        reserved charge, so path accounting stays exact.
+        The axis follows ``tree.split_axis``. A node that cannot split at
+        all has the structure budget of its remaining levels recorded as
+        a reserved charge, so path accounting stays exact.
         """
         region, h = node.region, node.height
-        preferred = "y" if h % 2 == 0 else "x"
-        fallback = "x" if preferred == "y" else "y"
-        axis = next((a for a in (preferred, fallback) if _axis_extent(region, a) >= 2), None)
+        axis = tree.split_axis(region, h)
         if axis is None:
             self.ledger.charge(PARTITION_RESERVED, self.level_budget * h, path=node.path, level=h)
             return False
+        self.ledger.charge(SPLIT, self.level_budget, path=node.path, level=h)
         k = get_split_point(
-            self.matrix,
-            axis,
-            self.level_budget,
-            self.search_iters,
-            self.noise,
-            ledger=self.ledger,
-            path=node.path,
-            level=h,
-            region=region,
+            self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, region=region
         )
-        if axis == "y":
-            first = Region(region.row_lo, region.row_lo + k, region.col_lo, region.col_hi)
-            second = Region(region.row_lo + k, region.row_hi, region.col_lo, region.col_hi)
-        else:
-            first = Region(region.row_lo, region.row_hi, region.col_lo, region.col_lo + k)
-            second = Region(region.row_lo, region.row_hi, region.col_lo + k, region.col_hi)
-        node.left = self.make_node(first, h - 1, node.path + (0,))
-        node.right = self.make_node(second, h - 1, node.path + (1,))
+        tree.halves(node, axis, k, self.matrix.region_sum)
         return True
 
-    def reserve(self, node: TreeNode) -> None:
+    def reserve(self, node: Node) -> None:
         """Charge the split levels below ``node`` that pruning leaves unspent."""
         levels = node.height if node.is_leaf else node.height - 1
         if levels > 0:
             self.ledger.charge(PARTITION_RESERVED, self.level_budget * levels, path=node.path, level=node.height)
 
-    def make_node(self, region: Region, height: int, path: tuple[int, ...] = ()) -> TreeNode:
-        return TreeNode(region=region, height=height, count=self.matrix.region_sum(region), path=path)
+    def make_root(self, height: int) -> Node:
+        return Node(self.matrix.full_region(), height, count=self.matrix.total)
 
 
 def build_partitioning(
@@ -381,8 +295,8 @@ def build_partitioning(
     search_iters: int,
     noise: NoiseSource,
     ledger: BudgetLedger,
-) -> TreeNode:
-    """Recursive private partitioning from the full domain down to height 0.
+) -> Node:
+    """Private partitioning from the full domain down to height 0.
 
     Splits every node of the full tree; ``release`` instead splits only
     the nodes that perturb-and-prune keeps, with the same draws.
@@ -390,20 +304,11 @@ def build_partitioning(
     if height < 1:
         raise ValueError("height must be at least 1")
     splitter = _Splitter(matrix, eps_partition_level, search_iters, noise, ledger)
-
-    def build(node: TreeNode) -> None:
-        if node.height > 0 and splitter.split(node):
-            build(node.left)
-            build(node.right)
-
-    root = splitter.make_node(matrix.full_region(), height)
-    build(root)
-    del build  # see perturb_and_prune
-    return root
+    return tree.grow(splitter.make_root(height), splitter.split)
 
 
 def perturb_and_prune(
-    root: TreeNode,
+    root: Node,
     eps_data: float,
     stop_count: float,
     stop_cells: int,
@@ -420,7 +325,7 @@ def perturb_and_prune(
     the subtree is dropped and the node re-perturbed with the entire
     budget remaining on its path; the first noisy count only serves the
     decision. Height-0 nodes are released with their geometric-budget
-    count as-is.
+    count as-is. ``root`` sits at ``height``.
 
     Without ``splitter`` the tree must be built already. With it, a kept
     node that has no children yet is split on the spot, and a pruned node
@@ -435,16 +340,17 @@ def perturb_and_prune(
         root.ncount = root.count + laplace_sample(1.0, eps_data, noise.substream("count"))
         return [(root.region, root.ncount)]
 
+    budgets = tree.level_budgets(eps_data, height)
+    # spent[h] = budgets[height] + ... + budgets[h], added from the root down
+    spent = list(accumulate(reversed(budgets)))[::-1]
     leaves: list[tuple[Region, float]] = []
-
-    def visit(node: TreeNode, eps_used: float) -> None:
-        level_eps = geometric_level_budget(node.height, height, eps_data)
+    for node in tree.preorder(root):
+        level_eps = budgets[node.height]
         ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
         node.ncount = node.count + laplace_sample(1.0, level_eps, noise.substream(*node.path, "count"))
-        eps_used += level_eps
         if node.height == 0:
             leaves.append((node.region, node.ncount))
-            return
+            continue
         stop = node.ncount <= stop_count or node.region.cells < stop_cells
         if splitter is not None:
             if stop:
@@ -452,23 +358,14 @@ def perturb_and_prune(
             elif node.is_leaf:
                 splitter.split(node)
         if stop or node.is_leaf:
-            eps_remain = eps_data - eps_used
+            eps_remain = eps_data - spent[node.height]
             if eps_remain > 1e-12:
                 ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
                 node.ncount = node.count + laplace_sample(1.0, eps_remain, noise.substream(*node.path, "prune"))
             else:
                 ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
-            node.left = None
-            node.right = None
+            node.children = []
             leaves.append((node.region, node.ncount))
-            return
-        visit(node.left, eps_used)
-        visit(node.right, eps_used)
-
-    visit(root, 0.0)
-    # visit refers to itself through its closure; unlinking it frees the splitter
-    # and its matrix now instead of at the next full garbage collection
-    del visit
     return leaves
 
 
@@ -523,7 +420,7 @@ def release(
     # The root is split before its stop test: an unsplittable root is the
     # degenerate single-node release, which takes the whole data budget.
     splitter = _Splitter(matrix, level_budget, params.search_iters, noise, ledger)
-    root = splitter.make_node(matrix.full_region(), height)
+    root = splitter.make_root(height)
     data_height = height if splitter.split(root) else 0
     leaves = perturb_and_prune(
         root, split.eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter

@@ -37,7 +37,6 @@ from .grid import first_outside
 __all__ = [
     "CoverageError",
     "objective_at",
-    "objective_scan",
     "leaf_owner",
     "answer_workload",
 ]
@@ -72,30 +71,6 @@ def objective_at(counts, r0, r1, c0, c1, k, row_split):
     if row_split:
         return _objective_at_rows(counts, r0, r1, c0, c1, k)
     return _objective_at_rows(counts.T, c0, c1, r0, r1, k)
-
-
-def _objective_scan_rows(counts, r0, r1, c0, c1):
-    block = counts[r0:r1, c0:c1].astype(np.float64)
-    u, v = block.shape
-    row_tot = block.sum(axis=1)
-    prefix = np.cumsum(row_tot)
-    total = prefix[-1]
-    out = np.empty(u, dtype=np.float64)
-    for k in range(1, u + 1):
-        mu1 = prefix[k - 1] / (k * v)
-        dev = np.abs(block[:k] - mu1).sum()
-        if k < u:
-            mu2 = (total - prefix[k - 1]) / ((u - k) * v)
-            dev += np.abs(block[k:] - mu2).sum()
-        out[k - 1] = dev
-    return out
-
-
-def objective_scan(counts, r0, r1, c0, c1, row_split):
-    """Objective values for every candidate split ``k = 1 .. extent``."""
-    if row_split:
-        return _objective_scan_rows(counts, r0, r1, c0, c1)
-    return _objective_scan_rows(counts.T, c0, c1, r0, r1)
 
 
 def leaf_owner(bounds, shape) -> np.ndarray:

@@ -1,0 +1,144 @@
+"""The tree core shared by the hierarchical releases: htf, kd-tree and quadtree.
+
+Each of them cuts the grid into regions, cuts those again down to height
+0, and gives every node a Laplace count keyed by its tree path (the child
+indices from the root). A ``Node`` carries its region, height, path, true
+count, noisy count and the variance of that noise; the walks below go
+through a tree with an explicit stack, so the depth of a tree never meets
+the interpreter's recursion limit and no walk keeps a reference cycle to
+the data it reads.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from .grid import Region
+from .privacy import BudgetLedger, NoiseSource, geometric_level_budget, laplace_sample
+
+__all__ = [
+    "Node",
+    "preorder",
+    "grow",
+    "split_axis",
+    "divide",
+    "halves",
+    "level_budgets",
+    "perturb",
+    "is_complete",
+    "binary_height_cap",
+]
+
+
+@dataclass(eq=False)
+class Node:
+    """A region of the grid at ``height`` levels above the leaves, reached by ``path``."""
+
+    region: Region
+    height: int
+    path: tuple[int, ...] = ()
+    count: int = 0
+    ncount: float = 0.0
+    noise_var: float = 0.0
+    children: list["Node"] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+    # first and second child of a binary node
+    @property
+    def left(self) -> "Node | None":
+        return self.children[0] if self.children else None
+
+    @property
+    def right(self) -> "Node | None":
+        return self.children[1] if self.children else None
+
+
+def preorder(root: Node):
+    """Yield every node top-down, children left to right (depth-first preorder).
+
+    A node's children are read only after the node is yielded, so the
+    caller may split the node or drop its children before the walk goes on.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def grow(root: Node, split) -> Node:
+    """Call ``split(node)`` on every node above height 0, top-down, and return ``root``.
+
+    ``split`` gives the node its children, or leaves it a leaf.
+    """
+    for node in preorder(root):
+        if node.height > 0:
+            split(node)
+    return root
+
+
+def split_axis(region: Region, height: int) -> str | None:
+    """Rows ("y") at even heights, columns ("x") at odd ones; the other axis when that one is a single cell wide.
+
+    None when neither axis can be divided.
+    """
+    preferred, fallback = ("y", "x") if height % 2 == 0 else ("x", "y")
+    for axis in (preferred, fallback):
+        if (region.rows if axis == "y" else region.cols) >= 2:
+            return axis
+    return None
+
+
+def divide(node: Node, regions, count) -> None:
+    """Give ``node`` one child per region, one level down, with ``count(region)`` as its count."""
+    node.children = [
+        Node(region, node.height - 1, node.path + (i,), count(region)) for i, region in enumerate(regions)
+    ]
+
+
+def halves(node: Node, axis: str, k: int, count) -> None:
+    """Cut ``node`` into its first ``k`` rows (axis "y") or columns ("x") and the rest."""
+    r = node.region
+    if axis == "y":
+        cut = r.row_lo + k
+        regions = (Region(r.row_lo, cut, r.col_lo, r.col_hi), Region(cut, r.row_hi, r.col_lo, r.col_hi))
+    else:
+        cut = r.col_lo + k
+        regions = (Region(r.row_lo, r.row_hi, r.col_lo, cut), Region(r.row_lo, r.row_hi, cut, r.col_hi))
+    divide(node, regions, count)
+
+
+def level_budgets(eps: float, height: int, alloc: str = "geometric", fanout: int = 2) -> list[float]:
+    """Count budget per node height, leaves at index 0 and the root at ``height``; the levels sum to ``eps``."""
+    if alloc == "uniform":
+        return [eps / (height + 1)] * (height + 1)
+    if alloc == "geometric":
+        return [geometric_level_budget(i, height, eps, fanout=fanout) for i in range(height + 1)]
+    raise ValueError(f"alloc must be 'uniform' or 'geometric', got {alloc!r}")
+
+
+def perturb(root: Node, budgets: list[float], noise: NoiseSource, ledger: BudgetLedger, label: str) -> None:
+    """Give every node a Laplace count with the budget of its height, charged at its path."""
+    for node in preorder(root):
+        eps = budgets[node.height]
+        node.ncount = node.count + laplace_sample(1.0, eps, noise.substream(*node.path, "count"))
+        node.noise_var = 2.0 / (eps * eps)
+        ledger.charge(label, eps, path=node.path, level=node.height)
+
+
+def is_complete(root: Node) -> bool:
+    """True when every inner node has the root's fanout and every leaf is at height 0."""
+    fanout = len(root.children)
+    return fanout > 0 and all(
+        len(node.children) == fanout if node.children else node.height == 0 for node in preorder(root)
+    )
+
+
+def binary_height_cap(rows: int, cols: int) -> int:
+    """Deepest binary tree a ``rows`` x ``cols`` grid supports: floor(log2(rows * cols)), at least 1."""
+    cells = rows * cols
+    return max(1, int(math.floor(math.log2(cells)))) if cells > 1 else 1

@@ -7,9 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from dphist import kernels
 from dphist.baselines import (
-    HierNode,
     build_flat_uniform,
     build_quadtree,
     build_singular,
@@ -26,9 +24,10 @@ from dphist.htf import (
     split_objective,
 )
 from dphist.privacy import BudgetLedger, NoiseSource, geometric_level_budget
+from dphist.tree import Node
 from dphist.queries import WorkloadSpec, answer_query, evaluate, generate_workload
 
-from oracles import objective_argmins_exact
+from oracles import objective_argmins_exact, objective_scan, optimal_split_exact
 
 FIG_GRID = np.array([[0, 0, 4], [3, 3, 1], [3, 3, 1]])
 B1 = np.array([[0, 0], [3, 3], [3, 3]])
@@ -37,8 +36,8 @@ B1 = np.array([[0, 0], [3, 3], [3, 3]])
 def scans(counts):
     u, v = counts.shape
     return (
-        kernels.objective_scan(counts, 0, u, 0, v, True),
-        kernels.objective_scan(counts, 0, u, 0, v, False),
+        objective_scan(counts, 0, u, 0, v, True),
+        objective_scan(counts, 0, u, 0, v, False),
     )
 
 
@@ -162,8 +161,6 @@ def test_criterion_5_zero_noise_oracles():
         oracle = density[query.row_lo:query.row_hi, query.col_lo:query.col_hi].sum()
         assert abs(answer_query(hist, query) - oracle) < 1e-9
 
-    from dphist.htf import optimal_split_exact
-
     mismatches = 0
     for _ in range(200):
         block = rng.integers(0, 12, size=(8, 8))
@@ -257,7 +254,7 @@ def test_criterion_6_benchmark_ordering():
 
 def _random_tree(depth, fanout, rng, var=8.0):
     def build(height):
-        node = HierNode(region=Region(0, 1, 0, 1), height=height)
+        node = Node(region=Region(0, 1, 0, 1), height=height)
         if height > 0:
             node.children = [build(height - 1) for _ in range(fanout)]
             node.count = sum(c.count for c in node.children)

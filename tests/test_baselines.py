@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dphist.baselines import (
-    HierNode,
     build_adaptive_grid,
     build_flat_uniform,
     build_kdtree,
@@ -16,6 +15,7 @@ from dphist.baselines import (
 )
 from dphist.grid import FrequencyMatrix, Region
 from dphist.privacy import NoiseSource
+from dphist.tree import Node
 from dphist.queries import WorkloadSpec, answer_query, evaluate, generate_workload
 
 
@@ -215,7 +215,7 @@ def make_tree(depth, fanout, rng, var=4.0):
     """Random complete hierarchy with consistent true counts."""
 
     def build(height):
-        node = HierNode(region=Region(0, 1, 0, 1), height=height)
+        node = Node(region=Region(0, 1, 0, 1), height=height)
         if height > 0:
             node.children = [build(height - 1) for _ in range(fanout)]
             node.count = sum(c.count for c in node.children)
@@ -278,11 +278,11 @@ class TestHierarchicalConsistency:
             check(root)
 
     def test_non_uniform_fanout_rejected(self):
-        root = HierNode(region=Region(0, 1, 0, 1), height=2, ncount=1.0, noise_var=1.0)
-        a = HierNode(region=Region(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
-        b = HierNode(region=Region(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
+        root = Node(region=Region(0, 1, 0, 1), height=2, ncount=1.0, noise_var=1.0)
+        a = Node(region=Region(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
+        b = Node(region=Region(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
         a.children = [
-            HierNode(region=Region(0, 1, 0, 1), height=0, ncount=1.0, noise_var=1.0),
+            Node(region=Region(0, 1, 0, 1), height=0, ncount=1.0, noise_var=1.0),
         ]
         root.children = [a, b]
         with pytest.raises(ValueError):

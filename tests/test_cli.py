@@ -79,6 +79,15 @@ class TestRelease:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["quadtree", "kdtree"])
+    def test_height_zero_exits_2_without_outputs(self, tmp_path, matrix_file, capsys, method):
+        out = tmp_path / "hist.txt"
+        code = run(["release", "--matrix", matrix_file, "--method", method,
+                    "--eps-total", 0.4, "--height", 0, "--out", out])
+        assert code == 2
+        assert "height must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_matrix_exits_3(self, tmp_path):
         code = run(["release", "--matrix", tmp_path / "nope.txt", "--out", tmp_path / "h.txt"])
         assert code == 3
@@ -192,6 +201,13 @@ class TestSweep:
         run(["sweep", "--config", cfg, "--out", a])
         run(["sweep", "--config", cfg, "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_height_zero_fails_tree_rows(self, tmp_path):
+        cfg = self.write_config(tmp_path, methods="quadtree,kdtree", seeds="0", height="0")
+        out = tmp_path / "table.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["error:ValueError"] * 2
 
     def test_unknown_method_exits_2(self, tmp_path):
         cfg = self.write_config(tmp_path, methods="htf,wavelet")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dphist import baselines
 from dphist.grid import FrequencyMatrix, Region
 from dphist.histogram import PrivateHistogram
 from dphist.htf import (
@@ -13,21 +14,20 @@ from dphist.htf import (
     NODE_COUNT,
     PARTITION_RESERVED,
     PRUNE_TOPUP,
-    SPLIT_EVAL,
+    SPLIT,
     HtfParams,
     UnsplittableAxisError,
     build_partitioning,
     estimate_height,
     get_split_point,
-    noisy_split_baseline,
-    optimal_split_exact,
     perturb_and_prune,
     release,
     split_objective,
 )
 from dphist.privacy import BudgetLedger, NoiseSource
+from dphist.tree import preorder
 
-from oracles import objective_argmins_exact, objective_value
+from oracles import noisy_split_baseline, objective_argmins_exact, objective_value, optimal_split_exact
 
 # 3x3 worked-example grid; left two columns form the homogeneous block
 # whose row splits score 0, 6 and 8.
@@ -145,7 +145,7 @@ class TestNoisySplitBaseline:
         ledger = BudgetLedger()
         block = np.arange(28).reshape(7, 4)
         noisy_split_baseline(block, "y", 6e-3, NoiseSource(1), ledger=ledger, path=(0,))
-        evals = [e for e in ledger.entries if e[0] == SPLIT_EVAL]
+        evals = [e for e in ledger.entries if e[0] == SPLIT]
         assert len(evals) == 6  # extent - 1 candidates
         assert sum(e[3] for e in evals) == pytest.approx(6e-3)
 
@@ -170,13 +170,15 @@ class TestNoisySplitBaseline:
 
 
 class TestGetSplitPoint:
-    def test_per_evaluation_budget(self):
+    def test_one_level_budget_charge_per_split(self):
         ledger = BudgetLedger()
-        block = np.random.default_rng(0).integers(0, 9, size=(32, 32))
-        get_split_point(block, "y", 7e-3, 3, NoiseSource(0), ledger=ledger)
-        evals = [e for e in ledger.entries if e[0] == SPLIT_EVAL]
-        assert len(evals) == 2 * 3 + 1
-        assert all(e[3] == pytest.approx(1e-3) for e in evals)
+        matrix = FrequencyMatrix(np.random.default_rng(0).integers(0, 9, size=(32, 32)))
+        root = build_partitioning(matrix, 3, 7e-3, 3, NoiseSource(0), ledger)
+        splits = [e for e in ledger.entries if e[0] == SPLIT]
+        inner = [node for node in preorder(root) if not node.is_leaf]
+        assert len(inner) == 7
+        assert [e[2] for e in splits] == [node.path for node in inner]
+        assert all(e[3] == 7e-3 for e in splits)
 
     def test_zero_noise_finds_unimodal_minimum(self):
         # two homogeneous bands produce a V-shaped objective over k
@@ -435,14 +437,26 @@ class TestRelease:
 
     def test_matrix_freed_when_release_returns(self):
         # a reference cycle would hold the counts and their prefix table until a full collection
-        matrix = FrequencyMatrix(np.random.default_rng(7).integers(0, 50, size=(32, 32)))
-        alive = weakref.ref(matrix)
+        releases = {
+            "htf": lambda m: (
+                release(m, HtfParams(eps_total=0.2, height_override=5), NoiseSource(3)),
+                build_partitioning(m, 5, 5e-4, 3, NoiseSource(3), BudgetLedger()),
+            ),
+            "ug": lambda m: baselines.build_uniform_grid(m, 0.2, NoiseSource(3)),
+            "ag": lambda m: baselines.build_adaptive_grid(m, 0.2, NoiseSource(3)),
+            "quadtree": lambda m: baselines.build_quadtree(m, 0.2, 4, NoiseSource(3), smooth=True),
+            "kdtree": lambda m: baselines.build_kdtree(m, 0.2, 6, NoiseSource(3), smooth=True),
+            "singular": lambda m: baselines.build_singular(m, 0.2, NoiseSource(3)),
+            "uniform": lambda m: baselines.build_flat_uniform(m, 0.2, NoiseSource(3)),
+        }
         gc.disable()
         try:
-            release(matrix, HtfParams(eps_total=0.2, height_override=5), NoiseSource(3))
-            build_partitioning(matrix, 5, 5e-4, 3, NoiseSource(3), BudgetLedger())
-            del matrix
-            assert alive() is None
+            for method, run in releases.items():
+                matrix = FrequencyMatrix(np.random.default_rng(7).integers(0, 50, size=(64, 64)))
+                alive = weakref.ref(matrix)
+                run(matrix)
+                del matrix
+                assert alive() is None, method
         finally:
             gc.enable()
 

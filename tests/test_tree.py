@@ -1,0 +1,122 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dphist import baselines, tree
+from dphist.grid import FrequencyMatrix, Region
+from dphist.privacy import BudgetLedger, NoiseSource
+from dphist.tree import Node
+
+
+def binary_tree(height):
+    root = Node(Region(0, 1, 0, 2**height), height)
+    return tree.grow(root, lambda node: tree.halves(node, "x", node.region.cols // 2, lambda r: r.cells))
+
+
+class TestWalks:
+    def test_preorder_is_depth_first_left_to_right(self):
+        paths = [node.path for node in tree.preorder(binary_tree(2))]
+        assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+
+    def test_preorder_reads_children_after_yielding(self):
+        root = binary_tree(3)
+        seen = []
+        for node in tree.preorder(root):
+            seen.append(node.path)
+            if node.path == (0,):
+                node.children = []
+        assert seen == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
+
+    def test_deep_tree_needs_no_recursion(self):
+        # a chain far deeper than the interpreter's recursion limit
+        root = node = Node(Region(0, 1, 0, 1), 5000)
+        for _ in range(5000):
+            node.children = [Node(node.region, node.height - 1, node.path + (0,))]
+            node = node.children[0]
+        assert sum(1 for _ in tree.preorder(root)) == 5001
+        assert tree.is_complete(root)
+
+    def test_halves_and_children(self):
+        node = Node(Region(2, 6, 1, 4), 3, path=(1,))
+        tree.halves(node, "y", 1, lambda r: r.cells)
+        assert [c.region for c in node.children] == [Region(2, 3, 1, 4), Region(3, 6, 1, 4)]
+        assert [c.path for c in node.children] == [(1, 0), (1, 1)]
+        assert [c.height for c in node.children] == [2, 2]
+        assert [c.count for c in node.children] == [3, 9]
+        assert node.left is node.children[0] and node.right is node.children[1]
+        tree.halves(node, "x", 2, lambda r: 0)
+        assert [c.region for c in node.children] == [Region(2, 6, 1, 3), Region(2, 6, 3, 4)]
+
+    def test_split_axis_alternates_with_fallback(self):
+        assert tree.split_axis(Region(0, 4, 0, 4), 2) == "y"
+        assert tree.split_axis(Region(0, 4, 0, 4), 3) == "x"
+        assert tree.split_axis(Region(0, 1, 0, 4), 2) == "x"
+        assert tree.split_axis(Region(0, 4, 0, 1), 3) == "y"
+        assert tree.split_axis(Region(0, 1, 0, 1), 2) is None
+
+    def test_is_complete(self):
+        assert tree.is_complete(binary_tree(3))
+        assert not tree.is_complete(Node(Region(0, 1, 0, 1), 0))
+        root = binary_tree(3)
+        root.children[1].children = []
+        assert not tree.is_complete(root)
+
+    def test_perturb_charges_each_node_its_height_budget(self):
+        root = binary_tree(2)
+        ledger = BudgetLedger()
+        budgets = tree.level_budgets(0.3, 2, "uniform")
+        tree.perturb(root, budgets, NoiseSource(0, zero_noise=True), ledger, "node-count")
+        assert [(e[2], e[3]) for e in ledger.entries] == [(n.path, 0.3 / 3) for n in tree.preorder(root)]
+        assert all(n.ncount == n.count and n.noise_var == pytest.approx(200.0) for n in tree.preorder(root))
+
+    def test_level_budgets_sum_to_eps(self):
+        for alloc in ("uniform", "geometric"):
+            for fanout in (2, 4):
+                assert sum(tree.level_budgets(0.7, 9, alloc, fanout)) == pytest.approx(0.7, abs=1e-15)
+        with pytest.raises(ValueError):
+            tree.level_budgets(0.7, 3, "linear")
+
+    def test_binary_height_cap(self):
+        assert [tree.binary_height_cap(*s) for s in ((1, 1), (1, 2), (3, 5), (1024, 1024))] == [1, 1, 3, 20]
+
+
+@st.composite
+def tree_releases(draw):
+    rows = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, draw(st.integers(1, 80)), (rows, cols))
+    method = draw(st.sampled_from([baselines.build_quadtree, baselines.build_kdtree]))
+    height = draw(st.integers(1, 12))
+    options = {"alloc": draw(st.sampled_from(["uniform", "geometric"])), "smooth": draw(st.booleans())}
+    noise = NoiseSource(draw(st.integers(0, 2**31 - 1)), zero_noise=draw(st.booleans()))
+    return FrequencyMatrix(counts), method, height, options, noise
+
+
+class TestTreeReleaseProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(tree_releases())
+    def test_leaves_tile_paths_spend_and_exact_without_noise(self, case):
+        matrix, method, height, options, noise = case
+        eps = 0.4
+        hist = method(matrix, eps, height, noise, **options)
+
+        paint = np.zeros(matrix.shape, dtype=int)
+        for r0, r1, c0, c1 in hist.bounds:
+            paint[r0:r1, c0:c1] += 1
+        assert (paint == 1).all()
+
+        # A path is charged the whole budget when its leaf sits at height 0. A leaf
+        # left higher, by a single-cell region, is charged only the levels above it.
+        leaf_height = {e[2]: e[1] for e in hist.ledger.entries if e[0] == "node-count"}
+        for path, total in hist.ledger.chain_totals().items():
+            assert total <= eps + 1e-12
+            if leaf_height[path] == 0:
+                assert total == pytest.approx(eps, abs=1e-12)
+
+        if noise.zero_noise:
+            truth = matrix.region_sums(hist.bounds)
+            if options["smooth"]:
+                np.testing.assert_allclose(hist.ncounts, truth, rtol=1e-12, atol=1e-9)
+            else:
+                assert hist.ncounts.tolist() == truth.tolist()
