@@ -38,20 +38,6 @@ def _grid_edges(extent: int, parts: int) -> list[int]:
     return [extent * i // parts for i in range(parts + 1)]
 
 
-def _hist(matrix, bounds, ncounts, eps_total, method, ledger) -> PrivateHistogram:
-    hist = PrivateHistogram(
-        shape=matrix.shape,
-        bounds=np.asarray(bounds, dtype=np.int64),
-        ncounts=np.asarray(ncounts, dtype=np.float64),
-        eps_total=eps_total,
-        method=method,
-        ledger=ledger,
-    )
-    hist.validate_cover()
-    ledger.assert_valid(eps_total)
-    return hist
-
-
 def build_uniform_grid(
     matrix: FrequencyMatrix,
     eps_total: float,
@@ -83,7 +69,7 @@ def build_uniform_grid(
                 + laplace_sample(1.0, eps_total, src.substream(i, j))
             )
     ledger.charge_parallel("grid-cell", eps_total, count=m * m)
-    return _hist(matrix, bounds, ncounts, eps_total, "ug", ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, "ug", ledger)
 
 
 def build_adaptive_grid(
@@ -142,13 +128,13 @@ def build_adaptive_grid(
                     level2_cells += 1
     ledger.charge_parallel("level1-cell", eps1, count=m1 * m1)
     ledger.charge_parallel("level2-cell", eps2, count=level2_cells)
-    return _hist(matrix, bounds, ncounts, eps_total, "ag", ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, "ag", ledger)
 
 
 def _leaves_hist(matrix, root: Node, eps_total, method, ledger) -> PrivateHistogram:
     leaves = [node for node in tree.preorder(root) if node.is_leaf]
     bounds = [leaf.region.as_tuple() for leaf in leaves]
-    return _hist(matrix, bounds, [leaf.ncount for leaf in leaves], eps_total, method, ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, method, ledger)
 
 
 def build_quadtree(
@@ -239,7 +225,8 @@ def build_kdtree(
 
     def split(node: Node) -> None:
         axis = tree.split_axis(node.region, node.height)
-        if axis is None:
+        if axis is None:  # a single cell: the levels below it spend no structure budget
+            ledger.charge("partition-reserved", eps_struct_level * node.height, path=node.path, level=node.height)
             return
         r = node.region
         sums = matrix.counts[r.row_lo:r.row_hi, r.col_lo:r.col_hi].sum(axis=1 if axis == "y" else 0)
@@ -274,7 +261,7 @@ def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource
     bounds = np.stack([r, r + 1, c, c + 1], axis=1)
     ncounts = matrix.counts.reshape(-1).astype(np.float64) + draws
     ledger.charge_parallel("cell", eps_total, count=rows * cols)
-    return _hist(matrix, bounds, ncounts, eps_total, "singular", ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, "singular", ledger)
 
 
 def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
@@ -284,14 +271,8 @@ def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSo
     ledger = BudgetLedger()
     ncount = matrix.total + laplace_sample(1.0, eps_total, noise.substream("flat"))
     ledger.charge("total-count", eps_total, path=())
-    return _hist(
-        matrix,
-        [matrix.full_region().as_tuple()],
-        [ncount],
-        eps_total,
-        "uniform",
-        ledger,
-    )
+    bounds = [matrix.full_region().as_tuple()]
+    return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, "uniform", ledger)
 
 
 def enforce_hierarchical_consistency(root: Node) -> Node:

@@ -9,6 +9,8 @@ configuration error, 3 I/O error, 4 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -47,10 +49,6 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _noise_source(args) -> NoiseSource:
-    return NoiseSource(args.seed, zero_noise=getattr(args, "zero_noise", False))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -82,33 +80,32 @@ def _tree_height(method: str, height: int | None) -> int:
 
 
 def build_release(matrix, args, noise) -> PrivateHistogram:
+    """What ``dphist release`` releases for the options in ``args``."""
     method = args.method
     if method == "htf":
-        if args.eps_partition is not None:
-            part = {"eps_partition": args.eps_partition, "eps_partition_level": None}
-        else:
-            part = {"eps_partition": None, "eps_partition_level": args.eps_partition_level}
         params = htf.HtfParams(
             eps_total=args.eps_total,
             eps_height=args.eps_height,
+            eps_partition=args.eps_partition,
+            # a structure total replaces the per-level default
+            eps_partition_level=args.eps_partition_level if args.eps_partition is None else None,
             search_iters=args.search_iters,
             stop_count=args.stop_count,
             stop_cells=args.stop_cells,
             height_override=args.height,
             height_constant=args.c0,
-            **part,
         )
-        return htf.release(matrix, params, noise)
-    if method == "ug":
-        return baselines.build_uniform_grid(matrix, args.eps_total, noise, c0=args.c0)
-    if method == "ag":
-        return baselines.build_adaptive_grid(matrix, args.eps_total, noise, c0=args.c0, alpha=args.ag_alpha)
-    if method == "quadtree":
-        return baselines.build_quadtree(
+        hist = htf.release(matrix, params, noise)
+    elif method == "ug":
+        hist = baselines.build_uniform_grid(matrix, args.eps_total, noise, c0=args.c0)
+    elif method == "ag":
+        hist = baselines.build_adaptive_grid(matrix, args.eps_total, noise, c0=args.c0, alpha=args.ag_alpha)
+    elif method == "quadtree":
+        hist = baselines.build_quadtree(
             matrix, args.eps_total, _tree_height(method, args.height), noise, alloc=args.alloc, smooth=args.smooth
         )
-    if method == "kdtree":
-        return baselines.build_kdtree(
+    elif method == "kdtree":
+        hist = baselines.build_kdtree(
             matrix,
             args.eps_total,
             _tree_height(method, args.height),
@@ -117,18 +114,18 @@ def build_release(matrix, args, noise) -> PrivateHistogram:
             alloc=args.alloc,
             smooth=args.smooth,
         )
-    if method == "singular":
-        return baselines.build_singular(matrix, args.eps_total, noise)
-    if method == "uniform":
-        return baselines.build_flat_uniform(matrix, args.eps_total, noise)
-    raise ValueError(f"unknown method {method!r}")
+    elif method == "singular":
+        hist = baselines.build_singular(matrix, args.eps_total, noise)
+    elif method == "uniform":
+        hist = baselines.build_flat_uniform(matrix, args.eps_total, noise)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return hist.clamp_nonnegative() if args.clamp_nonnegative else hist
 
 
 def cmd_release(args) -> int:
     matrix = grid.load_matrix(args.matrix)
-    hist = build_release(matrix, args, _noise_source(args))
-    if args.clamp_nonnegative:
-        hist = hist.clamp_nonnegative()
+    hist = build_release(matrix, args, NoiseSource(args.seed, zero_noise=args.zero_noise))
     hist.save(args.out)
     ledger_path = args.ledger_out or (args.out + ".ledger.csv")
     hist.ledger.save(ledger_path)
@@ -166,94 +163,111 @@ def _parse_list(text: str, cast):
     return [cast(part) for part in text.split(",") if part.strip()]
 
 
-def _sweep_row(task: dict) -> dict:
-    """One (method, eps, size, sigma, seed) cell; runs in a worker."""
-    row = {k: task[k] for k in ("method", "sigma", "eps_total", "size", "seed")}
+# a sweep config's own keys and their defaults: the axes, the dataset, the
+# workload and the output; every other key is a ``dphist release`` setting
+SWEEP_KEYS = {
+    "methods": "htf",
+    "eps": "0.1",
+    "sizes": "random",
+    "seeds": "0",
+    "sigmas": "50",
+    "n": "100000",
+    "grid": "256",
+    "queries": "2000",
+    "smoothing": str(queries.DEFAULT_SMOOTHING),
+    "out": "sweep.csv",
+}
+# release options that each row sets itself, from its axes and its generated matrix
+ROW_OPTIONS = ("matrix", "method", "eps_total", "seed", "ledger_out", "config")
+
+
+def _sweep_dataset(seed: int, sigma: float, n: int, grid_size: int) -> grid.FrequencyMatrix:
+    rng = NoiseSource(seed).substream("data", str(sigma)).generator
+    pts = grid.sample_gaussian_points(n, sigma, grid_size, grid_size, rng)
+    return grid.discretize(pts, (0, grid_size, 0, grid_size), grid_size, grid_size)[0]
+
+
+def _sweep_workload(seed: int, size, count: int, grid_size: int) -> queries.Workload:
+    shape = "random" if size == "random" else "square"
+    spec = queries.WorkloadSpec(count=count, shape=shape, size=size, seed=seed)
+    return queries.generate_workload(spec, grid_size, grid_size)
+
+
+def _attempt(build, *args):
+    """``build(*args)``, or the exception it raised: a dataset or workload that fails fails only its rows."""
     try:
-        top = NoiseSource(task["seed"])
-        data_rng = top.substream("data", str(task["sigma"])).generator
-        pts = grid.sample_gaussian_points(task["n"], task["sigma"], task["grid"], task["grid"], data_rng)
-        matrix, _ = grid.discretize(pts, (0, task["grid"], 0, task["grid"]), task["grid"], task["grid"])
-        size = task["size"]
-        if size == "random":
-            spec = queries.WorkloadSpec(count=task["queries"], shape="random", size="random", seed=task["seed"])
-        else:
-            spec = queries.WorkloadSpec(count=task["queries"], shape="square", size=float(size), seed=task["seed"])
-        workload = queries.generate_workload(spec, *matrix.shape)
-        noise = top.substream("release", task["method"], str(task["eps_total"]), str(size))
-        ns = argparse.Namespace(**task["release_args"], method=task["method"], eps_total=task["eps_total"])
-        hist = build_release(matrix, ns, noise)
-        report = queries.evaluate(hist, matrix, workload, smoothing=task["smoothing"])
-        row["mre"] = f"{report.mre:.6f}"
-        row["status"] = "ok"
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001
+        return exc
+
+
+def _sweep_row(task) -> tuple[str, str]:
+    """The MRE and status of one row; runs in a worker with ``--jobs`` above 1."""
+    matrix, workload, settings, noise, smoothing = task
+    try:
+        for given in (matrix, workload):
+            if isinstance(given, Exception):
+                raise given
+        hist = build_release(matrix, settings, noise)
+        report = queries.evaluate(hist, matrix, workload, smoothing=smoothing)
     except Exception as exc:  # noqa: BLE001 - sweep rows must not kill the run
-        row["mre"] = "nan"
-        row["status"] = f"error:{type(exc).__name__}"
-    return row
+        return "nan", f"error:{type(exc).__name__}"
+    return f"{report.mre:.6f}", "ok"
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    methods = _parse_list(cfg.get("methods", "htf"), str)
+    sweep = {key: cfg.pop(key, default) for key, default in SWEEP_KEYS.items()}
+    heights = {m: {"height": cfg.pop(f"{m}_height")} for m in TREE_HEIGHTS if f"{m}_height" in cfg}
+    methods = _parse_list(sweep["methods"], str)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r} in sweep config")
-    eps_values = _parse_list(cfg.get("eps", "0.1"), float)
-    sizes = [s if s == "random" else float(s) for s in _parse_list(cfg.get("sizes", "random"), str)]
-    seeds = _parse_list(cfg.get("seeds", "0"), int)
-    sigmas = _parse_list(cfg.get("sigmas", "50"), float)
-    release_args = {
-        "eps_partition": None,
-        "eps_partition_level": float(cfg.get("eps_partition_level", 5e-4)),
-        "eps_height": float(cfg.get("eps_height", 1e-4)),
-        "search_iters": int(cfg.get("search_iters", 3)),
-        "stop_count": float(cfg.get("stop_count", 100)),
-        "stop_cells": int(cfg.get("stop_cells", 5)),
-        "height": int(cfg["height"]) if "height" in cfg else None,
-        "c0": float(cfg.get("c0", 10.0)),
-        "ag_alpha": float(cfg.get("ag_alpha", 0.5)),
-        "alloc": cfg.get("alloc", "uniform"),
-        "smooth": cfg.get("smooth", "1") not in ("0", "false", "no"),
-        "structure_fraction": float(cfg.get("structure_fraction", 0.15)),
-    }
-    tasks = []
-    for sigma in sigmas:
-        for eps in eps_values:
-            for size in sizes:
-                for seed in seeds:
-                    for method in methods:
-                        task_args = dict(release_args)
-                        if method in TREE_HEIGHTS:
-                            height = _tree_height(method, task_args["height"])
-                            task_args["height"] = int(cfg.get(f"{method}_height", height))
-                        tasks.append(
-                            {
-                                "method": method,
-                                "sigma": sigma,
-                                "eps_total": eps,
-                                "size": size,
-                                "seed": seed,
-                                "n": int(cfg.get("n", 100000)),
-                                "grid": int(cfg.get("grid", 256)),
-                                "queries": int(cfg.get("queries", 2000)),
-                                "smoothing": float(cfg.get("smoothing", 20.0)),
-                                "release_args": task_args,
-                            }
-                        )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-    out = args.out or cfg.get("out", "sweep.csv")
+    eps_values = _parse_list(sweep["eps"], float)
+    sizes = [s if s == "random" else float(s) for s in _parse_list(sweep["sizes"], str)]
+    seeds = _parse_list(sweep["seeds"], int)
+    sigmas = _parse_list(sweep["sigmas"], float)
+    n, grid_size, count = int(sweep["n"]), int(sweep["grid"]), int(sweep["queries"])
+    smoothing = float(sweep["smoothing"])
+    for key in cfg:
+        if key.replace("-", "_") in ROW_OPTIONS:
+            raise ValueError(f"sweep config key {key!r}: each row sets it")
+    # every release setting is parsed by the release parser, as for `release --config`;
+    # the placeholder stands for the matrix each row generates
+    release = _subparsers(build_parser())["release"]
+    settings = {}
+    for m, eps in itertools.product(methods, eps_values):
+        entries = {**cfg, "method": m, "eps_total": repr(eps), **heights.get(m, {})}
+        settings[m, eps] = release.parse_args(_inject_config(["--matrix", "-"], entries, release))
+
+    cells = list(itertools.product(sigmas, eps_values, sizes, seeds, methods))  # config order
+    by_dataset: dict[tuple, list[int]] = {}
+    for i, (sigma, _, _, seed, _) in enumerate(cells):
+        by_dataset.setdefault((sigma, seed), []).append(i)
+    order = [i for indices in by_dataset.values() for i in indices]
+
+    def tasks():  # the rows of one dataset after another, each matrix and workload built once
+        workloads = {}
+        for (sigma, seed), indices in by_dataset.items():
+            matrix = _attempt(_sweep_dataset, seed, sigma, n, grid_size)
+            for i in indices:
+                _, eps, size, _, method = cells[i]
+                if (size, seed) not in workloads:
+                    workloads[size, seed] = _attempt(_sweep_workload, seed, size, count, grid_size)
+                row_settings = settings[method, eps]
+                noise = NoiseSource(seed, zero_noise=row_settings.zero_noise)
+                noise = noise.substream("release", method, str(eps), str(size))
+                yield matrix, workloads[size, seed], row_settings, noise, smoothing
+
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+        rows = dict(zip(order, (pool.map if pool else map)(_sweep_row, tasks())))
+    out = args.out or sweep["out"]
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("method,sigma,eps_total,size,seed,mre,status\n")
-        for row in rows:
-            fh.write(
-                f"{row['method']},{row['sigma']:g},{row['eps_total']:g},{row['size']},"
-                f"{row['seed']},{row['mre']},{row['status']}\n"
-            )
-    failures = sum(1 for r in rows if r["status"] != "ok")
+        for i, (sigma, eps, size, seed, method) in enumerate(cells):
+            mre, status = rows[i]
+            fh.write(f"{method},{sigma:g},{eps:g},{size},{seed},{mre},{status}\n")
+    failures = sum(1 for _, status in rows.values() if status != "ok")
     print(f"sweep: {len(rows)} rows ({failures} failed) -> {out}")
     return 0
 
@@ -336,45 +350,51 @@ _FALSY = ("0", "false", "no")
 _TRUTHY = ("1", "true", "yes")
 
 
-def _inject_config(argv: list[str], cfg: dict[str, str]) -> list[str]:
-    """Turn config entries into flags unless the flag was given explicitly."""
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand of ``build_parser()``, by name."""
+    return next(action for action in parser._actions if action.dest == "command").choices
+
+
+def _inject_config(argv: list[str], cfg: dict[str, str], parser: argparse.ArgumentParser) -> list[str]:
+    """Turn config entries into flags of ``parser`` unless the flag was given explicitly.
+
+    A key is an option name with ``_`` or ``-``. A flag that takes no
+    value reads 1/true/yes as on and 0/false/no as off; anything else,
+    or a key that names no option, raises ValueError.
+    """
+    options = {flag: action for action in parser._actions for flag in action.option_strings}
     out = list(argv)
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
-        no_flag = "--no-" + key.replace("_", "-")
-        if any(a == flag or a == no_flag or a.startswith(flag + "=") for a in argv):
+        action = options.get(flag)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if any(a.split("=", 1)[0] in action.option_strings for a in argv):
             continue
-        low = value.lower()
-        if low in _TRUTHY and key in ("smooth", "zero_noise", "clamp_nonnegative"):
-            out.append(flag)
-        elif low in _FALSY and key in ("smooth", "zero_noise", "clamp_nonnegative"):
-            if key == "smooth":
-                out.append(no_flag)
-        else:
+        if action.nargs != 0:
             out += [flag, value]
+        elif value.lower() in _TRUTHY:
+            out.append(flag)
+        elif value.lower() not in _FALSY:
+            raise ValueError(f"config key {key!r} is a switch: expected 1/true/yes or 0/false/no, got {value!r}")
+        elif "--no-" + flag[2:] in action.option_strings:
+            out.append("--no-" + flag[2:])
     return out
 
 
 def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    # pre-scan for --config so config values become flag defaults (sweep
-    # interprets its config itself)
+    parser = build_parser()
+    commands = _subparsers(parser)
+    # config values become flags before parsing, so explicit flags win
+    # (sweep reads its config itself)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    if known.config and (not argv or argv[0] != "sweep"):
-        try:
-            cfg = load_config(known.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        argv = _inject_config(argv, cfg)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        if known.config and argv and argv[0] in commands and argv[0] != "sweep":
+            argv = _inject_config(argv, load_config(known.config), commands[argv[0]])
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

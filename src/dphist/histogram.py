@@ -37,6 +37,14 @@ class PrivateHistogram:
         if self.bounds.shape[0] != self.ncounts.shape[0]:
             raise ValueError("bounds and ncounts length mismatch")
 
+    @classmethod
+    def audited(cls, shape, bounds, ncounts, eps_total, method, ledger, split=None) -> "PrivateHistogram":
+        """A new release, once its leaves tile the grid and no ledger path spends more than ``eps_total``."""
+        hist = cls(shape, bounds, ncounts, eps_total, method, split, ledger)
+        hist.validate_cover()
+        ledger.assert_valid(eps_total)
+        return hist
+
     def __len__(self) -> int:
         return self.bounds.shape[0]
 

@@ -373,14 +373,12 @@ def release(
     matrix: FrequencyMatrix,
     params: HtfParams,
     noise: NoiseSource,
-    *,
-    audit: bool = True,
 ) -> PrivateHistogram:
     """Full pipeline: estimate height, then partition and perturb-and-prune.
 
     Returns the released histogram with its resolved budget split and
-    the consumption ledger attached. With ``audit`` the leaf cover and
-    ledger validity are checked before returning.
+    the consumption ledger attached, once its leaves tile the grid and
+    its ledger stays within ``eps_total``.
     """
     ledger = BudgetLedger()
     if params.height_override is not None:
@@ -426,16 +424,6 @@ def release(
         root, split.eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
     )
 
-    hist = PrivateHistogram(
-        shape=matrix.shape,
-        bounds=np.array([r.as_tuple() for r, _ in leaves], dtype=np.int64),
-        ncounts=np.array([n for _, n in leaves], dtype=np.float64),
-        eps_total=params.eps_total,
-        method="htf",
-        split=split,
-        ledger=ledger,
-    )
-    if audit:
-        hist.validate_cover()
-        ledger.assert_valid(params.eps_total)
-    return hist
+    bounds = [region.as_tuple() for region, _ in leaves]
+    ncounts = [ncount for _, ncount in leaves]
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, "htf", ledger, split)

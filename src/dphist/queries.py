@@ -111,11 +111,11 @@ def true_count(matrix: FrequencyMatrix, query: Region) -> int:
     return matrix.region_sum(query)
 
 
-def relative_error(count: float, answer: float, smoothing: float = DEFAULT_SMOOTHING) -> float:
-    """Percent relative error with a smoothing floor on the denominator."""
+def relative_error(count, answer, smoothing: float = DEFAULT_SMOOTHING):
+    """Percent relative error with a smoothing floor on the denominator, elementwise on arrays."""
     if smoothing <= 0:
         raise ValueError("smoothing must be positive")
-    return abs(count - answer) / max(count, smoothing) * 100.0
+    return np.abs(count - answer) / np.maximum(count, smoothing) * 100.0
 
 
 def generate_workload(spec: WorkloadSpec, rows: int, cols: int) -> Workload:
@@ -149,14 +149,11 @@ def evaluate(
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> EvalReport:
     """Answer every query, compare to the exact counts, report the MRE."""
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
     if hist.shape != matrix.shape:
         raise ValueError(f"histogram shape {hist.shape} != matrix shape {matrix.shape}")
     answers = answer_workload(hist, workload)
     true = matrix.region_sums(workload.queries).astype(np.float64)
-    denom = np.maximum(true, smoothing)
-    rel = np.abs(true - answers) / denom * 100.0
+    rel = relative_error(true, answers, smoothing)
     mre = float(rel.mean()) if len(rel) else 0.0
     return EvalReport(
         true=true,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .grid import Region
 from .privacy import BudgetLedger, NoiseSource, geometric_level_budget, laplace_sample
@@ -122,9 +123,14 @@ def level_budgets(eps: float, height: int, alloc: str = "geometric", fanout: int
 
 
 def perturb(root: Node, budgets: list[float], noise: NoiseSource, ledger: BudgetLedger, label: str) -> None:
-    """Give every node a Laplace count with the budget of its height, charged at its path."""
+    """Give every node a Laplace count with the budget of its height, charged at its path.
+
+    A leaf above height 0 also takes the unspent budgets of the heights
+    below it, so every root-to-leaf path is charged ``sum(budgets)``.
+    """
+    up_to = list(accumulate(budgets))  # up_to[h] = budgets[0] + ... + budgets[h]
     for node in preorder(root):
-        eps = budgets[node.height]
+        eps = up_to[node.height] if node.is_leaf else budgets[node.height]
         node.ncount = node.count + laplace_sample(1.0, eps, noise.substream(*node.path, "count"))
         node.noise_var = 2.0 / (eps * eps)
         ledger.charge(label, eps, path=node.path, level=node.height)

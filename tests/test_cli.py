@@ -1,5 +1,6 @@
 import pytest
 
+from dphist import cli
 from dphist.cli import main
 from dphist.grid import load_matrix, load_points
 from dphist.histogram import PrivateHistogram
@@ -98,6 +99,24 @@ class TestRelease:
              "--eps-total", 0.1, "--seed", 5, "--out", out, "--clamp-nonnegative"])
         hist = PrivateHistogram.load(out)
         assert (hist.ncounts >= 0).all()
+
+    @pytest.mark.parametrize("key, value", [("smooth", "off"), ("stop_cout", "5")])
+    def test_config_bad_key_exits_2_naming_it(self, tmp_path, matrix_file, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--config", cfg, "--matrix", matrix_file, "--out", out]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_switches_match_flags(self, tmp_path, matrix_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("zero_noise=yes\nclamp_nonnegative=TRUE\nsmooth=no\n")
+        common = ["--matrix", matrix_file, "--method", "kdtree", "--height", 3]
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(["release", "--config", cfg, *common, "--out", a]) == 0
+        assert run(["release", "--zero-noise", "--clamp-nonnegative", "--no-smooth", *common, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path, matrix_file):
         cfg = tmp_path / "run.cfg"
@@ -212,6 +231,78 @@ class TestSweep:
     def test_unknown_method_exits_2(self, tmp_path):
         cfg = self.write_config(tmp_path, methods="htf,wavelet")
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "t.csv"]) == 2
+
+    def test_two_jobs_write_the_bytes_of_one(self, tmp_path):
+        cfg = self.write_config(tmp_path, methods="htf,ug,quadtree", sigmas="6,10", sizes="random,0.05")
+        tables = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run(["sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 1 + 3 * 2 * 2 * 2
+
+    def test_each_dataset_and_workload_built_once(self, tmp_path, monkeypatch):
+        calls = {"sample_gaussian_points": [], "generate_workload": []}
+        for module, name in ((cli.grid, "sample_gaussian_points"), (cli.queries, "generate_workload")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name].append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        cfg = self.write_config(tmp_path, eps="0.3,0.5", sigmas="6,10", sizes="random,0.05")
+        out = tmp_path / "table.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 2 * 2 * 2 * 2
+        assert len(calls["sample_gaussian_points"]) == 2 * 2  # sigmas x seeds
+        assert len(calls["generate_workload"]) == 2 * 2  # sizes x seeds
+
+    def test_failed_dataset_fails_only_its_rows(self, tmp_path):
+        cfg = self.write_config(tmp_path, sigmas="-1,6", seeds="0")
+        out = tmp_path / "table.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 0
+        status = [row.split(",")[-1] for row in out.read_text().splitlines()[1:]]
+        assert status == ["error:ValueError"] * 3 + ["ok"] * 3
+
+    def test_smooth_false_gives_the_rows_of_smooth_0(self, tmp_path):
+        tables = {}
+        for value in ("False", "0", "1"):
+            cfg = self.write_config(tmp_path, methods="quadtree,kdtree", height="3", smooth=value)
+            out = tmp_path / f"smooth-{value}.csv"
+            assert run(["sweep", "--config", cfg, "--out", out]) == 0
+            tables[value] = out.read_bytes()
+        assert tables["False"] == tables["0"]
+        assert tables["0"] != tables["1"]
+
+    @pytest.mark.parametrize(
+        "key, value", [("smooth", "off"), ("stop_cout", "5"), ("seed", "3"), ("eps_total", "0.2")]
+    )
+    def test_bad_key_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, key, value):
+        built = []
+        monkeypatch.setattr(cli, "build_release", lambda *args: built.append(args))
+        cfg = self.write_config(tmp_path, **{key: value})
+        out = tmp_path / "table.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists() and not built
+
+    def test_row_settings_are_those_of_release_config(self, tmp_path, matrix_file, monkeypatch):
+        settings = {"stop_count": "20", "smooth": "False", "alloc": "geometric", "T": "2", "zero_noise": "yes"}
+        seen = []
+
+        def capture(matrix, args, noise):
+            seen.append(vars(args))
+            raise ValueError("settings captured")
+
+        monkeypatch.setattr(cli, "build_release", capture)
+        cfg = self.write_config(tmp_path, methods="kdtree", seeds="0", **settings)
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "table.csv"]) == 0
+        release_cfg = tmp_path / "release.cfg"
+        release_cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        run(["release", "--config", release_cfg, "--matrix", matrix_file, "--method", "kdtree", "--eps-total", 0.5])
+        unset = ("command", "matrix", "config", "out", "seed", "func")
+        sweep_row, release = ({k: v for k, v in s.items() if k not in unset} for s in seen)
+        assert sweep_row == release
+        assert release["smooth"] is False and release["zero_noise"] is True and release["search_iters"] == 2
 
 
 class TestDeterminism:

@@ -106,13 +106,9 @@ class TestTreeReleaseProperties:
             paint[r0:r1, c0:c1] += 1
         assert (paint == 1).all()
 
-        # A path is charged the whole budget when its leaf sits at height 0. A leaf
-        # left higher, by a single-cell region, is charged only the levels above it.
-        leaf_height = {e[2]: e[1] for e in hist.ledger.entries if e[0] == "node-count"}
+        # every path is charged the whole budget, also where its leaf stops above height 0
         for path, total in hist.ledger.chain_totals().items():
-            assert total <= eps + 1e-12
-            if leaf_height[path] == 0:
-                assert total == pytest.approx(eps, abs=1e-12)
+            assert total == pytest.approx(eps, abs=1e-12), path
 
         if noise.zero_noise:
             truth = matrix.region_sums(hist.bounds)
@@ -120,3 +116,24 @@ class TestTreeReleaseProperties:
                 np.testing.assert_allclose(hist.ncounts, truth, rtol=1e-12, atol=1e-9)
             else:
                 assert hist.ncounts.tolist() == truth.tolist()
+
+
+class TestLeavesAboveHeightZero:
+    def test_quadtree_leaf_on_a_single_row_draws_once_with_every_level(self):
+        matrix = FrequencyMatrix(np.arange(9).reshape(1, 9))
+        hist = baselines.build_quadtree(matrix, 0.5, 3, NoiseSource(1))
+        assert hist.bounds.tolist() == [[0, 1, 0, 9]]
+        [(label, level, path, eps, _)] = hist.ledger.entries
+        assert (label, level, path) == ("node-count", 1, ())
+        assert eps == pytest.approx(0.5, abs=1e-12)
+
+    def test_kdtree_single_cell_leaf_takes_its_levels_and_reserves_its_splits(self):
+        # every split search picks k = 1 without noise, so row 0 is a leaf at height 1
+        matrix = FrequencyMatrix(np.array([[0], [0], [0], [100]]))
+        hist = baselines.build_kdtree(matrix, 0.5, 2, NoiseSource(0, zero_noise=True))
+        assert hist.bounds.tolist() == [[0, 1, 0, 1], [1, 2, 0, 1], [2, 4, 0, 1]]
+        struct, count = 0.15 * 0.5 / 2, 0.85 * 0.5 / 3
+        charges = [(e[0], e[3]) for e in hist.ledger.entries if e[2] == (0,)]
+        assert charges == [("partition-reserved", pytest.approx(struct)), ("node-count", pytest.approx(2 * count))]
+        for total in hist.ledger.chain_totals().values():
+            assert total == pytest.approx(0.5, abs=1e-12)
