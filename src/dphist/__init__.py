@@ -40,19 +40,17 @@ from .privacy import (
     NoiseSource,
     geometric_level_budget,
     laplace_sample,
-    uniform_level_budget,
 )
 from .queries import (
     EvalReport,
     Workload,
     WorkloadSpec,
-    answer_query,
+    answer_workload,
     evaluate,
     generate_workload,
     load_workload,
     relative_error,
     save_workload,
-    true_count,
 )
 
 __version__ = "0.1.0"

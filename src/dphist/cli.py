@@ -2,8 +2,9 @@
 
 Subcommands: generate | ingest | release | evaluate | sweep. Every
 subcommand accepts ``--config FILE`` with flat ``key=value`` lines
-(CLI flags override config values). Exit codes: 0 success, 2
-configuration error, 3 I/O error, 4 internal invariant breach.
+(CLI flags, abbreviated or not, override config values). Exit codes: 0
+success, 2 configuration error (a rejected flag or value included), 3
+I/O error, 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def cmd_sweep(args) -> int:
     settings = {}
     for m, eps in itertools.product(methods, eps_values):
         entries = {**cfg, "method": m, "eps_total": repr(eps), **heights.get(m, {})}
-        settings[m, eps] = release.parse_args(_inject_config(["--matrix", "-"], entries, release))
+        settings[m, eps] = release.parse_args([*_config_flags(entries, release), "--matrix", "-"])
 
     cells = list(itertools.product(sigmas, eps_values, sizes, seeds, methods))  # config order
     by_dataset: dict[tuple, list[int]] = {}
@@ -275,13 +276,20 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would exit, so ``main`` returns 2 for a rejected argument."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dphist", description=__doc__)
+    parser = _Parser(prog="dphist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic Gaussian-cluster point file")
@@ -355,22 +363,22 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
     return next(action for action in parser._actions if action.dest == "command").choices
 
 
-def _inject_config(argv: list[str], cfg: dict[str, str], parser: argparse.ArgumentParser) -> list[str]:
-    """Turn config entries into flags of ``parser`` unless the flag was given explicitly.
+def _config_flags(cfg: dict[str, str], parser: argparse.ArgumentParser) -> list[str]:
+    """The flags of ``parser`` that the config entries ``cfg`` stand for.
 
-    A key is an option name with ``_`` or ``-``. A flag that takes no
-    value reads 1/true/yes as on and 0/false/no as off; anything else,
-    or a key that names no option, raises ValueError.
+    They go before the command line's own flags, so argparse's
+    last-one-wins rule lets an explicit flag, abbreviated or not,
+    override the config. A key is an option name with ``_`` or ``-``. A
+    flag that takes no value reads 1/true/yes as on and 0/false/no as
+    off; anything else, or a key that names no option, raises ValueError.
     """
     options = {flag: action for action in parser._actions for flag in action.option_strings}
-    out = list(argv)
+    out = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
         action = options.get(flag)
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if any(a.split("=", 1)[0] in action.option_strings for a in argv):
-            continue
         if action.nargs != 0:
             out += [flag, value]
         elif value.lower() in _TRUTHY:
@@ -386,14 +394,14 @@ def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     parser = build_parser()
     commands = _subparsers(parser)
-    # config values become flags before parsing, so explicit flags win
+    # config values become flags ahead of the command's own, so explicit flags win
     # (sweep reads its config itself)
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
     try:
+        known, _ = pre.parse_known_args(argv)
         if known.config and argv and argv[0] in commands and argv[0] != "sweep":
-            argv = _inject_config(argv, load_config(known.config), commands[argv[0]])
+            argv = [argv[0], *_config_flags(load_config(known.config), commands[argv[0]]), *argv[1:]]
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -20,7 +20,7 @@ __all__ = [
     "Region",
     "FrequencyMatrix",
     "discretize",
-    "first_outside",
+    "require_inside",
     "sample_gaussian_points",
     "generate_gaussian",
     "save_points",
@@ -63,11 +63,17 @@ class Region:
         return (self.row_lo, self.row_hi, self.col_lo, self.col_hi)
 
 
-def first_outside(rects: np.ndarray, rows: int, cols: int) -> int | None:
-    """Index of the first ``(K, 4)`` half-open rectangle that is empty or leaves a rows x cols grid."""
+def require_inside(rects: np.ndarray, rows: int, cols: int, what: str, error=ValueError) -> None:
+    """Raise ``error`` at the first ``(K, 4)`` half-open rectangle that is empty or leaves a rows x cols grid.
+
+    The message starts with ``what``, in which ``{}`` stands for the
+    rectangle's index, then gives its bounds.
+    """
     r0, r1, c0, c1 = rects.T
     ok = (0 <= r0) & (r0 < r1) & (r1 <= rows) & (0 <= c0) & (c0 < c1) & (c1 <= cols)
-    return None if ok.all() else int(ok.argmin())
+    if not ok.all():
+        bad = int(ok.argmin())
+        raise error(f"{what.format(bad)} {tuple(rects[bad].tolist())} is empty or outside the {rows}x{cols} grid")
 
 
 class FrequencyMatrix:
@@ -130,9 +136,7 @@ class FrequencyMatrix:
     def region_sums(self, rects) -> np.ndarray:
         """Totals inside the ``(K, 4)`` half-open rectangles ``rects``, four prefix lookups each."""
         rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
-        bad = first_outside(rects, self.rows, self.cols)
-        if bad is not None:
-            raise ValueError(f"region {bad} {tuple(rects[bad].tolist())} is empty or outside the {self.rows}x{self.cols} grid")
+        require_inside(rects, self.rows, self.cols, "region {}")
         r0, r1, c0, c1 = rects.T
         p = self._prefix
         return p[r1, c1] - p[r0, c1] - p[r1, c0] + p[r0, c0]

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grid import Region, write_rows
+from .grid import write_rows
 from .kernels import CoverageError, leaf_owner
 from .privacy import BudgetLedger, BudgetSplit
 
@@ -47,10 +47,6 @@ class PrivateHistogram:
 
     def __len__(self) -> int:
         return self.bounds.shape[0]
-
-    @property
-    def regions(self) -> list[Region]:
-        return [Region(*row) for row in self.bounds.tolist()]
 
     def validate_cover(self) -> None:
         """Check the leaves are pairwise disjoint and tile the full grid."""

@@ -412,7 +412,6 @@ def release(
         eps_partition=eps_partition,
         eps_data=eps_data,
         eps_height=params.eps_height,
-        eps_partition_level=params.eps_partition_level,
     )
 
     # The root is split before its stop test: an unsplittable root is the

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .grid import first_outside
+from .grid import require_inside
 
 __all__ = [
     "CoverageError",
@@ -84,9 +84,7 @@ def leaf_owner(bounds, shape) -> np.ndarray:
     """
     rows, cols = shape
     bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 4)
-    bad = first_outside(bounds, rows, cols)
-    if bad is not None:
-        raise CoverageError(f"leaf {tuple(bounds[bad].tolist())} is empty or outside the {rows}x{cols} grid")
+    require_inside(bounds, rows, cols, "leaf", CoverageError)
     cells = int(((bounds[:, 1] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 2])).sum())
     if cells != rows * cols:
         raise CoverageError(f"leaves hold {cells} cells of the {rows}x{cols} grid")

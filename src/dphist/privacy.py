@@ -2,10 +2,10 @@
 
 Laplace sampling from seeded, structurally keyed noise streams, the
 three-way privacy budget decomposition used by the tree release
-(structure search + count perturbation + height estimation), per-level
-allocation formulas, and a consumption ledger that audits sequential
-composition along every root-to-leaf path while treating disjoint
-siblings as parallel.
+(structure search + count perturbation + height estimation), the
+geometric per-level allocation, and a consumption ledger that audits
+sequential composition along every root-to-leaf path while treating
+disjoint siblings as parallel.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "NoiseSource",
     "laplace_sample",
     "geometric_level_budget",
-    "uniform_level_budget",
     "BudgetLedger",
 ]
 
@@ -35,36 +34,23 @@ class BudgetOverflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class BudgetSplit:
-    """Decomposition eps_total = eps_partition + eps_data + eps_height.
-
-    ``eps_partition_level`` is set when the per-level structure budget
-    was fixed directly (experiment mode); otherwise the total partition
-    budget is divided uniformly over the tree levels.
-    """
+    """Decomposition eps_total = eps_partition + eps_data + eps_height."""
 
     eps_total: float
     eps_partition: float
     eps_data: float
     eps_height: float
-    eps_partition_level: float | None = None
 
     def __post_init__(self):
         for name in ("eps_total", "eps_partition", "eps_data", "eps_height"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.eps_partition_level is not None and self.eps_partition_level <= 0:
-            raise ValueError("eps_partition_level must be positive")
         gap = abs(self.eps_total - (self.eps_partition + self.eps_data + self.eps_height))
         if gap > EPS_TOL:
             raise ValueError(
                 f"budget components sum to {self.eps_partition + self.eps_data + self.eps_height}, "
                 f"not eps_total={self.eps_total}"
             )
-
-    def per_level_partition(self, height: int) -> float:
-        if self.eps_partition_level is not None:
-            return self.eps_partition_level
-        return uniform_level_budget(self.eps_partition, height)
 
 
 def _key_words(parts) -> tuple[int, ...]:
@@ -152,15 +138,6 @@ def geometric_level_budget(level: int, height: int, eps: float, fanout: int = 2)
     return (b ** ((height - level) / 3.0)) * eps * (ratio - 1.0) / (b ** ((height + 1) / 3.0) - 1.0)
 
 
-def uniform_level_budget(eps_partition: float, height: int) -> float:
-    """Uniform per-level split of the structure budget."""
-    if height < 1:
-        raise ValueError("height must be at least 1")
-    if eps_partition <= 0:
-        raise ValueError("eps_partition must be positive")
-    return eps_partition / height
-
-
 @dataclass
 class BudgetLedger:
     """Ordered log of every budget charge, keyed by tree path.
@@ -191,9 +168,6 @@ class BudgetLedger:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def labels(self) -> list[str]:
-        return [e[0] for e in self.entries]
 
     def total_by_label(self, label: str) -> float:
         return sum(e[3] for e in self.entries if e[0] == label)

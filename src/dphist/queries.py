@@ -1,29 +1,31 @@
 """Range-count queries over released histograms and MRE evaluation.
 
-Queries are cell-aligned rectangles. A released leaf that partially
-overlaps a query contributes its noisy count scaled by the overlap
-fraction (uniform density within the leaf). Accuracy is reported as
-mean relative error with a smoothing floor in the denominator so
-zero-count queries stay defined.
+Queries are cell-aligned rectangles, held as a ``(Q, 4)`` array in a
+``Workload`` and answered all at once (``answer_workload``); one query
+is a one-row workload. A released leaf that partially overlaps a query
+contributes its noisy count scaled by the overlap fraction (uniform
+density within the leaf). Exact counts come from
+``FrequencyMatrix.region_sums``. Accuracy is reported as mean relative
+error with a smoothing floor in the denominator so zero-count queries
+stay defined.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .grid import FrequencyMatrix, Region, first_outside, read_rows, write_rows
+from .grid import FrequencyMatrix, read_rows, require_inside, write_rows
 from .histogram import PrivateHistogram
 
 __all__ = [
     "WorkloadSpec",
     "Workload",
     "EvalReport",
-    "answer_query",
-    "true_count",
+    "answer_workload",
     "relative_error",
     "generate_workload",
     "evaluate",
@@ -79,7 +81,6 @@ class EvalReport:
     rel_errors: np.ndarray
     mre: float
     smoothing: float
-    meta: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
         """Per-query rows plus a summary footer line."""
@@ -90,25 +91,10 @@ class EvalReport:
             fh.write(f"# summary mre={self.mre:.12g} queries={len(self.true)} smoothing={self.smoothing:.12g}\n")
 
 
-def answer_query(hist: PrivateHistogram, query: Region) -> float:
-    """Noisy answer under the uniformity assumption inside each leaf."""
-    query.require_within(*hist.shape)
-    q = np.asarray([query.as_tuple()], dtype=np.int64)
-    return float(kernels.answer_workload(hist.bounds, hist.ncounts, q, hist.shape)[0])
-
-
 def answer_workload(hist: PrivateHistogram, workload: Workload) -> np.ndarray:
     """Answers to every query; ValueError names the first empty or out-of-grid query."""
-    bad = first_outside(workload.queries, *hist.shape)
-    if bad is not None:
-        rows, cols = hist.shape
-        raise ValueError(f"query {bad} {tuple(workload.queries[bad].tolist())} is empty or outside the {rows}x{cols} grid")
+    require_inside(workload.queries, *hist.shape, "query {}")
     return kernels.answer_workload(hist.bounds, hist.ncounts, workload.queries, hist.shape)
-
-
-def true_count(matrix: FrequencyMatrix, query: Region) -> int:
-    """Exact count for evaluation ground truth."""
-    return matrix.region_sum(query)
 
 
 def relative_error(count, answer, smoothing: float = DEFAULT_SMOOTHING):
@@ -161,7 +147,6 @@ def evaluate(
         rel_errors=rel,
         mre=mre,
         smoothing=smoothing,
-        meta={"method": hist.method, "eps_total": hist.eps_total, "queries": len(workload)},
     )
 
 

@@ -25,7 +25,7 @@ from dphist.htf import (
 )
 from dphist.privacy import BudgetLedger, NoiseSource, geometric_level_budget
 from dphist.tree import Node
-from dphist.queries import WorkloadSpec, answer_query, evaluate, generate_workload
+from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
 
 from oracles import objective_argmins_exact, objective_scan, optimal_split_exact
 
@@ -159,7 +159,7 @@ def test_criterion_5_zero_noise_oracles():
         r1, c1 = int(rng.integers(r0 + 1, 33)), int(rng.integers(c0 + 1, 33))
         query = Region(int(r0), r1, int(c0), c1)
         oracle = density[query.row_lo:query.row_hi, query.col_lo:query.col_hi].sum()
-        assert abs(answer_query(hist, query) - oracle) < 1e-9
+        assert abs(answer_workload(hist, Workload([query.as_tuple()]))[0] - oracle) < 1e-9
 
     mismatches = 0
     for _ in range(200):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dphist.baselines import (
     build_adaptive_grid,
@@ -16,7 +18,7 @@ from dphist.baselines import (
 from dphist.grid import FrequencyMatrix, Region
 from dphist.privacy import NoiseSource
 from dphist.tree import Node
-from dphist.queries import WorkloadSpec, answer_query, evaluate, generate_workload
+from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
 
 
 def zero_noise():
@@ -42,7 +44,8 @@ class TestUniformGrid:
         hist = build_uniform_grid(matrix, 1e6, NoiseSource(2))
         # grid granularity clamps to 16, so any cell-aligned query is exact
         query = Region(2, 9, 3, 14)
-        assert answer_query(hist, query) == pytest.approx(matrix.region_sum(query), abs=1e-3)
+        got = answer_workload(hist, Workload([query.as_tuple()]))[0]
+        assert got == pytest.approx(matrix.region_sum(query), abs=1e-3)
 
     def test_single_cell_degenerate_equals_flat(self):
         matrix = random_matrix(3, shape=(8, 8), high=2)  # tiny total -> m = 1
@@ -68,8 +71,7 @@ class TestAdaptiveGrid:
     def test_zero_noise_counts_exact(self):
         matrix = random_matrix(7, shape=(40, 40), high=50)
         hist = build_adaptive_grid(matrix, 0.5, zero_noise())
-        for region, ncount in zip(hist.regions, hist.ncounts):
-            assert ncount == matrix.region_sum(region)
+        assert np.array_equal(hist.ncounts, matrix.region_sums(hist.bounds))
 
     def test_cover_and_ledger(self):
         matrix = random_matrix(8, shape=(64, 64), high=100)
@@ -193,12 +195,12 @@ class TestFlatUniform:
     def test_whole_domain_exact_without_noise(self):
         matrix = random_matrix(2)
         hist = build_flat_uniform(matrix, 0.5, zero_noise())
-        assert answer_query(hist, matrix.full_region()) == matrix.total
+        assert answer_workload(hist, Workload([matrix.full_region().as_tuple()]))[0] == matrix.total
 
     def test_quarter_domain_scaling(self):
         matrix = random_matrix(4, shape=(16, 16))
         hist = build_flat_uniform(matrix, 0.5, NoiseSource(3))
-        quarter = answer_query(hist, Region(0, 8, 0, 8))
+        quarter = answer_workload(hist, Workload([Region(0, 8, 0, 8).as_tuple()]))[0]
         assert quarter == pytest.approx(hist.ncounts[0] / 4)
 
     def test_clustered_data_has_large_uniformity_error(self):
@@ -207,8 +209,65 @@ class TestFlatUniform:
         matrix = FrequencyMatrix(counts)
         hist = build_flat_uniform(matrix, 1e6, NoiseSource(1))
         empty_corner = Region(8, 16, 8, 16)
-        assert answer_query(hist, empty_corner) > 1000
+        assert answer_workload(hist, Workload([empty_corner.as_tuple()]))[0] > 1000
         assert matrix.region_sum(empty_corner) == 0
+
+
+def reference_cells(r0, r1, c0, c1, mr, mc):
+    """The mr x mc cells of a rectangle, row-major, with edges at lo + extent * i // parts."""
+    rows = [r0 + (r1 - r0) * i // mr for i in range(mr + 1)]
+    cols = [c0 + (c1 - c0) * i // mc for i in range(mc + 1)]
+    return [[rows[a], rows[a + 1], cols[b], cols[b + 1]] for a in range(mr) for b in range(mc)]
+
+
+SIDES = st.one_of(st.just(1), st.sampled_from([2, 3, 5, 7, 13, 31, 37, 61, 64]), st.integers(1, 64))
+
+
+@st.composite
+def grid_releases(draw):
+    rows, cols = draw(SIDES), draw(SIDES)
+    high = draw(st.sampled_from([1, 5, 100, 2000]))
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, high, (rows, cols))
+    method = draw(st.sampled_from(["ug", "ag", "singular"]))
+    options = {}
+    if method == "ag":
+        options = {"alpha": draw(st.floats(0.05, 0.95)), "c0": draw(st.floats(0.5, 20.0))}
+    return FrequencyMatrix(counts), method, draw(st.floats(0.01, 2.0)), options
+
+
+class TestGridReleaseProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_releases())
+    def test_cells_tile_count_exactly_and_spend_eps(self, case):
+        matrix, method, eps, options = case
+        build = {"ug": build_uniform_grid, "ag": build_adaptive_grid, "singular": build_singular}[method]
+        hist = build(matrix, eps, zero_noise(), **options)
+        rows, cols = matrix.shape
+
+        paint = np.zeros(matrix.shape, dtype=int)
+        for r0, r1, c0, c1 in hist.bounds:
+            paint[r0:r1, c0:c1] += 1
+        assert (paint == 1).all()
+        assert hist.ncounts.tolist() == matrix.region_sums(hist.bounds).tolist()
+        for path, total in hist.ledger.chain_totals().items():
+            assert total == pytest.approx(eps, abs=1e-12), path
+
+        if method == "ug":
+            m = min(max(1, int(round(math.sqrt(matrix.total * eps / 10.0)))), rows, cols)
+            expected = reference_cells(0, rows, 0, cols, m, m)
+            assert len(hist) == m * m
+        elif method == "ag":
+            c0, eps2 = options["c0"], eps - options["alpha"] * eps
+            m1 = min(max(10, int(math.ceil(math.sqrt(matrix.total * eps / c0) / 4))), rows, cols)
+            expected = []
+            for cell in reference_cells(0, rows, 0, cols, m1, m1):
+                n = matrix.region_sum(Region(*cell))
+                m2 = int(math.ceil(math.sqrt(n * eps2 / (c0 / 2.0)))) if n > 0 else 1
+                m2 = max(1, min(m2, cell[1] - cell[0], cell[3] - cell[2]))
+                expected += reference_cells(*cell, m2, m2)
+        else:
+            expected = reference_cells(0, rows, 0, cols, rows, cols)
+        assert hist.bounds.tolist() == expected
 
 
 def make_tree(depth, fanout, rng, var=4.0):

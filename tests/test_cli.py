@@ -118,6 +118,37 @@ class TestRelease:
         assert run(["release", "--zero-noise", "--clamp-nonnegative", "--no-smooth", *common, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_abbreviated_flag_overrides_config(self, tmp_path, matrix_file):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("eps_total=0.5\n")
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--config", cfg, "--matrix", matrix_file, "--eps-t", 0.7, "--out", out]) == 0
+        assert PrivateHistogram.load(out).eps_total == 0.7
+
+    def test_abbreviated_switch_overrides_config(self, tmp_path, matrix_file):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("smooth=1\n")
+        common = ["--matrix", matrix_file, "--method", "kdtree", "--height", 3]
+        abbreviated, full, config = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        assert run(["release", "--config", cfg, *common, "--no-smo", "--out", abbreviated]) == 0
+        assert run(["release", *common, "--no-smooth", "--out", full]) == 0
+        assert run(["release", "--config", cfg, *common, "--out", config]) == 0
+        assert abbreviated.read_bytes() == full.read_bytes() != config.read_bytes()
+
+    def test_rejected_config_value_exits_2_naming_the_option(self, tmp_path, matrix_file, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("stop_count=abc\n")
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--config", cfg, "--matrix", matrix_file, "--out", out]) == 2
+        assert "--stop-count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["release", "--help"])
+        assert exc.value.code == 0
+        assert "--eps-total" in capsys.readouterr().out
+
     def test_config_file_with_flag_override(self, tmp_path, matrix_file):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -283,6 +314,15 @@ class TestSweep:
         out = tmp_path / "table.csv"
         assert run(["sweep", "--config", cfg, "--out", out]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists() and not built
+
+    def test_rejected_value_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_release", lambda *args: built.append(args))
+        cfg = self.write_config(tmp_path, stop_count="abc")
+        out = tmp_path / "table.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert "--stop-count" in capsys.readouterr().err
         assert not out.exists() and not built
 
     def test_row_settings_are_those_of_release_config(self, tmp_path, matrix_file, monkeypatch):

@@ -10,7 +10,6 @@ from dphist.privacy import (
     NoiseSource,
     geometric_level_budget,
     laplace_sample,
-    uniform_level_budget,
 )
 
 
@@ -26,12 +25,6 @@ class TestBudgetSplit:
     def test_positive_components(self):
         with pytest.raises(ValueError):
             BudgetSplit(0.1, -0.01, 0.1, 0.01)
-
-    def test_per_level(self):
-        split = BudgetSplit(0.2, 0.05, 0.1, 0.05)
-        assert split.per_level_partition(5) == pytest.approx(0.01)
-        fixed = BudgetSplit(0.2, 0.05, 0.1, 0.05, eps_partition_level=5e-4)
-        assert fixed.per_level_partition(100) == 5e-4
 
 
 class TestLaplaceSample:
@@ -115,18 +108,6 @@ class TestGeometricLevelBudget:
         values = [geometric_level_budget(i, 3, 0.5, fanout=4) for i in range(4)]
         assert sum(values) == pytest.approx(0.5, abs=1e-12)
         assert values[0] > values[-1]
-
-
-class TestUniformLevelBudget:
-    def test_basic(self):
-        assert uniform_level_budget(0.05, 5) == pytest.approx(0.01)
-
-    def test_round_trip(self):
-        assert uniform_level_budget(5e-4 * 7, 7) == pytest.approx(5e-4)
-
-    def test_zero_height(self):
-        with pytest.raises(ValueError):
-            uniform_level_budget(0.05, 0)
 
 
 class TestNoiseSource:
