@@ -16,7 +16,6 @@ from .baselines import (
 )
 from .grid import (
     FrequencyMatrix,
-    Region,
     discretize,
     generate_gaussian,
     load_matrix,

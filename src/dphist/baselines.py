@@ -5,10 +5,11 @@ release so the evaluation harness treats every method uniformly. The
 uniform grid, both levels of the adaptive grid and the per-cell release
 lay out their cells as ``(K, 4)`` bounds arrays (``_grid_cells``) and
 count them with one ``FrequencyMatrix.region_sums`` call; each cell
-still draws its own keyed Laplace noise. The
-quadtree and kd-tree are built on the tree core htf uses (``tree``):
-the same node type, alternating split axis, preorder walk and per-height
-count budgets. They optionally run a consistency smoothing pass that
+still draws its own keyed Laplace noise. The quadtree and kd-tree are
+built on the tree core htf uses (``tree``): the same node type,
+alternating split axis, preorder walk and per-height count budgets; the
+kd-tree also splits through htf's binary split step, ``tree.bisect``,
+with its own cut. They optionally run a consistency smoothing pass that
 re-estimates node counts so every parent equals the sum of its children
 (a linear, noise-independent transform that never increases leaf
 variance).
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from . import tree
-from .grid import FrequencyMatrix, Region
+from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
 from .privacy import BudgetLedger, NoiseSource, laplace_sample
 from .tree import Node
@@ -126,7 +127,7 @@ def build_adaptive_grid(
 
 def _leaves_hist(matrix, root: Node, eps_total, method, ledger) -> PrivateHistogram:
     leaves = [node for node in tree.preorder(root) if node.is_leaf]
-    bounds = [leaf.region.as_tuple() for leaf in leaves]
+    bounds = [leaf.bounds for leaf in leaves]
     return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, method, ledger)
 
 
@@ -153,20 +154,15 @@ def build_quadtree(
     ledger = BudgetLedger()
 
     def split(node: Node) -> None:
-        r = node.region
-        if r.rows < 2 or r.cols < 2:
+        r0, r1, c0, c1 = node.bounds
+        if r1 - r0 < 2 or c1 - c0 < 2:
             return
-        r_mid = r.row_lo + r.rows // 2
-        c_mid = r.col_lo + r.cols // 2
-        quads = (
-            Region(r.row_lo, r_mid, r.col_lo, c_mid),
-            Region(r.row_lo, r_mid, c_mid, r.col_hi),
-            Region(r_mid, r.row_hi, r.col_lo, c_mid),
-            Region(r_mid, r.row_hi, c_mid, r.col_hi),
-        )
+        rm = r0 + (r1 - r0) // 2
+        cm = c0 + (c1 - c0) // 2
+        quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
         tree.divide(node, quads, matrix.region_sum)
 
-    root = tree.grow(Node(matrix.full_region(), height, count=matrix.total), split)
+    root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
     budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
     tree.perturb(root, budgets, noise.substream("quadtree"), ledger, "node-count")
     if smooth and tree.is_complete(root):
@@ -216,21 +212,16 @@ def build_kdtree(
     eps_counts = (1.0 - structure_fraction) * eps_total
     src = noise.substream("kdtree")
 
-    def split(node: Node) -> None:
-        axis = tree.split_axis(node.region, node.height)
-        if axis is None:  # a single cell: the levels below it spend no structure budget
-            ledger.charge("partition-reserved", eps_struct_level * node.height, path=node.path, level=node.height)
-            return
-        r = node.region
-        sums = matrix.counts[r.row_lo:r.row_hi, r.col_lo:r.col_hi].sum(axis=1 if axis == "y" else 0)
+    def median_cut(node: Node, axis: str) -> int:
+        r0, r1, c0, c1 = node.bounds
+        sums = matrix.counts[r0:r1, c0:c1].sum(axis=1 if axis == "y" else 0)
         prefix = np.cumsum(sums)[:-1]  # candidate k = 1 .. extent-1
         utilities = -np.abs(prefix - sums.sum() / 2.0)
         probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-        ledger.charge("em-split", eps_struct_level, path=node.path, level=node.height)
-        k = src.substream(*node.path, "em").choice_index(probs) + 1
-        tree.halves(node, axis, k, matrix.region_sum)
+        return src.substream(*node.path, "em").choice_index(probs) + 1
 
-    root = tree.grow(Node(matrix.full_region(), height, count=matrix.total), split)
+    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
+    tree.grow(root, lambda node: tree.bisect(node, median_cut, eps_struct_level, ledger, "em-split", matrix.region_sum))
     budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
     tree.perturb(root, budgets, src, ledger, "node-count")
     if smooth and tree.is_complete(root):
@@ -262,7 +253,7 @@ def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSo
     ledger = BudgetLedger()
     ncount = matrix.total + laplace_sample(1.0, eps_total, noise.substream("flat"))
     ledger.charge("total-count", eps_total, path=())
-    bounds = [matrix.full_region().as_tuple()]
+    bounds = [(0, matrix.rows, 0, matrix.cols)]
     return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, "uniform", ledger)
 
 

@@ -88,8 +88,7 @@ def build_release(matrix, args, noise) -> PrivateHistogram:
             eps_total=args.eps_total,
             eps_height=args.eps_height,
             eps_partition=args.eps_partition,
-            # a structure total replaces the per-level default
-            eps_partition_level=args.eps_partition_level if args.eps_partition is None else None,
+            eps_partition_level=args.eps_partition_level,
             search_iters=args.search_iters,
             stop_count=args.stop_count,
             stop_cells=args.stop_cells,
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-total", type=float, default=0.1)
     p.add_argument("--eps-height", type=float, default=1e-4)
     p.add_argument("--eps-partition", type=float, default=None, help="total structure budget (uniform per level)")
-    p.add_argument("--eps-partition-level", type=float, default=5e-4, help="fixed per-level structure budget")
+    p.add_argument("--eps-partition-level", type=float, help="fixed per-level structure budget (default 5e-4)")
     p.add_argument("--search-iters", "--T", type=int, default=3, dest="search_iters")
     p.add_argument("--stop-count", type=float, default=100.0)
     p.add_argument("--stop-cells", type=int, default=5)
@@ -390,18 +389,24 @@ def _config_flags(cfg: dict[str, str], parser: argparse.ArgumentParser) -> list[
     return out
 
 
+def _config_path(command: str, argv: list[str]) -> str | None:
+    """The ``--config`` file ``argv`` names, with abbreviations resolved as ``command``'s parser resolves them."""
+    parser = _subparsers(build_parser())[command]
+    for action in parser._actions:
+        action.required = False  # a required flag may come from the config
+    return parser.parse_known_args(argv)[0].config
+
+
 def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
     parser = build_parser()
     commands = _subparsers(parser)
-    # config values become flags ahead of the command's own, so explicit flags win
-    # (sweep reads its config itself)
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
     try:
-        known, _ = pre.parse_known_args(argv)
-        if known.config and argv and argv[0] in commands and argv[0] != "sweep":
-            argv = [argv[0], *_config_flags(load_config(known.config), commands[argv[0]]), *argv[1:]]
+        # config values become flags ahead of the command's own, so explicit flags win
+        # (sweep reads its config itself)
+        config = _config_path(argv[0], argv[1:]) if argv and argv[0] in commands and argv[0] != "sweep" else None
+        if config:
+            argv = [argv[0], *_config_flags(load_config(config), commands[argv[0]]), *argv[1:]]
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError) as exc:

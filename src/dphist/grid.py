@@ -3,21 +3,20 @@
 A dataset is discretized onto an N x M grid of non-negative cell counts
 (the frequency matrix). The matrix is immutable after construction and
 carries a 2D prefix-sum table so any rectangular sub-grid total is an
-O(1) lookup. Also provides the seeded Gaussian-cluster generator used
-for synthetic experiments and the plain-text file formats consumed by
-the CLI.
+O(1) lookup; a rectangle is the half-open integer bounds ``(row_lo,
+row_hi, col_lo, col_hi)``, one tuple or a ``(K, 4)`` array of them. Also
+provides the seeded Gaussian-cluster generator used for synthetic
+experiments and the plain-text file formats consumed by the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Region",
     "FrequencyMatrix",
     "discretize",
     "require_inside",
@@ -28,39 +27,6 @@ __all__ = [
     "save_matrix",
     "load_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class Region:
-    """Half-open rectangle of grid cells: rows [row_lo, row_hi), cols [col_lo, col_hi)."""
-
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-
-    def __post_init__(self):
-        if not (0 <= self.row_lo < self.row_hi and 0 <= self.col_lo < self.col_hi):
-            raise ValueError(f"degenerate region {self}")
-
-    @property
-    def rows(self) -> int:
-        return self.row_hi - self.row_lo
-
-    @property
-    def cols(self) -> int:
-        return self.col_hi - self.col_lo
-
-    @property
-    def cells(self) -> int:
-        return self.rows * self.cols
-
-    def require_within(self, rows: int, cols: int) -> None:
-        if self.row_hi > rows or self.col_hi > cols:
-            raise ValueError(f"region {self} out of bounds for {rows}x{cols} grid")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.row_lo, self.row_hi, self.col_lo, self.col_hi)
 
 
 def require_inside(rects: np.ndarray, rows: int, cols: int, what: str, error=ValueError) -> None:
@@ -120,18 +86,13 @@ class FrequencyMatrix:
     def total(self) -> int:
         return int(self._prefix[-1, -1])
 
-    def full_region(self) -> Region:
-        return Region(0, self.rows, 0, self.cols)
-
-    def region_sum(self, region: Region) -> int:
-        region.require_within(self.rows, self.cols)
+    def region_sum(self, bounds) -> int:
+        """``region_sums`` of one rectangle, without the array set-up that would dominate a tree's child counts."""
+        r0, r1, c0, c1 = bounds
+        if not (0 <= r0 < r1 <= self.rows and 0 <= c0 < c1 <= self.cols):
+            raise ValueError(f"region {(r0, r1, c0, c1)} is empty or outside the {self.rows}x{self.cols} grid")
         p = self._prefix
-        return int(
-            p[region.row_hi, region.col_hi]
-            - p[region.row_lo, region.col_hi]
-            - p[region.row_hi, region.col_lo]
-            + p[region.row_lo, region.col_lo]
-        )
+        return int(p[r1, c1] - p[r0, c1] - p[r1, c0] + p[r0, c0])
 
     def region_sums(self, rects) -> np.ndarray:
         """Totals inside the ``(K, 4)`` half-open rectangles ``rects``, four prefix lookups each."""
@@ -240,15 +201,19 @@ def save_points(points, path) -> None:
         write_rows(fh, pts, "%.10g,%.10g\n")
 
 
+def _loadtxt(source, dtype, delimiter=None) -> np.ndarray:
+    """``np.loadtxt`` of a 2D table with ``#`` comments; a source with no rows is an empty table, not a warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments="#", ndmin=2)
+
+
 def read_rows(path, dtype, width: int, delimiter=None) -> np.ndarray:
     """Read a ``(K, width)`` table of numbers; ``#`` comments and blank lines are ignored.
 
     Raises ValueError on a line that is not ``width`` numbers of ``dtype``.
     """
-    with warnings.catch_warnings():
-        # a file holding only comments is an empty table
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
-        values = np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments="#", ndmin=2)
+    values = _loadtxt(path, dtype, delimiter)
     if values.size == 0:
         return np.empty((0, width), dtype=dtype)
     if values.shape[1] != width:
@@ -277,7 +242,7 @@ def load_matrix(path) -> FrequencyMatrix:
         if len(header) != 3:
             raise ValueError(f"{path}: malformed matrix header")
         rows, cols, total = (int(v) for v in header)
-        counts = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+        counts = _loadtxt(fh, np.int64)
     if counts.shape != (rows, cols):
         raise ValueError(f"{path}: expected {rows}x{cols} matrix, got {counts.shape}")
     matrix = FrequencyMatrix(counts)

@@ -26,9 +26,9 @@ The release runs on a single total budget, in two passes:
    exactly what perturb-and-prune releases on the fully partitioned
    tree (``build_partitioning``).
 
-The tree itself (``tree.Node``, the alternating split axis, the
-preorder walk and the per-height budgets) is the core the kd-tree and
-quadtree baselines share.
+The tree itself (``tree.Node`` on integer bounds, the alternating split
+axis, the binary split step ``bisect``, the preorder walk and the
+per-height budgets) is the core the kd-tree and quadtree baselines share.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from itertools import accumulate
 import numpy as np
 
 from . import kernels, tree
-from .grid import FrequencyMatrix, Region
+from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
 from .privacy import BudgetLedger, BudgetSplit, NoiseSource, laplace_sample
-from .tree import Node
+from .tree import PARTITION_RESERVED, Node
 
 __all__ = [
     "UnsplittableAxisError",
@@ -61,7 +61,6 @@ OBJECTIVE_SENSITIVITY = 2.0
 # ledger labels
 HEIGHT = "height"
 SPLIT = "split"
-PARTITION_RESERVED = "partition-reserved"
 NODE_COUNT = "node-count"
 PRUNE_TOPUP = "prune-topup"
 WARN_NO_REMAIN = "warn-no-remaining-budget"
@@ -114,21 +113,18 @@ class HtfParams:
             raise ValueError("height_constant must be positive")
 
 
-def _axis_extent(region: Region, axis: str) -> int:
-    if axis == "y":
-        return region.rows
-    if axis == "x":
-        return region.cols
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+def _axis_extent(bounds, axis: str) -> int:
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    r0, r1, c0, c1 = bounds
+    return r1 - r0 if axis == "y" else c1 - c0
 
 
-def _as_counts(matrix) -> tuple[np.ndarray, Region]:
-    if isinstance(matrix, FrequencyMatrix):
-        return matrix.counts, matrix.full_region()
-    arr = np.ascontiguousarray(matrix, dtype=np.int64)
+def _as_counts(matrix) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    arr = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError("expected a 2D count array")
-    return arr, Region(0, arr.shape[0], 0, arr.shape[1])
+    return arr, (0, arr.shape[0], 0, arr.shape[1])
 
 
 def split_objective(matrix, k: int, axis: str) -> float:
@@ -138,11 +134,11 @@ def split_objective(matrix, k: int, axis: str) -> float:
     columns. ``k`` equal to the extent scores the undivided block (the
     empty second cluster contributes nothing).
     """
-    counts, region = _as_counts(matrix)
-    extent = _axis_extent(region, axis)
+    counts, bounds = _as_counts(matrix)
+    extent = _axis_extent(bounds, axis)
     if not (1 <= k <= extent):
         raise ValueError(f"split index {k} outside [1, {extent}]")
-    return kernels.objective_at(counts, *region.as_tuple(), k, axis == "y")
+    return kernels.objective_at(counts, *bounds, k, axis == "y")
 
 
 def get_split_point(
@@ -153,7 +149,7 @@ def get_split_point(
     noise: NoiseSource,
     *,
     path: tuple[int, ...] = (),
-    region: Region | None = None,
+    bounds: tuple[int, int, int, int] | None = None,
 ) -> int:
     """Quartering search for a near-optimal split index.
 
@@ -170,11 +166,9 @@ def get_split_point(
         raise ValueError("eps_partition_level must be positive")
     if search_iters < 1:
         raise ValueError("search_iters must be at least 1")
-    if region is None:
-        counts, region = _as_counts(matrix)
-    else:
-        counts = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.asarray(matrix, dtype=np.int64)
-    extent = _axis_extent(region, axis)
+    counts, whole = _as_counts(matrix)
+    bounds = whole if bounds is None else bounds
+    extent = _axis_extent(bounds, axis)
     if extent < 2:
         raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
 
@@ -184,7 +178,7 @@ def get_split_point(
 
     def noisy_objective(k: int) -> float:
         nonlocal eval_idx
-        value = kernels.objective_at(counts, *region.as_tuple(), k, row_split)
+        value = kernels.objective_at(counts, *bounds, k, row_split)
         draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise.substream(*path, "split", eval_idx))
         eval_idx += 1
         return value + draw
@@ -236,6 +230,7 @@ def estimate_height(
     return min(max(height, 1), tree.binary_height_cap(matrix.rows, matrix.cols))
 
 
+@dataclass(eq=False)
 class _Splitter:
     """Private split search for single nodes of one release's tree.
 
@@ -245,38 +240,20 @@ class _Splitter:
     budget a pruned node's subtree will no longer spend.
     """
 
-    def __init__(
-        self,
-        matrix: FrequencyMatrix,
-        level_budget: float,
-        search_iters: int,
-        noise: NoiseSource,
-        ledger: BudgetLedger,
-    ):
-        self.matrix = matrix
-        self.level_budget = level_budget
-        self.search_iters = search_iters
-        self.noise = noise
-        self.ledger = ledger
+    matrix: FrequencyMatrix
+    level_budget: float
+    search_iters: int
+    noise: NoiseSource
+    ledger: BudgetLedger
 
     def split(self, node: Node) -> bool:
-        """Give ``node`` two children; False if neither axis can be divided.
+        """Give ``node`` two children at a searched split index (``tree.bisect``); False if neither axis divides."""
+        return tree.bisect(node, self.cut, self.level_budget, self.ledger, SPLIT, self.matrix.region_sum)
 
-        The axis follows ``tree.split_axis``. A node that cannot split at
-        all has the structure budget of its remaining levels recorded as
-        a reserved charge, so path accounting stays exact.
-        """
-        region, h = node.region, node.height
-        axis = tree.split_axis(region, h)
-        if axis is None:
-            self.ledger.charge(PARTITION_RESERVED, self.level_budget * h, path=node.path, level=h)
-            return False
-        self.ledger.charge(SPLIT, self.level_budget, path=node.path, level=h)
-        k = get_split_point(
-            self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, region=region
+    def cut(self, node: Node, axis: str) -> int:
+        return get_split_point(
+            self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, bounds=node.bounds
         )
-        tree.halves(node, axis, k, self.matrix.region_sum)
-        return True
 
     def reserve(self, node: Node) -> None:
         """Charge the split levels below ``node`` that pruning leaves unspent."""
@@ -285,7 +262,7 @@ class _Splitter:
             self.ledger.charge(PARTITION_RESERVED, self.level_budget * levels, path=node.path, level=node.height)
 
     def make_root(self, height: int) -> Node:
-        return Node(self.matrix.full_region(), height, count=self.matrix.total)
+        return Node((0, self.matrix.rows, 0, self.matrix.cols), height, count=self.matrix.total)
 
 
 def build_partitioning(
@@ -316,11 +293,11 @@ def perturb_and_prune(
     noise: NoiseSource,
     ledger: BudgetLedger,
     splitter: _Splitter | None = None,
-) -> list[tuple[Region, float]]:
+) -> list[tuple[tuple[int, int, int, int], float]]:
     """Top-down count perturbation with stop-condition pruning.
 
     Every visited node is charged its geometric level budget and gets a
-    noisy count. If that count is at most ``stop_count``, or the region
+    noisy count. If that count is at most ``stop_count``, or the node
     holds fewer than ``stop_cells`` cells, or the node has no children,
     the subtree is dropped and the node re-perturbed with the entire
     budget remaining on its path; the first noisy count only serves the
@@ -338,20 +315,21 @@ def perturb_and_prune(
         # Degenerate single-node tree: one release with the full data budget.
         ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
         root.ncount = root.count + laplace_sample(1.0, eps_data, noise.substream("count"))
-        return [(root.region, root.ncount)]
+        return [(root.bounds, root.ncount)]
 
     budgets = tree.level_budgets(eps_data, height)
     # spent[h] = budgets[height] + ... + budgets[h], added from the root down
     spent = list(accumulate(reversed(budgets)))[::-1]
-    leaves: list[tuple[Region, float]] = []
+    leaves = []
     for node in tree.preorder(root):
         level_eps = budgets[node.height]
         ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
         node.ncount = node.count + laplace_sample(1.0, level_eps, noise.substream(*node.path, "count"))
         if node.height == 0:
-            leaves.append((node.region, node.ncount))
+            leaves.append((node.bounds, node.ncount))
             continue
-        stop = node.ncount <= stop_count or node.region.cells < stop_cells
+        r0, r1, c0, c1 = node.bounds
+        stop = node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells
         if splitter is not None:
             if stop:
                 splitter.reserve(node)
@@ -365,7 +343,7 @@ def perturb_and_prune(
             else:
                 ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
             node.children = []
-            leaves.append((node.region, node.ncount))
+            leaves.append((node.bounds, node.ncount))
     return leaves
 
 
@@ -423,6 +401,5 @@ def release(
         root, split.eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
     )
 
-    bounds = [region.as_tuple() for region, _ in leaves]
-    ncounts = [ncount for _, ncount in leaves]
+    bounds, ncounts = zip(*leaves)
     return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, "htf", ledger, split)

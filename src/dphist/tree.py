@@ -1,9 +1,11 @@
 """The tree core shared by the hierarchical releases: htf, kd-tree and quadtree.
 
-Each of them cuts the grid into regions, cuts those again down to height
-0, and gives every node a Laplace count keyed by its tree path (the child
-indices from the root). A ``Node`` carries its region, height, path, true
-count, noisy count and the variance of that noise; the walks below go
+Each of them cuts the grid into rectangles, cuts those again down to
+height 0, and gives every node a Laplace count keyed by its tree path (the
+child indices from the root). A ``Node`` carries its integer bounds
+``(row_lo, row_hi, col_lo, col_hi)``, as the histogram does, with its
+height, path, true count, noisy count and the variance of that noise;
+``bisect`` is the binary split step of htf and the kd-tree. The walks go
 through a tree with an explicit stack, so the depth of a tree never meets
 the interpreter's recursion limit and no walk keeps a reference cycle to
 the data it reads.
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .grid import Region
 from .privacy import BudgetLedger, NoiseSource, geometric_level_budget, laplace_sample
 
 __all__ = [
@@ -25,18 +26,21 @@ __all__ = [
     "split_axis",
     "divide",
     "halves",
+    "bisect",
     "level_budgets",
     "perturb",
     "is_complete",
     "binary_height_cap",
 ]
 
+PARTITION_RESERVED = "partition-reserved"  # ledger label of the split budget of levels a node leaves unsplit
+
 
 @dataclass(eq=False)
 class Node:
-    """A region of the grid at ``height`` levels above the leaves, reached by ``path``."""
+    """The half-open rectangle ``bounds`` of the grid at ``height`` levels above the leaves, reached by ``path``."""
 
-    region: Region
+    bounds: tuple[int, int, int, int]
     height: int
     path: tuple[int, ...] = ()
     count: int = 0
@@ -82,35 +86,47 @@ def grow(root: Node, split) -> Node:
     return root
 
 
-def split_axis(region: Region, height: int) -> str | None:
+def split_axis(bounds, height: int) -> str | None:
     """Rows ("y") at even heights, columns ("x") at odd ones; the other axis when that one is a single cell wide.
 
     None when neither axis can be divided.
     """
+    r0, r1, c0, c1 = bounds
     preferred, fallback = ("y", "x") if height % 2 == 0 else ("x", "y")
     for axis in (preferred, fallback):
-        if (region.rows if axis == "y" else region.cols) >= 2:
+        if (r1 - r0 if axis == "y" else c1 - c0) >= 2:
             return axis
     return None
 
 
-def divide(node: Node, regions, count) -> None:
-    """Give ``node`` one child per region, one level down, with ``count(region)`` as its count."""
-    node.children = [
-        Node(region, node.height - 1, node.path + (i,), count(region)) for i, region in enumerate(regions)
-    ]
+def divide(node: Node, parts, count) -> None:
+    """Give ``node`` one child per bounds in ``parts``, one level down, with ``count(bounds)`` as its count."""
+    node.children = [Node(b, node.height - 1, node.path + (i,), count(b)) for i, b in enumerate(parts)]
 
 
 def halves(node: Node, axis: str, k: int, count) -> None:
     """Cut ``node`` into its first ``k`` rows (axis "y") or columns ("x") and the rest."""
-    r = node.region
+    r0, r1, c0, c1 = node.bounds
     if axis == "y":
-        cut = r.row_lo + k
-        regions = (Region(r.row_lo, cut, r.col_lo, r.col_hi), Region(cut, r.row_hi, r.col_lo, r.col_hi))
+        parts = ((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1))
     else:
-        cut = r.col_lo + k
-        regions = (Region(r.row_lo, r.row_hi, r.col_lo, cut), Region(r.row_lo, r.row_hi, cut, r.col_hi))
-    divide(node, regions, count)
+        parts = ((r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1))
+    divide(node, parts, count)
+
+
+def bisect(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, count) -> bool:
+    """Cut ``node`` in two along ``split_axis``, ``cut(node, axis)`` rows or columns first; charge ``eps`` as ``label``.
+
+    A node neither axis can divide stays a leaf and charges ``eps`` for each
+    of its ``node.height`` levels as ``PARTITION_RESERVED``. True if split.
+    """
+    axis = split_axis(node.bounds, node.height)
+    if axis is None:
+        ledger.charge(PARTITION_RESERVED, eps * node.height, path=node.path, level=node.height)
+        return False
+    ledger.charge(label, eps, path=node.path, level=node.height)
+    halves(node, axis, cut(node, axis), count)
+    return True
 
 
 def level_budgets(eps: float, height: int, alloc: str = "geometric", fanout: int = 2) -> list[float]:

@@ -15,7 +15,7 @@ from dphist.baselines import (
     enforce_hierarchical_consistency,
 )
 from dphist.cli import main as cli_main
-from dphist.grid import FrequencyMatrix, Region, generate_gaussian
+from dphist.grid import FrequencyMatrix, generate_gaussian
 from dphist.htf import (
     HtfParams,
     build_partitioning,
@@ -82,7 +82,7 @@ def test_criterion_2_worked_example():
     regions = set()
 
     def walk(node):
-        regions.add(node.region.as_tuple())
+        regions.add(node.bounds)
         if not node.is_leaf:
             walk(node.left)
             walk(node.right)
@@ -157,9 +157,9 @@ def test_criterion_5_zero_noise_oracles():
     for _ in range(500):
         r0, c0 = rng.integers(0, 32, size=2)
         r1, c1 = int(rng.integers(r0 + 1, 33)), int(rng.integers(c0 + 1, 33))
-        query = Region(int(r0), r1, int(c0), c1)
-        oracle = density[query.row_lo:query.row_hi, query.col_lo:query.col_hi].sum()
-        assert abs(answer_workload(hist, Workload([query.as_tuple()]))[0] - oracle) < 1e-9
+        query = (int(r0), r1, int(c0), c1)
+        oracle = density[r0:r1, c0:c1].sum()
+        assert abs(answer_workload(hist, Workload([query]))[0] - oracle) < 1e-9
 
     mismatches = 0
     for _ in range(200):
@@ -254,7 +254,7 @@ def test_criterion_6_benchmark_ordering():
 
 def _random_tree(depth, fanout, rng, var=8.0):
     def build(height):
-        node = Node(region=Region(0, 1, 0, 1), height=height)
+        node = Node(bounds=(0, 1, 0, 1), height=height)
         if height > 0:
             node.children = [build(height - 1) for _ in range(fanout)]
             node.count = sum(c.count for c in node.children)

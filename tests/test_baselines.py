@@ -15,7 +15,7 @@ from dphist.baselines import (
     enforce_hierarchical_consistency,
     exponential_mechanism_probs,
 )
-from dphist.grid import FrequencyMatrix, Region
+from dphist.grid import FrequencyMatrix
 from dphist.privacy import NoiseSource
 from dphist.tree import Node
 from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
@@ -43,8 +43,8 @@ class TestUniformGrid:
         matrix = random_matrix(1, shape=(16, 16))
         hist = build_uniform_grid(matrix, 1e6, NoiseSource(2))
         # grid granularity clamps to 16, so any cell-aligned query is exact
-        query = Region(2, 9, 3, 14)
-        got = answer_workload(hist, Workload([query.as_tuple()]))[0]
+        query = (2, 9, 3, 14)
+        got = answer_workload(hist, Workload([query]))[0]
         assert got == pytest.approx(matrix.region_sum(query), abs=1e-3)
 
     def test_single_cell_degenerate_equals_flat(self):
@@ -195,12 +195,12 @@ class TestFlatUniform:
     def test_whole_domain_exact_without_noise(self):
         matrix = random_matrix(2)
         hist = build_flat_uniform(matrix, 0.5, zero_noise())
-        assert answer_workload(hist, Workload([matrix.full_region().as_tuple()]))[0] == matrix.total
+        assert answer_workload(hist, Workload([(0, matrix.rows, 0, matrix.cols)]))[0] == matrix.total
 
     def test_quarter_domain_scaling(self):
         matrix = random_matrix(4, shape=(16, 16))
         hist = build_flat_uniform(matrix, 0.5, NoiseSource(3))
-        quarter = answer_workload(hist, Workload([Region(0, 8, 0, 8).as_tuple()]))[0]
+        quarter = answer_workload(hist, Workload([(0, 8, 0, 8)]))[0]
         assert quarter == pytest.approx(hist.ncounts[0] / 4)
 
     def test_clustered_data_has_large_uniformity_error(self):
@@ -208,8 +208,8 @@ class TestFlatUniform:
         counts[0, 0] = 10000
         matrix = FrequencyMatrix(counts)
         hist = build_flat_uniform(matrix, 1e6, NoiseSource(1))
-        empty_corner = Region(8, 16, 8, 16)
-        assert answer_workload(hist, Workload([empty_corner.as_tuple()]))[0] > 1000
+        empty_corner = (8, 16, 8, 16)
+        assert answer_workload(hist, Workload([empty_corner]))[0] > 1000
         assert matrix.region_sum(empty_corner) == 0
 
 
@@ -261,7 +261,7 @@ class TestGridReleaseProperties:
             m1 = min(max(10, int(math.ceil(math.sqrt(matrix.total * eps / c0) / 4))), rows, cols)
             expected = []
             for cell in reference_cells(0, rows, 0, cols, m1, m1):
-                n = matrix.region_sum(Region(*cell))
+                n = matrix.region_sum(tuple(cell))
                 m2 = int(math.ceil(math.sqrt(n * eps2 / (c0 / 2.0)))) if n > 0 else 1
                 m2 = max(1, min(m2, cell[1] - cell[0], cell[3] - cell[2]))
                 expected += reference_cells(*cell, m2, m2)
@@ -274,7 +274,7 @@ def make_tree(depth, fanout, rng, var=4.0):
     """Random complete hierarchy with consistent true counts."""
 
     def build(height):
-        node = Node(region=Region(0, 1, 0, 1), height=height)
+        node = Node(bounds=(0, 1, 0, 1), height=height)
         if height > 0:
             node.children = [build(height - 1) for _ in range(fanout)]
             node.count = sum(c.count for c in node.children)
@@ -337,11 +337,11 @@ class TestHierarchicalConsistency:
             check(root)
 
     def test_non_uniform_fanout_rejected(self):
-        root = Node(region=Region(0, 1, 0, 1), height=2, ncount=1.0, noise_var=1.0)
-        a = Node(region=Region(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
-        b = Node(region=Region(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
+        root = Node(bounds=(0, 1, 0, 1), height=2, ncount=1.0, noise_var=1.0)
+        a = Node(bounds=(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
+        b = Node(bounds=(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
         a.children = [
-            Node(region=Region(0, 1, 0, 1), height=0, ncount=1.0, noise_var=1.0),
+            Node(bounds=(0, 1, 0, 1), height=0, ncount=1.0, noise_var=1.0),
         ]
         root.children = [a, b]
         with pytest.raises(ValueError):

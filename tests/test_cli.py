@@ -143,6 +143,30 @@ class TestRelease:
         assert "--stop-count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ambiguous_config_abbreviation_exits_2_naming_the_options(self, tmp_path, matrix_file, capsys):
+        # --c could be --config or --c0, so no config file named 5 is opened
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--matrix", matrix_file, "--c", 5, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "ambiguous option: --c" in err and "--config" in err and "--c0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--conf", "--co"])
+    def test_unique_config_abbreviation_loads_the_config(self, tmp_path, matrix_file, flag):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("eps_total=0.7\n")
+        out = tmp_path / "hist.txt"
+        assert run(["release", flag, cfg, "--matrix", matrix_file, "--out", out]) == 0
+        assert PrivateHistogram.load(out).eps_total == 0.7
+
+    def test_both_structure_budgets_exit_2(self, tmp_path, matrix_file, capsys):
+        out = tmp_path / "hist.txt"
+        code = run(["release", "--matrix", matrix_file, "--eps-partition", 0.01,
+                    "--eps-partition-level", 0.5, "--out", out])
+        assert code == 2
+        assert "set at most one of eps_partition / eps_partition_level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["release", "--help"])
@@ -171,6 +195,16 @@ class TestEvaluate:
         assert code == 0
         lines = report.read_text().splitlines()
         assert len(lines) == 52  # header + 50 rows + footer
+
+    def test_config_abbreviation_loads_the_config(self, tmp_path, matrix_file):
+        # --c names only --config among evaluate's options
+        hist = tmp_path / "hist.txt"
+        run(["release", "--matrix", matrix_file, "--method", "ug", "--eps-total", 0.5, "--out", hist])
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("queries=7\n")
+        report = tmp_path / "report.csv"
+        assert run(["evaluate", "--c", cfg, "--matrix", matrix_file, "--hist", hist, "--out", report]) == 0
+        assert len(report.read_text().splitlines()) == 9
 
     def test_workload_file_row_count(self, tmp_path, matrix_file):
         hist = tmp_path / "hist.txt"

@@ -5,7 +5,6 @@ import pytest
 
 from dphist.grid import (
     FrequencyMatrix,
-    Region,
     discretize,
     generate_gaussian,
     load_matrix,
@@ -38,10 +37,10 @@ class TestDiscretize:
     def test_worked_example_partitions(self):
         matrix, rejected = discretize(fig_points(), (0, 3, 0, 3), 3, 3)
         assert rejected == 0
-        c1 = matrix.region_sum(Region(0, 1, 0, 2))
-        c2 = matrix.region_sum(Region(1, 3, 0, 2))
-        c3 = matrix.region_sum(Region(0, 1, 2, 3))
-        c4 = matrix.region_sum(Region(1, 3, 2, 3))
+        c1 = matrix.region_sum((0, 1, 0, 2))
+        c2 = matrix.region_sum((1, 3, 0, 2))
+        c3 = matrix.region_sum((0, 1, 2, 3))
+        c4 = matrix.region_sum((1, 3, 2, 3))
         assert (c1, c2, c3, c4) == (0, 12, 4, 2)
 
     def test_matches_independent_tally(self):
@@ -74,11 +73,11 @@ class TestDiscretize:
 class TestSubgridSum:
     def test_full_domain(self):
         matrix = FrequencyMatrix(FIG_GRID)
-        assert matrix.region_sum(matrix.full_region()) == matrix.total == 18
+        assert matrix.region_sum((0, 3, 0, 3)) == matrix.total == 18
 
     def test_worked_example_block(self):
         matrix = FrequencyMatrix(FIG_GRID)
-        assert matrix.region_sum(Region(0, 3, 0, 2)) == 12
+        assert matrix.region_sum((0, 3, 0, 2)) == 12
 
     def test_against_naive_sum(self):
         rng = np.random.default_rng(7)
@@ -88,7 +87,7 @@ class TestSubgridSum:
             r0, c0 = rng.integers(0, 64, size=2)
             r1 = rng.integers(r0 + 1, 65)
             c1 = rng.integers(c0 + 1, 65)
-            region = Region(int(r0), int(r1), int(c0), int(c1))
+            region = (int(r0), int(r1), int(c0), int(c1))
             assert matrix.region_sum(region) == naive_region_sum(counts, r0, r1, c0, c1)
 
     def test_region_sums_match_region_sum(self):
@@ -101,28 +100,30 @@ class TestSubgridSum:
             rects.append((int(r0), int(rng.integers(r0 + 1, 18)), int(c0), int(rng.integers(c0 + 1, 24))))
         sums = matrix.region_sums(np.array(rects))
         assert sums.dtype == np.int64
-        assert sums.tolist() == [matrix.region_sum(Region(*r)) for r in rects]
+        assert sums.tolist() == [matrix.region_sum(r) for r in rects]
         assert matrix.region_sums(np.empty((0, 4), dtype=np.int64)).shape == (0,)
 
     @pytest.mark.parametrize("rect", [(0, 5, 0, 4), (2, 2, 0, 4), (-1, 2, 0, 4), (0, 4, 3, 1)])
     def test_region_sums_reject_bad_rectangles(self, rect):
         with pytest.raises(ValueError):
             FrequencyMatrix.zeros(4, 4).region_sums([rect])
+        with pytest.raises(ValueError, match="is empty or outside the 4x4 grid"):
+            FrequencyMatrix.zeros(4, 4).region_sum(rect)
 
     def test_disjoint_partition_sums_to_total(self):
         rng = np.random.default_rng(3)
         matrix = FrequencyMatrix(rng.integers(0, 9, size=(12, 9)))
         pieces = [
-            Region(0, 5, 0, 9),
-            Region(5, 12, 0, 4),
-            Region(5, 12, 4, 9),
+            (0, 5, 0, 9),
+            (5, 12, 0, 4),
+            (5, 12, 4, 9),
         ]
         assert sum(matrix.region_sum(p) for p in pieces) == matrix.total
 
     def test_out_of_bounds_region(self):
         matrix = FrequencyMatrix.zeros(4, 4)
         with pytest.raises(ValueError):
-            matrix.region_sum(Region(0, 5, 0, 4))
+            matrix.region_sum((0, 5, 0, 4))
 
 
 class TestFrequencyMatrix:
@@ -219,6 +220,14 @@ class TestFileFormats:
             warnings.simplefilter("error")
             pts = load_points(path)
         assert pts.shape == (0, 2)
+
+    def test_header_only_matrix_is_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                load_matrix(path)
 
     def test_points_round_trip(self, tmp_path):
         pts = np.array([[0.25, 1.5], [3.125, 0.0625]])

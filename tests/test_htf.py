@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphist import baselines
-from dphist.grid import FrequencyMatrix, Region
+from dphist.grid import FrequencyMatrix
 from dphist.histogram import PrivateHistogram
 from dphist.htf import (
     HEIGHT,
@@ -249,14 +249,14 @@ class TestBuildPartitioning:
         ledger = BudgetLedger()
         root = build_partitioning(matrix, 3, 5e-4, 3, zero_noise(), ledger)
         # odd root height: column split peels off the right column
-        assert root.left.region == Region(0, 3, 0, 2)
-        assert root.right.region == Region(0, 3, 2, 3)
+        assert root.left.bounds == (0, 3, 0, 2)
+        assert root.right.bounds == (0, 3, 2, 3)
         # the homogeneous block separates its zero row
-        assert root.left.left.region == Region(0, 1, 0, 2)
-        assert root.left.right.region == Region(1, 3, 0, 2)
+        assert root.left.left.bounds == (0, 1, 0, 2)
+        assert root.left.right.bounds == (1, 3, 0, 2)
         # the right column separates its dense top cell
-        assert root.right.left.region == Region(0, 1, 2, 3)
-        assert root.right.right.region == Region(1, 3, 2, 3)
+        assert root.right.left.bounds == (0, 1, 2, 3)
+        assert root.right.right.bounds == (1, 3, 2, 3)
         assert root.left.count == 12 and root.right.count == 6
 
     def test_leaves_tile_domain(self):
@@ -267,8 +267,8 @@ class TestBuildPartitioning:
 
         def walk(node):
             if node.is_leaf:
-                r = node.region
-                paint[r.row_lo:r.row_hi, r.col_lo:r.col_hi] += 1
+                r0, r1, c0, c1 = node.bounds
+                paint[r0:r1, c0:c1] += 1
             else:
                 walk(node.left)
                 walk(node.right)
@@ -281,7 +281,8 @@ class TestBuildPartitioning:
         matrix = FrequencyMatrix(np.arange(8).reshape(1, 8))
         root = build_partitioning(matrix, 2, 1e-3, 2, zero_noise(), BudgetLedger())
         assert not root.is_leaf
-        assert root.left.region.cols < 8
+        r0, r1, c0, c1 = root.left.bounds
+        assert c1 - c0 < 8
 
 
 class TestPerturbAndPrune:
@@ -294,7 +295,7 @@ class TestPerturbAndPrune:
         ledger = BudgetLedger()
         root = self.build_fig_tree(ledger)
         leaves = perturb_and_prune(root, 0.09, 7.0, 1, 3, zero_noise(), ledger)
-        regions = {r.as_tuple() for r, _ in leaves}
+        regions = {r for r, _ in leaves}
         assert (0, 3, 2, 3) in regions
 
     def test_zero_noise_counts_are_exact(self):
@@ -310,7 +311,7 @@ class TestPerturbAndPrune:
         ledger = BudgetLedger()
         root = build_partitioning(matrix, 3, 1e-3, 3, zero_noise(), ledger)
         leaves = perturb_and_prune(root, 0.05, 1.0, 1, 0, zero_noise(), ledger)
-        assert leaves == [(Region(0, 1, 0, 1), 9.0)]
+        assert leaves == [((0, 1, 0, 1), 9.0)]
         charges = [e for e in ledger.entries if e[0] == NODE_COUNT]
         assert len(charges) == 1 and charges[0][3] == pytest.approx(0.05)
 
@@ -490,7 +491,7 @@ class TestLazyReleaseProperties:
             root, hist.split.eps_data, params.stop_count, params.stop_cells,
             0 if root.is_leaf else height, NoiseSource(seed), BudgetLedger(),
         )
-        assert hist.bounds.tolist() == [list(r.as_tuple()) for r, _ in leaves]
+        assert hist.bounds.tolist() == [list(r) for r, _ in leaves]
         assert hist.ncounts.tolist() == [n for _, n in leaves]
 
         paint = np.zeros(matrix.shape, dtype=int)

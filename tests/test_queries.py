@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dphist.grid import FrequencyMatrix, Region
+from dphist.grid import FrequencyMatrix
 from dphist.histogram import PrivateHistogram
 from dphist.htf import HtfParams, release
 from dphist.privacy import NoiseSource
@@ -34,7 +34,8 @@ def cell_expansion_oracle(hist, query):
     density = np.zeros(hist.shape)
     for (r0, r1, c0, c1), ncount in zip(hist.bounds, hist.ncounts):
         density[r0:r1, c0:c1] = ncount / ((r1 - r0) * (c1 - c0))
-    return density[query.row_lo:query.row_hi, query.col_lo:query.col_hi].sum()
+    r0, r1, c0, c1 = query
+    return density[r0:r1, c0:c1].sum()
 
 
 class TestAnswerQuery:
@@ -42,12 +43,12 @@ class TestAnswerQuery:
         n2, n4 = 0.75, -1.25
         hist = fig_histogram(n2=n2, n4=n4)
         # dashed query: bottom row, right two columns
-        got = answer_workload(hist, Workload([Region(2, 3, 1, 3).as_tuple()]))[0]
+        got = answer_workload(hist, Workload([(2, 3, 1, 3)]))[0]
         assert got == pytest.approx((12 + n2) / 4 + (2 + n4) / 2)
 
     def test_whole_domain_sums_all_leaves(self):
         hist = fig_histogram(n1=0.5, n2=1.5, n3=-2.0, n4=0.25)
-        got = answer_workload(hist, Workload([Region(0, 3, 0, 3).as_tuple()]))[0]
+        got = answer_workload(hist, Workload([(0, 3, 0, 3)]))[0]
         assert got == pytest.approx(hist.ncounts.sum())
 
     def test_matches_cell_expansion_oracle(self):
@@ -56,38 +57,38 @@ class TestAnswerQuery:
         hist = release(matrix, HtfParams(eps_total=0.4, height_override=4), NoiseSource(4))
         for _ in range(500):
             r0, c0 = rng.integers(0, 32, size=2)
-            query = Region(int(r0), int(rng.integers(r0 + 1, 33)), int(c0), int(rng.integers(c0 + 1, 33)))
-            assert answer_workload(hist, Workload([query.as_tuple()]))[0] == pytest.approx(
+            query = (int(r0), int(rng.integers(r0 + 1, 33)), int(c0), int(rng.integers(c0 + 1, 33)))
+            assert answer_workload(hist, Workload([query]))[0] == pytest.approx(
                 cell_expansion_oracle(hist, query), abs=1e-9
             )
 
     def test_out_of_bounds_query(self):
         with pytest.raises(ValueError):
-            answer_workload(fig_histogram(), Workload([Region(0, 4, 0, 3).as_tuple()]))[0]
+            answer_workload(fig_histogram(), Workload([(0, 4, 0, 3)]))[0]
 
     def test_linear_in_counts(self):
         hist = fig_histogram(n1=0.3, n2=-0.7, n3=2.0, n4=0.1)
-        query = Region(1, 3, 0, 3)
+        query = (1, 3, 0, 3)
         scaled = PrivateHistogram(
             shape=hist.shape, bounds=hist.bounds, ncounts=3.0 * hist.ncounts, eps_total=1.0
         )
-        one = Workload([query.as_tuple()])
+        one = Workload([query])
         assert answer_workload(scaled, one)[0] == pytest.approx(3.0 * answer_workload(hist, one)[0])
 
     def test_disjoint_cover_sums_to_total(self):
         hist = fig_histogram(n1=1.0, n2=2.0, n3=3.0, n4=4.0)
-        parts = [Region(0, 3, 0, 1), Region(0, 3, 1, 2), Region(0, 3, 2, 3)]
-        total = sum(answer_workload(hist, Workload([p.as_tuple()]))[0] for p in parts)
+        parts = [(0, 3, 0, 1), (0, 3, 1, 2), (0, 3, 2, 3)]
+        total = sum(answer_workload(hist, Workload([p]))[0] for p in parts)
         assert total == pytest.approx(hist.ncounts.sum())
 
 
 class TestTrueCount:
     def test_empty_matrix(self):
-        assert FrequencyMatrix.zeros(4, 4).region_sum(Region(0, 4, 0, 4)) == 0
+        assert FrequencyMatrix.zeros(4, 4).region_sum((0, 4, 0, 4)) == 0
 
     def test_worked_example_query(self):
         matrix = FrequencyMatrix(FIG_GRID)
-        assert matrix.region_sum(Region(2, 3, 1, 3)) == 4
+        assert matrix.region_sum((2, 3, 1, 3)) == 4
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(31)
@@ -96,7 +97,7 @@ class TestTrueCount:
         for _ in range(100):
             r0, c0 = rng.integers(0, 20, size=2)
             r1, c1 = rng.integers(r0 + 1, 21), rng.integers(c0 + 1, 21)
-            region = Region(int(r0), int(r1), int(c0), int(c1))
+            region = (int(r0), int(r1), int(c0), int(c1))
             assert matrix.region_sum(region) == naive_region_sum(counts, r0, r1, c0, c1)
 
 

@@ -4,14 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphist import baselines, tree
-from dphist.grid import FrequencyMatrix, Region
+from dphist.grid import FrequencyMatrix
+from dphist.htf import HtfParams, release
 from dphist.privacy import BudgetLedger, NoiseSource
 from dphist.tree import Node
 
 
+def cells(bounds):
+    r0, r1, c0, c1 = bounds
+    return (r1 - r0) * (c1 - c0)
+
+
 def binary_tree(height):
-    root = Node(Region(0, 1, 0, 2**height), height)
-    return tree.grow(root, lambda node: tree.halves(node, "x", node.region.cols // 2, lambda r: r.cells))
+    root = Node((0, 1, 0, 2**height), height)
+    return tree.grow(root, lambda node: tree.halves(node, "x", (node.bounds[3] - node.bounds[2]) // 2, cells))
 
 
 class TestWalks:
@@ -30,34 +36,46 @@ class TestWalks:
 
     def test_deep_tree_needs_no_recursion(self):
         # a chain far deeper than the interpreter's recursion limit
-        root = node = Node(Region(0, 1, 0, 1), 5000)
+        root = node = Node((0, 1, 0, 1), 5000)
         for _ in range(5000):
-            node.children = [Node(node.region, node.height - 1, node.path + (0,))]
+            node.children = [Node(node.bounds, node.height - 1, node.path + (0,))]
             node = node.children[0]
         assert sum(1 for _ in tree.preorder(root)) == 5001
         assert tree.is_complete(root)
 
     def test_halves_and_children(self):
-        node = Node(Region(2, 6, 1, 4), 3, path=(1,))
-        tree.halves(node, "y", 1, lambda r: r.cells)
-        assert [c.region for c in node.children] == [Region(2, 3, 1, 4), Region(3, 6, 1, 4)]
+        node = Node((2, 6, 1, 4), 3, path=(1,))
+        tree.halves(node, "y", 1, cells)
+        assert [c.bounds for c in node.children] == [(2, 3, 1, 4), (3, 6, 1, 4)]
         assert [c.path for c in node.children] == [(1, 0), (1, 1)]
         assert [c.height for c in node.children] == [2, 2]
         assert [c.count for c in node.children] == [3, 9]
         assert node.left is node.children[0] and node.right is node.children[1]
         tree.halves(node, "x", 2, lambda r: 0)
-        assert [c.region for c in node.children] == [Region(2, 6, 1, 3), Region(2, 6, 3, 4)]
+        assert [c.bounds for c in node.children] == [(2, 6, 1, 3), (2, 6, 3, 4)]
+
+    def test_bisect_cuts_on_the_split_axis_or_reserves_the_unsplit_levels(self):
+        ledger = BudgetLedger()
+        node = Node((0, 1, 0, 6), 4, path=(1,))  # one row: even height falls back to columns
+        assert tree.bisect(node, lambda n, axis: 2 if axis == "x" else None, 0.01, ledger, "cut", cells)
+        assert [c.bounds for c in node.children] == [(0, 1, 0, 2), (0, 1, 2, 6)]
+        assert [c.count for c in node.children] == [2, 4]
+        leaf = Node((3, 4, 5, 6), 3, path=(0,))
+        assert not tree.bisect(leaf, None, 0.01, ledger, "cut", cells)
+        assert leaf.is_leaf
+        assert [(e[0], e[1], e[2]) for e in ledger.entries] == [("cut", 4, (1,)), (tree.PARTITION_RESERVED, 3, (0,))]
+        assert [e[3] for e in ledger.entries] == [0.01, pytest.approx(0.03)]
 
     def test_split_axis_alternates_with_fallback(self):
-        assert tree.split_axis(Region(0, 4, 0, 4), 2) == "y"
-        assert tree.split_axis(Region(0, 4, 0, 4), 3) == "x"
-        assert tree.split_axis(Region(0, 1, 0, 4), 2) == "x"
-        assert tree.split_axis(Region(0, 4, 0, 1), 3) == "y"
-        assert tree.split_axis(Region(0, 1, 0, 1), 2) is None
+        assert tree.split_axis((0, 4, 0, 4), 2) == "y"
+        assert tree.split_axis((0, 4, 0, 4), 3) == "x"
+        assert tree.split_axis((0, 1, 0, 4), 2) == "x"
+        assert tree.split_axis((0, 4, 0, 1), 3) == "y"
+        assert tree.split_axis((0, 1, 0, 1), 2) is None
 
     def test_is_complete(self):
         assert tree.is_complete(binary_tree(3))
-        assert not tree.is_complete(Node(Region(0, 1, 0, 1), 0))
+        assert not tree.is_complete(Node((0, 1, 0, 1), 0))
         root = binary_tree(3)
         root.children[1].children = []
         assert not tree.is_complete(root)
@@ -93,6 +111,34 @@ def tree_releases(draw):
     return FrequencyMatrix(counts), method, height, options, noise
 
 
+@st.composite
+def htf_releases(draw):
+    rows = draw(st.one_of(st.just(1), st.integers(1, 64)))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 64)))
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, draw(st.integers(1, 80)), (rows, cols))
+    structure = draw(st.sampled_from([{}, {"eps_partition_level": 1e-3}, {"eps_partition": 0.05}]))
+    params = HtfParams(
+        eps_total=0.4,
+        stop_count=draw(st.sampled_from([-1.0, 0.0, 5.0, 100.0])),
+        stop_cells=draw(st.integers(1, 5)),
+        height_override=draw(st.one_of(st.none(), st.integers(1, 12))),
+        **structure,
+    )
+    noise = NoiseSource(draw(st.integers(0, 2**31 - 1)), zero_noise=draw(st.booleans()))
+    return FrequencyMatrix(counts), params, noise
+
+
+def assert_tiles_and_spends(matrix, hist, eps):
+    paint = np.zeros(matrix.shape, dtype=int)
+    for r0, r1, c0, c1 in hist.bounds:
+        paint[r0:r1, c0:c1] += 1
+    assert (paint == 1).all()
+
+    # every path is charged the whole budget, also where its leaf stops above height 0
+    for path, total in hist.ledger.chain_totals().items():
+        assert total == pytest.approx(eps, abs=1e-12), path
+
+
 class TestTreeReleaseProperties:
     @settings(max_examples=120, deadline=None)
     @given(tree_releases())
@@ -100,22 +146,23 @@ class TestTreeReleaseProperties:
         matrix, method, height, options, noise = case
         eps = 0.4
         hist = method(matrix, eps, height, noise, **options)
-
-        paint = np.zeros(matrix.shape, dtype=int)
-        for r0, r1, c0, c1 in hist.bounds:
-            paint[r0:r1, c0:c1] += 1
-        assert (paint == 1).all()
-
-        # every path is charged the whole budget, also where its leaf stops above height 0
-        for path, total in hist.ledger.chain_totals().items():
-            assert total == pytest.approx(eps, abs=1e-12), path
-
+        assert_tiles_and_spends(matrix, hist, eps)
         if noise.zero_noise:
             truth = matrix.region_sums(hist.bounds)
             if options["smooth"]:
                 np.testing.assert_allclose(hist.ncounts, truth, rtol=1e-12, atol=1e-9)
             else:
                 assert hist.ncounts.tolist() == truth.tolist()
+
+    @settings(max_examples=120, deadline=None)
+    @given(htf_releases())
+    def test_htf_leaves_tile_paths_spend_and_exact_without_noise(self, case):
+        # thin and single-cell grids are where a node neither axis can divide reserves its split budget
+        matrix, params, noise = case
+        hist = release(matrix, params, noise)
+        assert_tiles_and_spends(matrix, hist, params.eps_total)
+        if noise.zero_noise:
+            assert hist.ncounts.tolist() == matrix.region_sums(hist.bounds).tolist()
 
 
 class TestLeavesAboveHeightZero:
