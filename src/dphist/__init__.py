@@ -35,7 +35,6 @@ from .htf import (
 from .privacy import (
     BudgetLedger,
     BudgetOverflowError,
-    BudgetSplit,
     NoiseSource,
     geometric_level_budget,
     laplace_sample,

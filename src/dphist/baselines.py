@@ -24,7 +24,7 @@ import numpy as np
 from . import tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import BudgetLedger, NoiseSource, laplace_sample
+from .privacy import BudgetLedger, NoiseSource, laplace_sample, require_positive
 from .tree import Node
 
 __all__ = [
@@ -68,8 +68,8 @@ def build_uniform_grid(
     Each cell count is perturbed with the full budget (cells are
     disjoint, so composition is parallel).
     """
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
+    require_positive("eps_total", eps_total)
+    require_positive("c0", c0)
     ledger = BudgetLedger()
     m = max(1, int(round(math.sqrt(matrix.total * eps_total / c0))))
     m = min(m, matrix.rows, matrix.cols)
@@ -96,8 +96,8 @@ def build_adaptive_grid(
     ``ceil(sqrt(n' * (1 - alpha) * eps_total / (c0 / 2)))``; the second
     level spends the remaining budget and its cells are the release.
     """
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
+    require_positive("eps_total", eps_total)
+    require_positive("c0", c0)
     if not (0 < alpha < 1):
         raise ValueError("alpha must be in (0, 1)")
     ledger = BudgetLedger()
@@ -145,8 +145,7 @@ def build_quadtree(
     Per-level budgets are uniform or follow the fanout-4 geometric
     allocation. Heights beyond what the grid can support are clamped.
     """
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
+    require_positive("eps_total", eps_total)
     if height < 1:
         raise ValueError("height must be at least 1")
     cap = int(math.floor(math.log2(max(min(matrix.rows, matrix.cols), 1)))) or 1
@@ -172,8 +171,8 @@ def build_quadtree(
 
 def exponential_mechanism_probs(utilities, eps: float, sensitivity: float = 1.0) -> np.ndarray:
     """Selection probabilities proportional to exp(eps * u / (2 * sensitivity))."""
-    if eps <= 0 or sensitivity <= 0:
-        raise ValueError("eps and sensitivity must be positive")
+    require_positive("eps", eps)
+    require_positive("sensitivity", sensitivity)
     u = np.asarray(utilities, dtype=np.float64)
     scores = eps * u / (2.0 * sensitivity)
     scores -= scores.max()
@@ -200,8 +199,7 @@ def build_kdtree(
     counts use the rest under the chosen allocation, with optional
     consistency smoothing when the tree is complete.
     """
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
+    require_positive("eps_total", eps_total)
     if not (0 < structure_fraction < 1):
         raise ValueError("structure_fraction must be in (0, 1)")
     if height < 1:
@@ -231,8 +229,7 @@ def build_kdtree(
 
 def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
     """Independent Laplace noise on every cell of the frequency matrix."""
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
+    require_positive("eps_total", eps_total)
     ledger = BudgetLedger()
     rows, cols = matrix.shape
     rng = noise.substream("singular")
@@ -248,8 +245,7 @@ def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource
 
 def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
     """One noisy total for the whole domain, assumed uniformly spread."""
-    if eps_total <= 0:
-        raise ValueError("eps_total must be positive")
+    require_positive("eps_total", eps_total)
     ledger = BudgetLedger()
     ncount = matrix.total + laplace_sample(1.0, eps_total, noise.substream("flat"))
     ledger.charge("total-count", eps_total, path=())

@@ -16,6 +16,8 @@ import warnings
 
 import numpy as np
 
+from .privacy import require_positive
+
 __all__ = [
     "FrequencyMatrix",
     "discretize",
@@ -152,8 +154,7 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive("sigma", sigma)
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     center = rng.uniform(0.0, [rows, cols])
@@ -201,11 +202,11 @@ def save_points(points, path) -> None:
         write_rows(fh, pts, "%.10g,%.10g\n")
 
 
-def _loadtxt(source, dtype, delimiter=None) -> np.ndarray:
-    """``np.loadtxt`` of a 2D table with ``#`` comments; a source with no rows is an empty table, not a warning."""
+def loadtxt(source, dtype, delimiter=None, comments="#", ndmin=2) -> np.ndarray:
+    """``np.loadtxt``, by default of a 2D table with ``#`` comments; a source with no rows is an empty table, not a warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
-        return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments="#", ndmin=2)
+        return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=comments, ndmin=ndmin)
 
 
 def read_rows(path, dtype, width: int, delimiter=None) -> np.ndarray:
@@ -213,7 +214,7 @@ def read_rows(path, dtype, width: int, delimiter=None) -> np.ndarray:
 
     Raises ValueError on a line that is not ``width`` numbers of ``dtype``.
     """
-    values = _loadtxt(path, dtype, delimiter)
+    values = loadtxt(path, dtype, delimiter)
     if values.size == 0:
         return np.empty((0, width), dtype=dtype)
     if values.shape[1] != width:
@@ -242,7 +243,7 @@ def load_matrix(path) -> FrequencyMatrix:
         if len(header) != 3:
             raise ValueError(f"{path}: malformed matrix header")
         rows, cols, total = (int(v) for v in header)
-        counts = _loadtxt(fh, np.int64)
+        counts = loadtxt(fh, np.int64)
     if counts.shape != (rows, cols):
         raise ValueError(f"{path}: expected {rows}x{cols} matrix, got {counts.shape}")
     matrix = FrequencyMatrix(counts)

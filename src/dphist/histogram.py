@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
-from .grid import write_rows
+from .grid import loadtxt, write_rows
 from .kernels import CoverageError, leaf_owner
-from .privacy import BudgetLedger, BudgetSplit
+from .privacy import BudgetLedger, require_positive
 
 __all__ = ["CoverageError", "PrivateHistogram"]
 
@@ -28,7 +28,6 @@ class PrivateHistogram:
     ncounts: np.ndarray
     eps_total: float
     method: str = ""
-    split: BudgetSplit | None = None
     ledger: BudgetLedger | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -38,9 +37,9 @@ class PrivateHistogram:
             raise ValueError("bounds and ncounts length mismatch")
 
     @classmethod
-    def audited(cls, shape, bounds, ncounts, eps_total, method, ledger, split=None) -> "PrivateHistogram":
+    def audited(cls, shape, bounds, ncounts, eps_total, method, ledger) -> "PrivateHistogram":
         """A new release, once its leaves tile the grid and no ledger path spends more than ``eps_total``."""
-        hist = cls(shape, bounds, ncounts, eps_total, method, split, ledger)
+        hist = cls(shape, bounds, ncounts, eps_total, method, ledger)
         hist.validate_cover()
         ledger.assert_valid(eps_total)
         return hist
@@ -54,15 +53,7 @@ class PrivateHistogram:
 
     def clamp_nonnegative(self) -> "PrivateHistogram":
         """Post-processed copy with negative counts raised to zero."""
-        return PrivateHistogram(
-            shape=self.shape,
-            bounds=self.bounds.copy(),
-            ncounts=np.maximum(self.ncounts, 0.0),
-            eps_total=self.eps_total,
-            method=self.method,
-            split=self.split,
-            ledger=self.ledger,
-        )
+        return replace(self, bounds=self.bounds.copy(), ncounts=np.maximum(self.ncounts, 0.0))
 
     def save(self, path) -> None:
         """Header ``N M eps_total leaf_count``, then one leaf per line."""
@@ -81,6 +72,7 @@ class PrivateHistogram:
                 raise ValueError(f"{path}: malformed histogram header")
             rows, cols = int(header[0]), int(header[1])
             eps_total = float(header[2])
+            require_positive(f"{path}: header eps_total", eps_total)
             leaf_count = int(header[3])
             if leaf_count < 0:
                 raise ValueError(f"{path}: malformed histogram header")
@@ -103,7 +95,7 @@ def _parse_leaves(lines, count: int) -> np.ndarray | None:
     if count == 0:
         return np.empty(0, dtype=_LEAF)
     try:
-        leaves = np.loadtxt(lines, dtype=_LEAF, comments=None, ndmin=1)
+        leaves = loadtxt(lines, _LEAF, comments=None, ndmin=1)
     except ValueError:
         return None
     return leaves if len(leaves) == count else None  # loadtxt skips blank lines

@@ -21,10 +21,14 @@ The release runs on a single total budget, in two passes:
    budget, charged once per split as ``split``, drives a quartering
    search over candidate split indices, each evaluation perturbed with
    sensitivity-2 Laplace noise. A pruned node's unspent structure
-   budget is charged as reserved, so every path is charged the full
-   total. Every draw is keyed by tree path, so the walk releases
-   exactly what perturb-and-prune releases on the fully partitioned
-   tree (``build_partitioning``).
+   budget is charged as ``partition-reserved`` (``tree.reserve``), so
+   every path is charged the full total. Every draw is keyed by tree
+   path, so the walk releases exactly what perturb-and-prune releases on
+   the fully partitioned tree (``build_partitioning``).
+
+Every budget passes ``privacy.require_positive``, and ``release`` checks
+that a data budget is left. The ledger is the one budget record: rows
+``height``, ``split``/``partition-reserved`` and ``node-count``/``prune-topup``.
 
 The tree itself (``tree.Node`` on integer bounds, the alternating split
 axis, the binary split step ``bisect``, the preorder walk and the
@@ -42,8 +46,8 @@ import numpy as np
 from . import kernels, tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import BudgetLedger, BudgetSplit, NoiseSource, laplace_sample
-from .tree import PARTITION_RESERVED, Node
+from .privacy import BudgetLedger, NoiseSource, laplace_sample, require_positive
+from .tree import Node
 
 __all__ = [
     "UnsplittableAxisError",
@@ -93,24 +97,19 @@ class HtfParams:
     height_constant: float = 10.0
 
     def __post_init__(self):
-        if self.eps_total <= 0 or self.eps_height <= 0:
-            raise ValueError("eps_total and eps_height must be positive")
         if self.eps_partition is None and self.eps_partition_level is None:
             object.__setattr__(self, "eps_partition_level", 5e-4)
         if self.eps_partition is not None and self.eps_partition_level is not None:
             raise ValueError("set at most one of eps_partition / eps_partition_level")
-        for name in ("eps_partition", "eps_partition_level"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("eps_total", "eps_height", "eps_partition", "eps_partition_level", "height_constant"):
+            if getattr(self, name) is not None:
+                require_positive(name, getattr(self, name))
         if self.search_iters < 1:
             raise ValueError("search_iters must be at least 1")
         if self.stop_cells < 1:
             raise ValueError("stop_cells must be at least 1")
         if self.height_override is not None and self.height_override < 1:
             raise ValueError("height_override must be at least 1")
-        if self.height_constant <= 0:
-            raise ValueError("height_constant must be positive")
 
 
 def _axis_extent(bounds, axis: str) -> int:
@@ -162,8 +161,7 @@ def get_split_point(
     budget regardless of how early the interval collapses; the caller
     charges that level budget.
     """
-    if eps_partition_level <= 0:
-        raise ValueError("eps_partition_level must be positive")
+    require_positive("eps_partition_level", eps_partition_level)
     if search_iters < 1:
         raise ValueError("search_iters must be at least 1")
     counts, whole = _as_counts(matrix)
@@ -218,10 +216,8 @@ def estimate_height(
     to [1, log2(N * M)]. More data offsets less budget: the estimate
     depends only on the product of the two.
     """
-    if eps_height <= 0 or eps_total <= 0:
-        raise ValueError("budgets must be positive")
-    if height_constant <= 0:
-        raise ValueError("height_constant must be positive")
+    for name, value in (("eps_height", eps_height), ("eps_total", eps_total), ("height_constant", height_constant)):
+        require_positive(name, value)
     noisy_total = matrix.total + laplace_sample(1.0, eps_height, noise.substream("height"))
     if ledger is not None:
         ledger.charge(HEIGHT, eps_height, path=(), level=0)
@@ -236,8 +232,7 @@ class _Splitter:
 
     Holds what every split needs: the counts, the per-level structure
     budget, the search length, the noise and the ledger. ``split`` grows
-    a node's two children in place; ``reserve`` charges the structure
-    budget a pruned node's subtree will no longer spend.
+    a node's two children in place.
     """
 
     matrix: FrequencyMatrix
@@ -254,12 +249,6 @@ class _Splitter:
         return get_split_point(
             self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, bounds=node.bounds
         )
-
-    def reserve(self, node: Node) -> None:
-        """Charge the split levels below ``node`` that pruning leaves unspent."""
-        levels = node.height if node.is_leaf else node.height - 1
-        if levels > 0:
-            self.ledger.charge(PARTITION_RESERVED, self.level_budget * levels, path=node.path, level=node.height)
 
     def make_root(self, height: int) -> Node:
         return Node((0, self.matrix.rows, 0, self.matrix.cols), height, count=self.matrix.total)
@@ -306,11 +295,10 @@ def perturb_and_prune(
 
     Without ``splitter`` the tree must be built already. With it, a kept
     node that has no children yet is split on the spot, and a pruned node
-    charges the structure budget its subtree no longer spends, so every
-    path still totals the full budget.
+    charges the structure budget its subtree no longer spends
+    (``tree.reserve``), so every path still totals the full budget.
     """
-    if eps_data <= 0:
-        raise ValueError("eps_data must be positive")
+    require_positive("eps_data", eps_data)
     if root.is_leaf:
         # Degenerate single-node tree: one release with the full data budget.
         ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
@@ -332,7 +320,7 @@ def perturb_and_prune(
         stop = node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells
         if splitter is not None:
             if stop:
-                splitter.reserve(node)
+                tree.reserve(node, splitter.level_budget, splitter.ledger)
             elif node.is_leaf:
                 splitter.split(node)
         if stop or node.is_leaf:
@@ -354,9 +342,9 @@ def release(
 ) -> PrivateHistogram:
     """Full pipeline: estimate height, then partition and perturb-and-prune.
 
-    Returns the released histogram with its resolved budget split and
-    the consumption ledger attached, once its leaves tile the grid and
-    its ledger stays within ``eps_total``.
+    Returns the released histogram with its ledger, the record of its
+    height, structure and data budgets, attached once its leaves tile the
+    grid and no ledger path spends more than ``eps_total``.
     """
     ledger = BudgetLedger()
     if params.height_override is not None:
@@ -385,12 +373,6 @@ def release(
             f"no data budget left: eps_total={params.eps_total}, structure takes "
             f"{eps_partition + params.eps_height} at height {height}"
         )
-    split = BudgetSplit(
-        eps_total=params.eps_total,
-        eps_partition=eps_partition,
-        eps_data=eps_data,
-        eps_height=params.eps_height,
-    )
 
     # The root is split before its stop test: an unsplittable root is the
     # degenerate single-node release, which takes the whole data budget.
@@ -398,8 +380,8 @@ def release(
     root = splitter.make_root(height)
     data_height = height if splitter.split(root) else 0
     leaves = perturb_and_prune(
-        root, split.eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
+        root, eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
     )
 
     bounds, ncounts = zip(*leaves)
-    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, "htf", ledger, split)
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, "htf", ledger)

@@ -1,11 +1,11 @@
 """Differential privacy primitives.
 
 Laplace sampling from seeded, structurally keyed noise streams, the
-three-way privacy budget decomposition used by the tree release
-(structure search + count perturbation + height estimation), the
 geometric per-level allocation, and a consumption ledger that audits
 sequential composition along every root-to-leaf path while treating
-disjoint siblings as parallel.
+disjoint siblings as parallel; the ledger is a release's one budget
+record. Every budget and sensitivity passes one check, ``require_positive``
+(above 0 and finite, so not NaN), and ``assert_valid`` fails closed on NaN.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "BudgetOverflowError",
-    "BudgetSplit",
+    "require_positive",
     "NoiseSource",
     "laplace_sample",
     "geometric_level_budget",
@@ -32,25 +32,10 @@ class BudgetOverflowError(RuntimeError):
     """Some root-to-leaf path was charged more than the total budget."""
 
 
-@dataclass(frozen=True)
-class BudgetSplit:
-    """Decomposition eps_total = eps_partition + eps_data + eps_height."""
-
-    eps_total: float
-    eps_partition: float
-    eps_data: float
-    eps_height: float
-
-    def __post_init__(self):
-        for name in ("eps_total", "eps_partition", "eps_data", "eps_height"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        gap = abs(self.eps_total - (self.eps_partition + self.eps_data + self.eps_height))
-        if gap > EPS_TOL:
-            raise ValueError(
-                f"budget components sum to {self.eps_partition + self.eps_data + self.eps_height}, "
-                f"not eps_total={self.eps_total}"
-            )
+def require_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``0 < value < inf`` (so NaN fails too)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _key_words(parts) -> tuple[int, ...]:
@@ -111,12 +96,10 @@ class NoiseSource:
 def laplace_sample(sensitivity: float, eps: float, src: NoiseSource) -> float:
     """One draw from Laplace(0, sensitivity / eps).
 
-    Raises on a non-positive budget rather than silently skipping noise.
+    Raises on a bad budget or sensitivity rather than silently skipping noise.
     """
-    if sensitivity <= 0 or not math.isfinite(sensitivity):
-        raise ValueError(f"sensitivity must be positive and finite, got {sensitivity}")
-    if eps <= 0:
-        raise ValueError(f"privacy budget must be positive, got {eps}")
+    require_positive("sensitivity", sensitivity)
+    require_positive("eps", eps)
     return src.laplace(sensitivity / eps)
 
 
@@ -127,8 +110,7 @@ def geometric_level_budget(level: int, height: int, eps: float, fanout: int = 2)
     share decays by fanout^(1/3) per level upward so leaves receive the
     largest slice. The shares over levels 0..height sum to ``eps``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    require_positive("eps", eps)
     if height < 0 or not (0 <= level <= height):
         raise ValueError(f"level {level} outside [0, {height}]")
     if fanout < 2:
@@ -151,13 +133,11 @@ class BudgetLedger:
     entries: list[tuple[str, int, tuple[int, ...] | None, float, int]] = field(default_factory=list)
 
     def charge(self, label: str, eps: float, *, path: tuple[int, ...] = (), level: int = 0) -> None:
-        if eps <= 0:
-            raise ValueError(f"charge must be positive, got {eps}")
+        require_positive("charge", eps)
         self.entries.append((label, level, tuple(path), float(eps), 1))
 
     def charge_parallel(self, label: str, eps: float, *, count: int, level: int = 0) -> None:
-        if eps <= 0:
-            raise ValueError(f"charge must be positive, got {eps}")
+        require_positive("charge", eps)
         if count < 1:
             raise ValueError("site count must be positive")
         self.entries.append((label, level, None, float(eps), int(count)))
@@ -202,11 +182,11 @@ class BudgetLedger:
             out[path] = total
         return out
 
-    def assert_valid(self, budget: "float | BudgetSplit", tol: float = EPS_TOL) -> None:
-        """Raise BudgetOverflowError if any path exceeds the total budget."""
-        eps_total = budget.eps_total if isinstance(budget, BudgetSplit) else float(budget)
+    def assert_valid(self, eps_total: float, tol: float = EPS_TOL) -> None:
+        """Raise BudgetOverflowError if any path exceeds ``eps_total``; a NaN total or ``eps_total`` counts as over."""
+        eps_total = float(eps_total)
         for path, total in self.chain_totals().items():
-            if total > eps_total + tol:
+            if not total <= eps_total + tol:
                 raise BudgetOverflowError(
                     f"path {'/'.join(map(str, path)) or '<root>'} charged {total!r} > eps_total {eps_total!r}"
                 )

@@ -20,6 +20,7 @@ import numpy as np
 from . import kernels
 from .grid import FrequencyMatrix, read_rows, require_inside, write_rows
 from .histogram import PrivateHistogram
+from .privacy import require_positive
 
 __all__ = [
     "WorkloadSpec",
@@ -99,8 +100,7 @@ def answer_workload(hist: PrivateHistogram, workload: Workload) -> np.ndarray:
 
 def relative_error(count, answer, smoothing: float = DEFAULT_SMOOTHING):
     """Percent relative error with a smoothing floor on the denominator, elementwise on arrays."""
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
+    require_positive("smoothing", smoothing)
     return np.abs(count - answer) / np.maximum(count, smoothing) * 100.0
 
 

@@ -5,7 +5,8 @@ height 0, and gives every node a Laplace count keyed by its tree path (the
 child indices from the root). A ``Node`` carries its integer bounds
 ``(row_lo, row_hi, col_lo, col_hi)``, as the histogram does, with its
 height, path, true count, noisy count and the variance of that noise;
-``bisect`` is the binary split step of htf and the kd-tree. The walks go
+``bisect`` is the binary split step of htf and the kd-tree, and ``reserve``
+the one charge of split levels a node leaves unsplit. The walks go
 through a tree with an explicit stack, so the depth of a tree never meets
 the interpreter's recursion limit and no walk keeps a reference cycle to
 the data it reads.
@@ -27,6 +28,7 @@ __all__ = [
     "divide",
     "halves",
     "bisect",
+    "reserve",
     "level_budgets",
     "perturb",
     "is_complete",
@@ -117,16 +119,22 @@ def halves(node: Node, axis: str, k: int, count) -> None:
 def bisect(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, count) -> bool:
     """Cut ``node`` in two along ``split_axis``, ``cut(node, axis)`` rows or columns first; charge ``eps`` as ``label``.
 
-    A node neither axis can divide stays a leaf and charges ``eps`` for each
-    of its ``node.height`` levels as ``PARTITION_RESERVED``. True if split.
+    A node neither axis can divide stays a leaf and ``reserve``s its levels. True if split.
     """
     axis = split_axis(node.bounds, node.height)
     if axis is None:
-        ledger.charge(PARTITION_RESERVED, eps * node.height, path=node.path, level=node.height)
+        reserve(node, eps, ledger)
         return False
     ledger.charge(label, eps, path=node.path, level=node.height)
     halves(node, axis, cut(node, axis), count)
     return True
+
+
+def reserve(node: Node, eps: float, ledger: BudgetLedger) -> None:
+    """Charge ``eps`` as ``PARTITION_RESERVED`` for each split level left below ``node``: all if a leaf, else all but its own."""
+    levels = node.height if node.is_leaf else node.height - 1
+    if levels > 0:
+        ledger.charge(PARTITION_RESERVED, eps * levels, path=node.path, level=node.height)
 
 
 def level_budgets(eps: float, height: int, alloc: str = "geometric", fanout: int = 2) -> list[float]:

@@ -16,6 +16,7 @@ from dphist.baselines import (
     exponential_mechanism_probs,
 )
 from dphist.grid import FrequencyMatrix
+from dphist.htf import HtfParams, release
 from dphist.privacy import NoiseSource
 from dphist.tree import Node
 from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
@@ -374,6 +375,32 @@ class TestHierarchicalConsistency:
         smooth_var = smoothed.var(axis=0)
         assert (smooth_var <= raw_var * 1.02).all()
         assert smooth_var.mean() < raw_var.mean()
+
+
+BUILDERS = {
+    "htf": lambda m, eps, ns: release(m, HtfParams(eps_total=eps), ns),
+    "ug": build_uniform_grid,
+    "ag": build_adaptive_grid,
+    "quadtree": lambda m, eps, ns: build_quadtree(m, eps, 3, ns),
+    "kdtree": lambda m, eps, ns: build_kdtree(m, eps, 3, ns),
+    "singular": build_singular,
+    "uniform": build_flat_uniform,
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("method", BUILDERS)
+def test_every_release_rejects_a_bad_eps_total(method, eps):
+    for noise in (NoiseSource(0), zero_noise()):
+        with pytest.raises(ValueError, match="eps_total must be positive and finite"):
+            BUILDERS[method](random_matrix(2, shape=(8, 8)), eps, noise)
+
+
+@pytest.mark.parametrize("c0", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("build", [build_uniform_grid, build_adaptive_grid])
+def test_grids_reject_a_bad_c0(build, c0):
+    with pytest.raises(ValueError, match="c0 must be positive and finite"):
+        build(random_matrix(2, shape=(8, 8)), 0.5, zero_noise(), c0=c0)
 
 
 class TestBenchmarkSanity:

@@ -31,6 +31,13 @@ class TestGenerate:
         assert out.read_text().startswith("#")
         assert len(load_points(out)) == 0
 
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_bad_sigma_exits_2_naming_it(self, tmp_path, capsys, sigma):
+        out = tmp_path / "pts.txt"
+        assert run(["generate", "--out", out, "--n", 10, "--sigma", sigma, "--grid", 16]) == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(["generate", "--out", a, "--n", 500, "--sigma", 9, "--grid", 64, "--seed", 3])
@@ -78,6 +85,23 @@ class TestRelease:
                     "--eps-total", 0.001, "--eps-partition-level", 1e-3,
                     "--height", 5, "--out", out])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_bad_eps_total_exits_2_without_outputs(self, tmp_path, matrix_file, capsys, method, eps):
+        out = tmp_path / "hist.txt"
+        code = run(["release", "--matrix", matrix_file, "--method", method, "--eps-total", eps, "--out", out])
+        assert code == 2
+        assert "eps_total must be positive and finite" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "hist.txt.ledger.csv").exists()
+
+    @pytest.mark.parametrize("c0", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("method", ["ug", "ag"])
+    def test_bad_c0_exits_2_naming_it(self, tmp_path, matrix_file, capsys, method, c0):
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--matrix", matrix_file, "--method", method, "--c0", c0, "--out", out]) == 2
+        assert "c0 must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["quadtree", "kdtree"])
@@ -247,6 +271,29 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="leaf line 2"):
             PrivateHistogram.load(hist)
         assert run(["evaluate", "--matrix", matrix_file, "--hist", hist, "--out", tmp_path / "r.csv"]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "-3", "0", "inf"])
+    def test_header_eps_total_must_be_positive_and_finite(self, tmp_path, capsys, eps):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("2 2 3\n1 1\n0 1\n")
+        hist = tmp_path / "h.txt"
+        hist.write_text(f"2 2 {eps} 1\n0 2 0 2 3\n")
+        with pytest.raises(ValueError, match="eps_total must be positive and finite") as err:
+            PrivateHistogram.load(hist)
+        assert str(hist) in str(err.value)
+        report = tmp_path / "r.csv"
+        assert run(["evaluate", "--matrix", matrix, "--hist", hist, "--queries", 5, "--out", report]) == 2
+        assert str(hist) in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("smoothing", ["0", "-1", "nan", "inf"])
+    def test_bad_smoothing_exits_2_naming_it(self, tmp_path, matrix_file, capsys, smoothing):
+        hist, report = tmp_path / "h.txt", tmp_path / "r.csv"
+        run(["release", "--matrix", matrix_file, "--method", "uniform", "--out", hist])
+        code = run(["evaluate", "--matrix", matrix_file, "--hist", hist, "--smoothing", smoothing, "--out", report])
+        assert code == 2
+        assert "smoothing must be positive and finite" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_missing_histogram_exits_3(self, tmp_path, matrix_file):
         assert run(["evaluate", "--matrix", matrix_file,

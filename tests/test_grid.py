@@ -160,6 +160,11 @@ class TestGaussianGenerator:
         with pytest.raises(ValueError):
             generate_gaussian(10, 0.0, 8, 8, seed=0)
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_too(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            generate_gaussian(10, sigma, 8, 8, seed=0)
+
 
 def reference_points_text(pts):
     # one line at a time, as the format is specified

@@ -12,7 +12,6 @@ from dphist.histogram import PrivateHistogram
 from dphist.htf import (
     HEIGHT,
     NODE_COUNT,
-    PARTITION_RESERVED,
     PRUNE_TOPUP,
     SPLIT,
     HtfParams,
@@ -25,7 +24,7 @@ from dphist.htf import (
     split_objective,
 )
 from dphist.privacy import BudgetLedger, NoiseSource
-from dphist.tree import preorder
+from dphist.tree import PARTITION_RESERVED, preorder
 
 from oracles import noisy_split_baseline, objective_argmins_exact, objective_value, optimal_split_exact
 
@@ -335,8 +334,14 @@ class TestRelease:
             eps_total=0.1, eps_partition_level=5e-4, eps_height=1e-4, height_override=15
         )
         hist = release(matrix, params, zero_noise())
-        assert hist.split.eps_data == pytest.approx(0.0924)
-        assert hist.split.eps_partition == pytest.approx(0.0075)
+        # the ledger is the budget record: on every path the structure takes 15 x 5e-4, the data the rest
+        paths = hist.ledger.chain_totals()
+        for leaf in paths:
+            on_path = [e for e in hist.ledger.entries if e[2] == leaf[: len(e[2])]]
+            structure = sum(e[3] for e in on_path if e[0] in (SPLIT, PARTITION_RESERVED))
+            data = sum(e[3] for e in on_path if e[0] in (NODE_COUNT, PRUNE_TOPUP))
+            assert structure == pytest.approx(0.0075)
+            assert data == pytest.approx(0.0924)
 
     def test_no_data_budget_raises_before_work(self):
         matrix = FrequencyMatrix.zeros(8, 8)
@@ -487,8 +492,9 @@ class TestLazyReleaseProperties:
         root = build_partitioning(
             matrix, height, params.eps_partition_level, params.search_iters, NoiseSource(seed), BudgetLedger()
         )
+        eps_data = params.eps_total - params.eps_partition_level * height - params.eps_height  # as release computes it
         leaves = perturb_and_prune(
-            root, hist.split.eps_data, params.stop_count, params.stop_cells,
+            root, eps_data, params.stop_count, params.stop_cells,
             0 if root.is_leaf else height, NoiseSource(seed), BudgetLedger(),
         )
         assert hist.bounds.tolist() == [list(r) for r, _ in leaves]

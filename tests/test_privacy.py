@@ -6,25 +6,37 @@ import pytest
 from dphist.privacy import (
     BudgetLedger,
     BudgetOverflowError,
-    BudgetSplit,
     NoiseSource,
     geometric_level_budget,
     laplace_sample,
+    require_positive,
 )
 
+BAD_BUDGETS = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
-class TestBudgetSplit:
-    def test_valid(self):
-        split = BudgetSplit(0.1, 0.0075, 0.0924, 0.0001)
-        assert split.eps_total == pytest.approx(0.1)
 
-    def test_sum_rule_enforced(self):
-        with pytest.raises(ValueError):
-            BudgetSplit(0.1, 0.05, 0.05, 0.01)
+class TestRequirePositive:
+    @pytest.mark.parametrize("value", [5e-324, 1e-4, 1.0, 1e300, 3, np.float64(0.5)])
+    def test_accepts_positive_finite(self, value):
+        require_positive("eps", value)
 
-    def test_positive_components(self):
-        with pytest.raises(ValueError):
-            BudgetSplit(0.1, -0.01, 0.1, 0.01)
+    @pytest.mark.parametrize("value", BAD_BUDGETS)
+    def test_rejects_naming_the_value(self, value):
+        with pytest.raises(ValueError, match=rf"^eps_data must be positive and finite, got {value!r}$"):
+            require_positive("eps_data", value)
+
+    @pytest.mark.parametrize("value", BAD_BUDGETS)
+    def test_every_budget_entry_point_rejects(self, value):
+        src = NoiseSource(0, zero_noise=True)
+        for call in (
+            lambda: laplace_sample(1.0, value, src),
+            lambda: laplace_sample(value, 1.0, src),
+            lambda: geometric_level_budget(0, 3, value),
+            lambda: BudgetLedger().charge("x", value),
+            lambda: BudgetLedger().charge_parallel("x", value, count=4),
+        ):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                call()
 
 
 class TestLaplaceSample:
@@ -147,6 +159,22 @@ class TestBudgetLedger:
         ledger.charge("a", 0.08, path=(0,))
         with pytest.raises(BudgetOverflowError, match="0"):
             ledger.assert_valid(0.1)
+
+    def test_nan_entry_is_an_overflow(self):
+        # built through entries=, as a ledger read back from a file is
+        ledger = BudgetLedger(entries=[("a", 0, (0,), 0.01, 1), ("b", 0, (0, 1), math.nan, 1)])
+        with pytest.raises(BudgetOverflowError, match="0/1 charged nan"):
+            ledger.assert_valid(0.1)
+        with pytest.raises(BudgetOverflowError):
+            BudgetLedger(entries=[("cells", 0, None, math.nan, 9)]).assert_valid(0.1)
+
+    def test_nan_eps_total_is_an_overflow(self):
+        ledger = BudgetLedger()
+        ledger.charge("a", 0.01, path=(0,))
+        with pytest.raises(BudgetOverflowError):
+            ledger.assert_valid(math.nan)
+        with pytest.raises(BudgetOverflowError):
+            BudgetLedger().assert_valid(math.nan)
 
     def test_siblings_are_parallel(self):
         ledger = BudgetLedger()

@@ -115,6 +115,11 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(1, 1, 0)
 
+    @pytest.mark.parametrize("smoothing", [-1.0, float("nan"), float("inf")])
+    def test_smoothing_must_be_finite_too(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+            relative_error(1, 1, smoothing)
+
 
 class TestGenerateWorkload:
     def test_full_domain_squares(self):
