@@ -3,16 +3,16 @@
 All builders return the same ``PrivateHistogram`` artifact as the tree
 release so the evaluation harness treats every method uniformly. The
 uniform grid, both levels of the adaptive grid and the per-cell release
-lay out their cells as ``(K, 4)`` bounds arrays (``_grid_cells``) and
-count them with one ``FrequencyMatrix.region_sums`` call; each cell
-still draws its own keyed Laplace noise. The quadtree and kd-tree are
-built on the tree core htf uses (``tree``): the same node type,
-alternating split axis, preorder walk and per-height count budgets; the
-kd-tree also splits through htf's binary split step, ``tree.bisect``,
-with its own cut. They optionally run a consistency smoothing pass that
-re-estimates node counts so every parent equals the sum of its children
-(a linear, noise-independent transform that never increases leaf
-variance).
+lay out their cells as ``(K, 4)`` bounds arrays (``_grid_cells``), count
+them with one ``FrequencyMatrix.region_sums`` call and draw their keyed
+Laplace noise with one ``NoiseSource.laplace_array`` call. The quadtree
+and kd-tree are built on the tree core htf uses (``tree``): the same node
+type, alternating split axis, preorder walk and per-height count budgets,
+with every node count drawn in one call; the kd-tree also splits through
+htf's binary split step, ``tree.bisect``, with its own cut. They
+optionally run a consistency smoothing pass that re-estimates node counts
+so every parent equals the sum of its children (a linear,
+noise-independent transform that never increases leaf variance).
 """
 
 from __future__ import annotations
@@ -24,7 +24,19 @@ import numpy as np
 from . import tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import BudgetLedger, NoiseSource, laplace_sample, require_positive
+from .privacy import (
+    CELL,
+    COUNT,
+    EM,
+    LEVEL1,
+    LEVEL2,
+    BudgetLedger,
+    NoiseSource,
+    laplace_sample,
+    path_code,
+    require_positive,
+    site_counters,
+)
 from .tree import Node
 
 __all__ = [
@@ -39,21 +51,27 @@ __all__ = [
 ]
 
 
-def _grid_cells(rect, mr: int, mc: int) -> np.ndarray:
-    """The ``mr x mc`` cells of the half-open ``rect``, row-major, as a ``(mr * mc, 4)`` array.
+def _grid_cells(rects, mr, mc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut each half-open rect of the ``(K, 4)`` array ``rects`` into its ``mr x mc`` cells, row-major.
 
-    Cell edges along an extent of ``e`` cells from ``lo`` fall at
-    ``lo + e * i // parts``.
+    ``mr`` and ``mc`` are one count or one per rect. Returns the cells of
+    every rect in turn as one ``(sum(mr * mc), 4)`` array, with each cell's
+    rect index, row index and column index. Cell edges along an extent of
+    ``e`` cells from ``lo`` fall at ``lo + e * i // parts``.
     """
-    r0, r1, c0, c1 = rect
-    rows = r0 + (r1 - r0) * np.arange(mr + 1, dtype=np.int64) // mr
-    cols = c0 + (c1 - c0) * np.arange(mc + 1, dtype=np.int64) // mc
-    cells = np.empty((mr, mc, 4), dtype=np.int64)
-    cells[..., 0] = rows[:-1, None]
-    cells[..., 1] = rows[1:, None]
-    cells[..., 2] = cols[:-1]
-    cells[..., 3] = cols[1:]
-    return cells.reshape(-1, 4)
+    rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+    parts = [np.broadcast_to(np.asarray(m, dtype=np.int64), len(rects)) for m in (mr, mc)]
+    sizes = parts[0] * parts[1]
+    owner = np.repeat(np.arange(len(rects)), sizes)
+    row, col = np.divmod(np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes), parts[1][owner])
+    cells = np.empty((len(owner), 4), dtype=np.int64)
+    for axis, index in enumerate((row, col)):
+        lo = rects[owner, 2 * axis]
+        extent = rects[owner, 2 * axis + 1] - lo
+        n = parts[axis][owner]
+        cells[:, 2 * axis] = lo + extent * index // n
+        cells[:, 2 * axis + 1] = lo + extent * (index + 1) // n
+    return cells, owner, row, col
 
 
 def build_uniform_grid(
@@ -73,12 +91,11 @@ def build_uniform_grid(
     ledger = BudgetLedger()
     m = max(1, int(round(math.sqrt(matrix.total * eps_total / c0))))
     m = min(m, matrix.rows, matrix.cols)
-    bounds = _grid_cells((0, matrix.rows, 0, matrix.cols), m, m)
-    src = noise.substream("ug")
-    draws = [laplace_sample(1.0, eps_total, src.substream(i, j)) for i, j in np.ndindex(m, m)]
+    bounds, _, i, j = _grid_cells((0, matrix.rows, 0, matrix.cols), m, m)
     ledger.charge_parallel("grid-cell", eps_total, count=m * m)
-    ncounts = matrix.region_sums(bounds) + np.asarray(draws)
-    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, "ug", ledger)
+    draws = noise.substream("ug").laplace_array(1.0 / eps_total, site_counters(CELL, i, j))
+    ncounts = matrix.region_sums(bounds) + draws
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, ledger)
 
 
 def build_adaptive_grid(
@@ -105,30 +122,25 @@ def build_adaptive_grid(
     eps2 = eps_total - eps1
     m1 = max(10, int(math.ceil(math.sqrt(matrix.total * eps_total / c0) / 4)))
     m1 = min(m1, matrix.rows, matrix.cols)
-    level1 = _grid_cells((0, matrix.rows, 0, matrix.cols), m1, m1)
+    level1, _, i, j = _grid_cells((0, matrix.rows, 0, matrix.cols), m1, m1)
     src = noise.substream("ag")
-    draws1 = [laplace_sample(1.0, eps1, src.substream("l1", i, j)) for i, j in np.ndindex(m1, m1)]
-    noisy1 = matrix.region_sums(level1) + np.asarray(draws1)
-    level2 = []
-    draws2 = []
-    for (i, j), cell, noisy in zip(np.ndindex(m1, m1), level1.tolist(), noisy1.tolist()):
-        m2 = 1
-        if noisy > 0:
-            m2 = int(math.ceil(math.sqrt(noisy * eps2 / (c0 / 2.0))))
-        m2 = max(1, min(m2, cell[1] - cell[0], cell[3] - cell[2]))
-        level2.append(_grid_cells(cell, m2, m2))
-        draws2 += [laplace_sample(1.0, eps2, src.substream("l2", i, j, a, b)) for a, b in np.ndindex(m2, m2)]
-    bounds = np.concatenate(level2)
     ledger.charge_parallel("level1-cell", eps1, count=m1 * m1)
+    noisy1 = matrix.region_sums(level1) + src.laplace_array(1.0 / eps1, site_counters(LEVEL1, i, j))
+    m2 = np.ones(len(level1), dtype=np.int64)
+    dense = noisy1 > 0
+    m2[dense] = np.ceil(np.sqrt(noisy1[dense] * eps2 / (c0 / 2.0)))
+    m2 = np.clip(m2, 1, np.minimum(level1[:, 1] - level1[:, 0], level1[:, 3] - level1[:, 2]))
+    bounds, owner, a, b = _grid_cells(level1, m2, m2)
     ledger.charge_parallel("level2-cell", eps2, count=len(bounds))
-    ncounts = matrix.region_sums(bounds) + np.asarray(draws2)
-    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, "ag", ledger)
+    draws2 = src.laplace_array(1.0 / eps2, site_counters(LEVEL2, i[owner], j[owner], a << 32 | b))
+    ncounts = matrix.region_sums(bounds) + draws2
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, ledger)
 
 
-def _leaves_hist(matrix, root: Node, eps_total, method, ledger) -> PrivateHistogram:
+def _leaves_hist(matrix, root: Node, eps_total, ledger) -> PrivateHistogram:
     leaves = [node for node in tree.preorder(root) if node.is_leaf]
     bounds = [leaf.bounds for leaf in leaves]
-    return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, method, ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, ledger)
 
 
 def build_quadtree(
@@ -166,7 +178,7 @@ def build_quadtree(
     tree.perturb(root, budgets, noise.substream("quadtree"), ledger, "node-count")
     if smooth and tree.is_complete(root):
         enforce_hierarchical_consistency(root)
-    return _leaves_hist(matrix, root, eps_total, "quadtree", ledger)
+    return _leaves_hist(matrix, root, eps_total, ledger)
 
 
 def exponential_mechanism_probs(utilities, eps: float, sensitivity: float = 1.0) -> np.ndarray:
@@ -216,7 +228,7 @@ def build_kdtree(
         prefix = np.cumsum(sums)[:-1]  # candidate k = 1 .. extent-1
         utilities = -np.abs(prefix - sums.sum() / 2.0)
         probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-        return src.substream(*node.path, "em").choice_index(probs) + 1
+        return src.choice_index(probs, EM, path_code(node.path), 0, 0) + 1
 
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
     tree.grow(root, lambda node: tree.bisect(node, median_cut, eps_struct_level, ledger, "em-split", matrix.region_sum))
@@ -224,7 +236,7 @@ def build_kdtree(
     tree.perturb(root, budgets, src, ledger, "node-count")
     if smooth and tree.is_complete(root):
         enforce_hierarchical_consistency(root)
-    return _leaves_hist(matrix, root, eps_total, "kdtree", ledger)
+    return _leaves_hist(matrix, root, eps_total, ledger)
 
 
 def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
@@ -232,25 +244,21 @@ def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource
     require_positive("eps_total", eps_total)
     ledger = BudgetLedger()
     rows, cols = matrix.shape
-    rng = noise.substream("singular")
-    if rng.zero_noise:
-        draws = np.zeros(rows * cols)
-    else:
-        draws = rng.generator.laplace(0.0, 1.0 / eps_total, size=rows * cols)
-    bounds = _grid_cells((0, rows, 0, cols), rows, cols)
-    ncounts = matrix.region_sums(bounds) + draws
+    bounds, _, i, j = _grid_cells((0, rows, 0, cols), rows, cols)
     ledger.charge_parallel("cell", eps_total, count=rows * cols)
-    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, "singular", ledger)
+    draws = noise.substream("singular").laplace_array(1.0 / eps_total, site_counters(CELL, i, j))
+    ncounts = matrix.region_sums(bounds) + draws
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, ledger)
 
 
 def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
     """One noisy total for the whole domain, assumed uniformly spread."""
     require_positive("eps_total", eps_total)
     ledger = BudgetLedger()
-    ncount = matrix.total + laplace_sample(1.0, eps_total, noise.substream("flat"))
+    ncount = matrix.total + laplace_sample(1.0, eps_total, noise.substream("flat"), COUNT, path_code(()), 0, 0)
     ledger.charge("total-count", eps_total, path=())
     bounds = [(0, matrix.rows, 0, matrix.cols)]
-    return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, "uniform", ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, ledger)
 
 
 def enforce_hierarchical_consistency(root: Node) -> Node:

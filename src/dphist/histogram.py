@@ -27,7 +27,6 @@ class PrivateHistogram:
     bounds: np.ndarray
     ncounts: np.ndarray
     eps_total: float
-    method: str = ""
     ledger: BudgetLedger | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -37,9 +36,9 @@ class PrivateHistogram:
             raise ValueError("bounds and ncounts length mismatch")
 
     @classmethod
-    def audited(cls, shape, bounds, ncounts, eps_total, method, ledger) -> "PrivateHistogram":
+    def audited(cls, shape, bounds, ncounts, eps_total, ledger) -> "PrivateHistogram":
         """A new release, once its leaves tile the grid and no ledger path spends more than ``eps_total``."""
-        hist = cls(shape, bounds, ncounts, eps_total, method, ledger)
+        hist = cls(shape, bounds, ncounts, eps_total, ledger)
         hist.validate_cover()
         ledger.assert_valid(eps_total)
         return hist

@@ -26,6 +26,13 @@ The release runs on a single total budget, in two passes:
    path, so the walk releases exactly what perturb-and-prune releases on
    the fully partitioned tree (``build_partitioning``).
 
+All draws are scalar keyed draws on the release's own noise
+(``privacy.laplace_sample``), at the sites ``(HEIGHT, 0, 0, 0)`` for the
+height, ``(COUNT, code, 0, 0)`` and ``(PRUNE, code, 0, 0)`` for a node's
+counts and ``(SPLIT, code, e, 0)`` for its split evaluation ``e``, where
+``code`` is ``privacy.path_code`` of the node's path. A height above
+``privacy.MAX_PATH_DEPTH`` (31) is rejected: its paths have no code.
+
 Every budget passes ``privacy.require_positive``, and ``release`` checks
 that a data budget is left. The ledger is the one budget record: rows
 ``height``, ``split``/``partition-reserved`` and ``node-count``/``prune-topup``.
@@ -43,10 +50,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import kernels, tree
+from . import kernels, privacy, tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import BudgetLedger, NoiseSource, laplace_sample, require_positive
+from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, laplace_sample, path_code, require_positive
 from .tree import Node
 
 __all__ = [
@@ -108,8 +115,10 @@ class HtfParams:
             raise ValueError("search_iters must be at least 1")
         if self.stop_cells < 1:
             raise ValueError("stop_cells must be at least 1")
-        if self.height_override is not None and self.height_override < 1:
-            raise ValueError("height_override must be at least 1")
+        if self.height_override is not None and not 1 <= self.height_override <= MAX_PATH_DEPTH:
+            raise ValueError(f"height_override must be in [1, {MAX_PATH_DEPTH}], got {self.height_override!r}")
+        if math.isnan(self.stop_count):
+            raise ValueError("stop_count must not be NaN")
 
 
 def _axis_extent(bounds, axis: str) -> int:
@@ -172,12 +181,13 @@ def get_split_point(
 
     eps_eval = eps_partition_level / (2 * search_iters + 1)
     row_split = axis == "y"
+    code = path_code(path)
     eval_idx = 0
 
     def noisy_objective(k: int) -> float:
         nonlocal eval_idx
         value = kernels.objective_at(counts, *bounds, k, row_split)
-        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise.substream(*path, "split", eval_idx))
+        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise, privacy.SPLIT, code, eval_idx, 0)
         eval_idx += 1
         return value + draw
 
@@ -218,7 +228,7 @@ def estimate_height(
     """
     for name, value in (("eps_height", eps_height), ("eps_total", eps_total), ("height_constant", height_constant)):
         require_positive(name, value)
-    noisy_total = matrix.total + laplace_sample(1.0, eps_height, noise.substream("height"))
+    noisy_total = matrix.total + laplace_sample(1.0, eps_height, noise, privacy.HEIGHT, 0, 0, 0)
     if ledger is not None:
         ledger.charge(HEIGHT, eps_height, path=(), level=0)
     value = max(noisy_total, 1.0) * eps_total / height_constant
@@ -302,7 +312,7 @@ def perturb_and_prune(
     if root.is_leaf:
         # Degenerate single-node tree: one release with the full data budget.
         ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
-        root.ncount = root.count + laplace_sample(1.0, eps_data, noise.substream("count"))
+        root.ncount = root.count + laplace_sample(1.0, eps_data, noise, privacy.COUNT, path_code(root.path), 0, 0)
         return [(root.bounds, root.ncount)]
 
     budgets = tree.level_budgets(eps_data, height)
@@ -312,7 +322,8 @@ def perturb_and_prune(
     for node in tree.preorder(root):
         level_eps = budgets[node.height]
         ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
-        node.ncount = node.count + laplace_sample(1.0, level_eps, noise.substream(*node.path, "count"))
+        code = path_code(node.path)
+        node.ncount = node.count + laplace_sample(1.0, level_eps, noise, privacy.COUNT, code, 0, 0)
         if node.height == 0:
             leaves.append((node.bounds, node.ncount))
             continue
@@ -327,7 +338,7 @@ def perturb_and_prune(
             eps_remain = eps_data - spent[node.height]
             if eps_remain > 1e-12:
                 ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
-                node.ncount = node.count + laplace_sample(1.0, eps_remain, noise.substream(*node.path, "prune"))
+                node.ncount = node.count + laplace_sample(1.0, eps_remain, noise, privacy.PRUNE, code, 0, 0)
             else:
                 ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
             node.children = []
@@ -384,4 +395,4 @@ def release(
     )
 
     bounds, ncounts = zip(*leaves)
-    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, "htf", ledger)
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, ledger)

@@ -1,15 +1,38 @@
 """Differential privacy primitives.
 
-Laplace sampling from seeded, structurally keyed noise streams, the
-geometric per-level allocation, and a consumption ledger that audits
-sequential composition along every root-to-leaf path while treating
-disjoint siblings as parallel; the ledger is a release's one budget
-record. Every budget and sensitivity passes one check, ``require_positive``
-(above 0 and finite, so not NaN), and ``assert_valid`` fails closed on NaN.
+Keyed Laplace noise, the geometric per-level allocation, and a consumption
+ledger that audits sequential composition along every root-to-leaf path
+while treating disjoint siblings as parallel; the ledger is a release's one
+budget record. Every budget and sensitivity passes one check,
+``require_positive`` (above 0 and finite, so not NaN), and ``assert_valid``
+fails closed on NaN.
+
+Noise is counter-based, after Salmon, Moraes, Dror and Shaw, "Parallel
+random numbers: as easy as 1, 2, 3" (SC'11). Every release draw is a pure
+function of three things: the seed, the substream key (a ``NoiseSource``'s
+stream prefix, such as ``"ug"``) and a four-word site counter
+``(label, w1, w2, w3)``. ``label`` comes from the fixed table below; a tree
+node enters as ``path_code(path)``. The draw is the first output word of
+Philox4x64-10 (``philox``, or ``philox_array`` for a ``(K, 4)`` array of
+counters) for that counter, under the two-word key that each
+``NoiseSource`` derives once from ``SeedSequence(seed, spawn_key)``. The
+word's top 53 bits become a uniform in (0, 1), and the inverse Laplace
+CDF turns that into the draw. Distinct sites therefore never share a draw,
+the same seed repeats every draw bit for bit, and a whole grid or tree
+is drawn in one numpy call (``NoiseSource.laplace_array``);
+``NoiseSource.laplace`` is the scalar form of the same function.
+Inverse-CDF sampling on a float uniform is the setting Mironov analyses in
+"On significance of the least significant bits for differential privacy"
+(CCS 2012); this module does not snap its outputs.
+
+``NoiseSource.generator`` is a ``numpy.random.Generator`` on the same
+``(seed, spawn_key)``. It samples synthetic datasets only; no release draw
+uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -19,6 +42,19 @@ import numpy as np
 __all__ = [
     "BudgetOverflowError",
     "require_positive",
+    "HEIGHT",
+    "COUNT",
+    "PRUNE",
+    "SPLIT",
+    "EM",
+    "CELL",
+    "LEVEL1",
+    "LEVEL2",
+    "MAX_PATH_DEPTH",
+    "path_code",
+    "site_counters",
+    "philox",
+    "philox_array",
     "NoiseSource",
     "laplace_sample",
     "geometric_level_budget",
@@ -26,6 +62,18 @@ __all__ = [
 ]
 
 EPS_TOL = 1e-9
+
+# Site labels, the first word of every draw counter.
+HEIGHT = 1  # htf's noisy dataset size
+COUNT = 2  # a node's count, or flat-uniform's total
+PRUNE = 3  # htf's re-perturbed count of a pruned node
+SPLIT = 4  # one of htf's noisy split objective evaluations
+EM = 5  # the kd-tree's exponential-mechanism split
+CELL = 6  # a uniform-grid or per-cell (singular) count
+LEVEL1 = 7  # an adaptive-grid level-1 cell
+LEVEL2 = 8  # an adaptive-grid level-2 cell
+
+MAX_PATH_DEPTH = 31  # path_code's leading 1 and two bits per level fill 63 bits
 
 
 class BudgetOverflowError(RuntimeError):
@@ -36,6 +84,89 @@ def require_positive(name: str, value: float) -> None:
     """Raise ValueError naming ``name`` unless ``0 < value < inf`` (so NaN fails too)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def path_code(path) -> int:
+    """One counter word for a tree path: a leading 1, then two bits per child index (0-3), root first."""
+    if len(path) > MAX_PATH_DEPTH:
+        raise ValueError(f"tree path of {len(path)} levels is deeper than {MAX_PATH_DEPTH}")
+    code = 1
+    for child in path:
+        if not 0 <= child < 4:
+            raise ValueError(f"child index {child} outside [0, 4)")
+        code = code << 2 | child
+    return code
+
+
+def site_counters(label: int, w1, w2=0, w3=0) -> np.ndarray:
+    """The ``(K, 4)`` uint64 counters ``(label, w1, w2, w3)`` of K sites, the words broadcast against each other."""
+    words = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in (label, w1, w2, w3)))
+    return np.stack(words, axis=-1).reshape(-1, 4)
+
+
+# Philox4x64-10 (Random123): round multipliers and key increments
+_MASK = 0xFFFFFFFFFFFFFFFF
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_ROUNDS = 10
+
+
+@functools.lru_cache(maxsize=64)
+def _round_keys(k0: int, k1: int) -> tuple[tuple[int, int], ...]:
+    return tuple(((k0 + r * _W0) & _MASK, (k1 + r * _W1) & _MASK) for r in range(_ROUNDS))
+
+
+def philox(counter, key) -> int:
+    """The first output word of Philox4x64-10 for a four-word ``counter`` under a two-word ``key`` (Python ints)."""
+    if len(counter) != 4:
+        raise ValueError(f"a counter is four words, got {tuple(counter)!r}")
+    c0, c1, c2, c3 = (int(c) for c in counter)
+    if min(c0, c1, c2, c3) < 0 or max(c0, c1, c2, c3) > _MASK:
+        raise ValueError(f"counter words must fit in 64 bits, got {tuple(counter)!r}")
+    for k0, k1 in _round_keys(int(key[0]), int(key[1])):
+        p0 = _M0 * c0
+        p1 = _M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+    return c0
+
+
+_BLOCK = 1 << 15  # counters per philox_array call in NoiseSource.laplace_array
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * m``, the high word built from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> _U32
+    m_lo, m_hi = m & _LO32, m >> _U32
+    lo_lo = a_lo * m_lo
+    hi_lo = a_hi * m_lo
+    cross = (lo_lo >> _U32) + (hi_lo & _LO32) + a_lo * m_hi  # below 2**64
+    return a_hi * m_hi + (hi_lo >> _U32) + (cross >> _U32), a * m
+
+
+def philox_array(counters, key) -> np.ndarray:
+    """``philox`` for every row of a ``(K, 4)`` uint64 counter array: K first output words as uint64."""
+    counters = np.asarray(counters, dtype=np.uint64)
+    if counters.ndim != 2 or counters.shape[1] != 4:
+        raise ValueError(f"counters must be a (K, 4) array, got shape {counters.shape}")
+    c0, c1, c2, c3 = counters.T
+    m0, m1 = np.uint64(_M0), np.uint64(_M1)
+    for k0, k1 in _round_keys(int(key[0]), int(key[1])):
+        hi0, lo0 = _mulhilo(c0, m0)
+        hi1, lo1 = _mulhilo(c2, m1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return c0
+
+
+def _uniform(word: int) -> float:
+    """The top 53 bits of ``word`` as a uniform in (0, 1), at the midpoint of its 2**-53 bin."""
+    return ((word >> 11) + 0.5) * 2.0**-53
+
+
+def _inverse_laplace(u: float) -> float:
+    """Unit-scale Laplace quantile at ``u`` in (0, 1)."""
+    return math.log(2.0 * u) if u < 0.5 else -math.log(2.0 - 2.0 * u)
 
 
 def _key_words(parts) -> tuple[int, ...]:
@@ -52,11 +183,12 @@ def _key_words(parts) -> tuple[int, ...]:
 
 
 class NoiseSource:
-    """Seeded randomness with independent substreams per structural site.
+    """Seeded, keyed randomness: one Philox key per substream, one counter per draw site.
 
-    Substreams are derived from ``(seed, key...)`` so the same release
-    run with the same seed reproduces every draw bit-for-bit, and draws
-    at distinct sites never share a stream. ``zero_noise`` turns every
+    ``substream(*key)`` names a stream by a prefix (a method name, a sweep
+    row); a draw on it is keyed by its site counter ``(label, w1, w2, w3)``
+    (see the module docstring), so the same seed reproduces every draw bit
+    for bit and distinct sites never share one. ``zero_noise`` turns every
     draw into its noiseless value (debug / oracle runs only; budget
     validation still applies).
     """
@@ -65,6 +197,7 @@ class NoiseSource:
         self.seed = int(seed)
         self.zero_noise = bool(zero_noise)
         self._spawn_key = _spawn_key
+        self._key: tuple[int, int] | None = None
         self._generator: np.random.Generator | None = None
 
     def substream(self, *key) -> "NoiseSource":
@@ -74,33 +207,64 @@ class NoiseSource:
             _spawn_key=self._spawn_key + _key_words(key),
         )
 
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """The two-word Philox key of this stream, derived once."""
+        if self._key is None:
+            k0, k1 = self._seed_sequence().generate_state(2, np.uint64)
+            self._key = (int(k0), int(k1))
+        return self._key
+
     @property
     def generator(self) -> np.random.Generator:
+        """A generator on this stream, for sampling datasets; no release draws from it."""
         if self._generator is None:
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
-            self._generator = np.random.default_rng(seq)
+            self._generator = np.random.default_rng(self._seed_sequence())
         return self._generator
 
-    def laplace(self, scale: float) -> float:
+    def uniform(self, *site: int) -> float:
+        """The uniform in (0, 1) of the draw at ``site``."""
+        return _uniform(philox(site, self.key))
+
+    def laplace(self, scale: float, *site: int) -> float:
+        """Laplace(0, ``scale``) at ``site``; 0 in zero-noise mode."""
         if self.zero_noise:
             return 0.0
-        return float(self.generator.laplace(0.0, scale))
+        return scale * _inverse_laplace(self.uniform(*site))
 
-    def choice_index(self, probs: np.ndarray) -> int:
-        """Categorical draw; zero-noise mode returns the argmax (smallest on ties)."""
+    def laplace_array(self, scale, counters) -> np.ndarray:
+        """``laplace`` at every row of a ``(K, 4)`` counter array, in one call; ``scale`` broadcasts over the K draws."""
+        if self.zero_noise:
+            return np.zeros(len(counters))
+        scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), len(counters))
+        out = np.empty(len(counters))
+        for lo in range(0, len(counters), _BLOCK):  # blocks bound the cipher's temporaries
+            words = philox_array(counters[lo:lo + _BLOCK], self.key)
+            u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            unit = np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 - 2.0 * u))
+            out[lo:lo + _BLOCK] = scale[lo:lo + _BLOCK] * unit
+        return out
+
+    def choice_index(self, probs: np.ndarray, *site: int) -> int:
+        """Categorical draw at ``site`` by inverse CDF; zero-noise mode returns the argmax (smallest on ties)."""
         if self.zero_noise:
             return int(np.argmax(probs))
-        return int(self.generator.choice(len(probs), p=probs))
+        cdf = np.cumsum(probs)
+        index = int(np.searchsorted(cdf, self.uniform(*site) * cdf[-1], side="right"))
+        return min(index, len(cdf) - 1)
 
 
-def laplace_sample(sensitivity: float, eps: float, src: NoiseSource) -> float:
-    """One draw from Laplace(0, sensitivity / eps).
+def laplace_sample(sensitivity: float, eps: float, src: NoiseSource, *site: int) -> float:
+    """One draw from Laplace(0, sensitivity / eps) at ``site`` of ``src``.
 
     Raises on a bad budget or sensitivity rather than silently skipping noise.
     """
     require_positive("sensitivity", sensitivity)
     require_positive("eps", eps)
-    return src.laplace(sensitivity / eps)
+    return src.laplace(sensitivity / eps, *site)
 
 
 def geometric_level_budget(level: int, height: int, eps: float, fanout: int = 2) -> float:

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .privacy import BudgetLedger, NoiseSource, geometric_level_budget, laplace_sample
+import numpy as np
+
+from .privacy import COUNT, BudgetLedger, NoiseSource, geometric_level_budget, path_code, site_counters
 
 __all__ = [
     "Node",
@@ -150,14 +152,19 @@ def perturb(root: Node, budgets: list[float], noise: NoiseSource, ledger: Budget
     """Give every node a Laplace count with the budget of its height, charged at its path.
 
     A leaf above height 0 also takes the unspent budgets of the heights
-    below it, so every root-to-leaf path is charged ``sum(budgets)``.
+    below it, so every root-to-leaf path is charged ``sum(budgets)``. The
+    node at ``path`` draws at site ``(COUNT, path_code(path), 0, 0)``, all
+    nodes in one ``laplace_array`` call.
     """
     up_to = list(accumulate(budgets))  # up_to[h] = budgets[0] + ... + budgets[h]
-    for node in preorder(root):
-        eps = up_to[node.height] if node.is_leaf else budgets[node.height]
-        node.ncount = node.count + laplace_sample(1.0, eps, noise.substream(*node.path, "count"))
-        node.noise_var = 2.0 / (eps * eps)
-        ledger.charge(label, eps, path=node.path, level=node.height)
+    nodes = list(preorder(root))
+    eps = [up_to[node.height] if node.is_leaf else budgets[node.height] for node in nodes]
+    sites = site_counters(COUNT, [path_code(node.path) for node in nodes])
+    draws = noise.laplace_array(1.0 / np.asarray(eps), sites)
+    for node, node_eps, draw in zip(nodes, eps, draws.tolist()):
+        node.ncount = node.count + draw
+        node.noise_var = 2.0 / (node_eps * node_eps)
+        ledger.charge(label, node_eps, path=node.path, level=node.height)
 
 
 def is_complete(root: Node) -> bool:

@@ -16,7 +16,8 @@ import numpy as np
 
 from dphist.grid import FrequencyMatrix
 from dphist.htf import OBJECTIVE_SENSITIVITY, SPLIT, UnsplittableAxisError
-from dphist.privacy import BudgetLedger, NoiseSource, laplace_sample
+from dphist.privacy import SPLIT as SPLIT_SITE
+from dphist.privacy import BudgetLedger, NoiseSource, laplace_sample, path_code
 
 
 def cluster_deviation(cells) -> float:
@@ -126,9 +127,11 @@ def noisy_split_baseline(
         raise ValueError("eps_partition_level must be positive")
     scan = _scan(matrix, axis)
     eps_eval = eps_partition_level / len(scan)
+    src = noise.substream("baseline-split")
+    code = path_code(path)
     noisy = np.empty_like(scan)
     for i in range(len(scan)):
-        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise.substream(*path, "baseline-split", i))
+        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, src, SPLIT_SITE, code, i, 0)
         noisy[i] = scan[i] + draw
         if ledger is not None:
             ledger.charge(SPLIT, eps_eval, path=path, level=level)

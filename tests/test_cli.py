@@ -96,6 +96,14 @@ class TestRelease:
         assert "eps_total must be positive and finite" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "hist.txt.ledger.csv").exists()
 
+    def test_nan_stop_count_exits_2_without_outputs(self, tmp_path, matrix_file, capsys):
+        out = tmp_path / "hist.txt"
+        code = run(["release", "--matrix", matrix_file, "--method", "htf", "--stop-count", "nan",
+                    "--eps-total", 0.5, "--out", out])
+        assert code == 2
+        assert "stop_count must not be NaN" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("c0", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("method", ["ug", "ag"])
     def test_bad_c0_exits_2_naming_it(self, tmp_path, matrix_file, capsys, method, c0):

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -407,6 +408,18 @@ class TestRelease:
             HtfParams(eps_total=0.1, search_iters=0)
         with pytest.raises(ValueError):
             HtfParams(eps_total=0.1, stop_cells=0)
+
+    def test_nan_stop_count_rejected(self):
+        # a NaN stop_count would make every "count <= stop_count" test false and never prune on count
+        with pytest.raises(ValueError, match="stop_count must not be NaN"):
+            HtfParams(eps_total=0.1, stop_count=math.nan)
+        for allowed in (-5.0, 0.0, math.inf, -math.inf):
+            HtfParams(eps_total=0.1, stop_count=allowed)
+
+    def test_height_override_beyond_path_codes_rejected(self):
+        HtfParams(eps_total=0.1, height_override=31)
+        with pytest.raises(ValueError, match="height_override"):
+            HtfParams(eps_total=0.1, height_override=32)
 
     def test_default_knobs(self):
         params = HtfParams(eps_total=0.1)

@@ -1,15 +1,28 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from dphist import baselines, privacy
+from dphist.grid import generate_gaussian
+from dphist.htf import HtfParams, release
 from dphist.privacy import (
+    CELL,
+    COUNT,
+    EM,
+    MAX_PATH_DEPTH,
+    SPLIT,
     BudgetLedger,
     BudgetOverflowError,
     NoiseSource,
     geometric_level_budget,
     laplace_sample,
+    path_code,
+    philox,
+    philox_array,
     require_positive,
+    site_counters,
 )
 
 BAD_BUDGETS = [0.0, -1.0, math.nan, math.inf, -math.inf]
@@ -58,15 +71,25 @@ class TestLaplaceSample:
 
     def test_huge_eps_limit(self):
         src = NoiseSource(1)
-        draws = [laplace_sample(1.0, 1e12, src.substream(i)) for i in range(100)]
+        draws = [laplace_sample(1.0, 1e12, src, COUNT, i, 0, 0) for i in range(100)]
         assert max(abs(d) for d in draws) < 1e-9
 
     def test_moments(self):
         # scale b = sensitivity / eps = 2: mean 0, variance 2 b^2 = 8
         src = NoiseSource(2024).substream("moments")
-        draws = src.generator.laplace(0.0, 2.0, size=1_000_000)
+        draws = src.laplace_array(2.0, site_counters(CELL, np.arange(1_000_000)))
         assert abs(draws.mean()) < 3 * 2.0 * math.sqrt(2) / 1000
         assert abs(draws.var() - 8.0) < 0.4
+
+    def test_kolmogorov_smirnov(self):
+        stats = pytest.importorskip("scipy.stats")
+        src = NoiseSource(2025).substream("ks")
+        draws = src.laplace_array(2.0, site_counters(CELL, np.arange(1_000_000)))
+        assert stats.kstest(draws, "laplace", args=(0.0, 2.0)).pvalue > 1e-3
+
+    def test_site_must_be_four_words(self):
+        with pytest.raises(ValueError, match="four words"):
+            laplace_sample(1.0, 1.0, NoiseSource(0), COUNT, 1)
 
 
 class TestGeometricLevelBudget:
@@ -122,27 +145,187 @@ class TestGeometricLevelBudget:
         assert values[0] > values[-1]
 
 
+def _philox_reference(counter, key) -> int:
+    """numpy's Philox4x64-10 first word for ``counter``: numpy adds 1 to its counter before it encrypts."""
+    value = (sum(int(word) << (64 * i) for i, word in enumerate(counter)) - 1) % 2**256
+    before = np.array([(value >> (64 * i)) & (2**64 - 1) for i in range(4)], dtype=np.uint64)
+    return int(np.random.Philox(counter=before, key=np.array(key, dtype=np.uint64)).random_raw())
+
+
+def _random_words(rng, shape) -> np.ndarray:
+    words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+    words[: len(words) // 10] = 0  # counters of small words, as the release sites use
+    words.flat[-4:] = 2**64 - 1
+    return words
+
+
+class TestPhilox:
+    def test_scalar_and_array_match_numpy(self):
+        rng = np.random.default_rng(11)
+        counters = _random_words(rng, (1200, 4))
+        keys = rng.integers(0, 2**64, size=(1200, 2), dtype=np.uint64, endpoint=False)
+        for counter, key in zip(counters, keys):
+            expected = _philox_reference(counter, key)
+            assert philox(counter.tolist(), key.tolist()) == expected
+            assert int(philox_array(counter[None], key.tolist())[0]) == expected
+
+    def test_array_matches_numpy_under_one_key(self):
+        rng = np.random.default_rng(12)
+        counters = _random_words(rng, (1000, 4))
+        key = (0xDEADBEEF, 2**64 - 1)
+        got = philox_array(counters, key)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_philox_reference(c, key) for c in counters]
+
+    def test_rejects_bad_counters(self):
+        with pytest.raises(ValueError):
+            philox((1, 2, 3), (0, 0))
+        with pytest.raises(ValueError):
+            philox((1, 2, 3, 2**64), (0, 0))
+        with pytest.raises(ValueError):
+            philox_array(np.zeros((3, 3), dtype=np.uint64), (0, 0))
+
+    def test_scalar_and_array_draws_agree(self):
+        rng = np.random.default_rng(13)
+        counters = _random_words(rng, (3000, 4))
+        src = NoiseSource(5).substream("agree")
+        words = philox_array(counters, src.key)
+        assert words.tolist() == [philox(c, src.key) for c in counters.tolist()]
+        uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert uniforms.tolist() == [src.uniform(*c) for c in counters.tolist()]
+        array = src.laplace_array(1.0, counters)
+        scalar = np.array([src.laplace(1.0, *c) for c in counters.tolist()])
+        # np.log and math.log may round differently: at most one unit in the last place apart
+        assert (np.abs(array - scalar) <= np.spacing(np.abs(scalar))).all()
+
+    def test_uniform_open_interval(self):
+        src = NoiseSource(0)
+        for word, expected in ((0, 2.0**-54), (2**64 - 1, 1.0 - 2.0**-54)):
+            assert privacy._uniform(word) == expected
+        assert 0.0 < src.uniform(COUNT, 1, 0, 0) < 1.0
+
+    def test_array_scale_per_site(self):
+        src = NoiseSource(3)
+        sites = site_counters(COUNT, [5, 6, 7])
+        unit = src.laplace_array(1.0, sites)
+        assert src.laplace_array([1.0, 2.0, 0.5], sites).tolist() == (unit * [1.0, 2.0, 0.5]).tolist()
+
+
+class TestPathCode:
+    def test_injective_to_depth_8(self):
+        codes = set()
+        count = 0
+        for depth in range(9):
+            for path in itertools.product(range(4), repeat=depth):
+                codes.add(path_code(path))
+                count += 1
+        assert len(codes) == count == sum(4**d for d in range(9))
+        assert max(codes) < 2**64
+
+    def test_depth_limit(self):
+        assert path_code((3,) * MAX_PATH_DEPTH) < 2**64
+        with pytest.raises(ValueError, match="deeper"):
+            path_code((0,) * 32)
+
+    def test_child_index_range(self):
+        with pytest.raises(ValueError):
+            path_code((4,))
+        with pytest.raises(ValueError):
+            path_code((-1,))
+
+
 class TestNoiseSource:
     def test_substream_determinism(self):
-        a = NoiseSource(99).substream("site", 3).laplace(1.0)
-        b = NoiseSource(99).substream("site", 3).laplace(1.0)
+        a = NoiseSource(99).substream("site", 3).laplace(1.0, CELL, 0, 0, 0)
+        b = NoiseSource(99).substream("site", 3).laplace(1.0, CELL, 0, 0, 0)
         assert a == b
 
     def test_substream_independence(self):
-        a = NoiseSource(99).substream("site", 3).laplace(1.0)
-        b = NoiseSource(99).substream("site", 4).laplace(1.0)
-        c = NoiseSource(99).substream("other", 3).laplace(1.0)
+        a = NoiseSource(99).substream("site", 3).laplace(1.0, CELL, 0, 0, 0)
+        b = NoiseSource(99).substream("site", 4).laplace(1.0, CELL, 0, 0, 0)
+        c = NoiseSource(99).substream("other", 3).laplace(1.0, CELL, 0, 0, 0)
         assert len({a, b, c}) == 3
 
     def test_type_tagged_keys(self):
-        a = NoiseSource(1).substream(5).laplace(1.0)
-        b = NoiseSource(1).substream("5").laplace(1.0)
+        a = NoiseSource(1).substream(5).laplace(1.0, CELL, 0, 0, 0)
+        b = NoiseSource(1).substream("5").laplace(1.0, CELL, 0, 0, 0)
         assert a != b
+
+    def test_key_is_seed_sequence_state(self):
+        src = NoiseSource(42).substream("ug")
+        state = np.random.SeedSequence(entropy=42, spawn_key=src._spawn_key).generate_state(2, np.uint64)
+        assert src.key == tuple(int(w) for w in state)
 
     def test_choice_zero_noise_is_argmax(self):
         src = NoiseSource(0, zero_noise=True)
         assert src.choice_index(np.array([0.2, 0.5, 0.3])) == 1
         assert src.choice_index(np.array([0.4, 0.4, 0.2])) == 0
+
+    def test_choice_is_inverse_cdf_of_the_site_uniform(self):
+        src = NoiseSource(4)
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        for site in range(200):
+            u = src.uniform(EM, site, 0, 0)
+            expected = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+            assert src.choice_index(probs, EM, site, 0, 0) == expected
+
+    def test_zero_noise_array(self):
+        assert NoiseSource(0, zero_noise=True).laplace_array(5.0, site_counters(CELL, [1, 2])).tolist() == [0.0, 0.0]
+
+    def test_sibling_draws_uncorrelated(self):
+        # Bound fixed before the first run: five standard errors of the
+        # sample correlation of n independent pairs, 5 / sqrt(n).
+        n = 200_000
+        bound = 5.0 / math.sqrt(n)
+        src = NoiseSource(31).substream("siblings")
+        parents = 4**9 + np.arange(n, dtype=np.uint64)  # path codes of depth-9 nodes
+        children = [src.laplace_array(1.0, site_counters(COUNT, parents << np.uint64(2) | np.uint64(c)))
+                    for c in range(4)]
+        pairs = list(itertools.combinations(children, 2))
+        pairs.append((src.laplace_array(1.0, site_counters(COUNT, parents)), children[0]))
+        cells = np.arange(n)
+        pairs.append((src.laplace_array(1.0, site_counters(CELL, cells // 512, cells % 512)),
+                      src.laplace_array(1.0, site_counters(CELL, cells // 512, cells % 512 + 1))))
+        pairs.append((src.laplace_array(1.0, site_counters(SPLIT, parents, 0)),
+                      src.laplace_array(1.0, site_counters(SPLIT, parents, 1))))
+        for a, b in pairs:
+            assert abs(np.corrcoef(a, b)[0, 1]) < bound
+
+
+METHODS_64 = {
+    "htf": lambda m, ns: release(m, HtfParams(eps_total=0.5, stop_count=20.0), ns),
+    "ug": lambda m, ns: baselines.build_uniform_grid(m, 0.5, ns),
+    "ag": lambda m, ns: baselines.build_adaptive_grid(m, 0.5, ns),
+    "quadtree": lambda m, ns: baselines.build_quadtree(m, 0.5, 5, ns),
+    "kdtree": lambda m, ns: baselines.build_kdtree(m, 0.5, 8, ns),
+    "singular": lambda m, ns: baselines.build_singular(m, 0.5, ns),
+    "uniform": lambda m, ns: baselines.build_flat_uniform(m, 0.5, ns),
+}
+
+
+@pytest.mark.parametrize("method", METHODS_64)
+def test_release_draws_each_counter_once(monkeypatch, method):
+    drawn = []
+    scalar, array = privacy.philox, privacy.philox_array
+
+    def traced_scalar(counter, key):
+        drawn.append((tuple(key), tuple(int(w) for w in counter)))
+        return scalar(counter, key)
+
+    def traced_array(counters, key):
+        drawn.extend((tuple(key), tuple(row)) for row in np.asarray(counters, dtype=np.uint64).tolist())
+        return array(counters, key)
+
+    def no_generator(self):
+        pytest.fail("a release drew from NoiseSource.generator")
+
+    monkeypatch.setattr(privacy, "philox", traced_scalar)
+    monkeypatch.setattr(privacy, "philox_array", traced_array)
+    monkeypatch.setattr(NoiseSource, "generator", property(no_generator))
+    matrix = generate_gaussian(20_000, 8.0, 64, 64, seed=2)
+    METHODS_64[method](matrix, NoiseSource(6))
+    assert drawn
+    assert len(set(drawn)) == len(drawn)
 
 
 class TestBudgetLedger:
