@@ -6,13 +6,16 @@ uniform grid, both levels of the adaptive grid and the per-cell release
 lay out their cells as ``(K, 4)`` bounds arrays (``_grid_cells``), count
 them with one ``FrequencyMatrix.region_sums`` call and draw their keyed
 Laplace noise with one ``NoiseSource.laplace_array`` call. The quadtree
-and kd-tree are built on the tree core htf uses (``tree``): the same node
-type, alternating split axis, preorder walk and per-height count budgets,
-with every node count drawn in one call; the kd-tree also splits through
-htf's binary split step, ``tree.bisect``, with its own cut. They
+and kd-tree release their counts through the tree core htf uses
+(``tree``): per-height count budgets, a ``tree.NodeTable`` of every node
+in preorder, and ``tree.perturb``, which draws every node count in one
+call. The quadtree is laid out as one bounds array per level and creates
+no ``tree.Node``; the kd-tree grows through htf's binary split step,
+``tree.bisect``, with its own cut, and is flattened once grown. They
 optionally run a consistency smoothing pass that re-estimates node counts
 so every parent equals the sum of its children (a linear,
-noise-independent transform that never increases leaf variance).
+noise-independent transform that never increases leaf variance), one
+array pass up the levels and one down.
 """
 
 from __future__ import annotations
@@ -137,10 +140,26 @@ def build_adaptive_grid(
     return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, ledger)
 
 
-def _leaves_hist(matrix, root: Node, eps_total, ledger) -> PrivateHistogram:
-    leaves = [node for node in tree.preorder(root) if node.is_leaf]
-    bounds = [leaf.bounds for leaf in leaves]
-    return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, ledger)
+def _leaves_hist(matrix, table: tree.NodeTable, eps_total, ledger) -> PrivateHistogram:
+    leaf = table.leaf
+    return PrivateHistogram.audited(matrix.shape, table.bounds[leaf], table.ncount[leaf], eps_total, ledger)
+
+
+def _quadrants(rows: int, cols: int, height: int) -> list[np.ndarray]:
+    """The bounds of the quadtree on a ``rows`` x ``cols`` grid, one ``(4**d, 4)`` array per depth d.
+
+    Every node is cut at its row and column midpoints into its top-left,
+    top-right, bottom-left and bottom-right quadrants, down to ``height``
+    levels; a grid one cell wide is the root alone.
+    """
+    levels = [np.array([[0, rows, 0, cols]], dtype=np.int64)]
+    for _ in range(height if min(rows, cols) >= 2 else 0):
+        r0, r1, c0, c1 = levels[-1].T
+        rm = r0 + (r1 - r0) // 2
+        cm = c0 + (c1 - c0) // 2
+        quads = (r0, rm, c0, cm, r0, rm, cm, c1, rm, r1, c0, cm, rm, r1, cm, c1)
+        levels.append(np.stack(quads, axis=1).reshape(-1, 4))
+    return levels
 
 
 def build_quadtree(
@@ -155,7 +174,9 @@ def build_quadtree(
     """Full 4-ary tree of equal quadrants; released leaves carry the counts.
 
     Per-level budgets are uniform or follow the fanout-4 geometric
-    allocation. Heights beyond what the grid can support are clamped.
+    allocation. Heights beyond what the grid can support are clamped, so
+    the tree is complete, except on a grid one cell wide, where it is a
+    single leaf at height 1.
     """
     require_positive("eps_total", eps_total)
     if height < 1:
@@ -163,22 +184,12 @@ def build_quadtree(
     cap = int(math.floor(math.log2(max(min(matrix.rows, matrix.cols), 1)))) or 1
     height = max(1, min(height, cap))
     ledger = BudgetLedger()
-
-    def split(node: Node) -> None:
-        r0, r1, c0, c1 = node.bounds
-        if r1 - r0 < 2 or c1 - c0 < 2:
-            return
-        rm = r0 + (r1 - r0) // 2
-        cm = c0 + (c1 - c0) // 2
-        quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
-        tree.divide(node, quads, matrix.region_sum)
-
-    root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
+    table = tree.complete(_quadrants(matrix.rows, matrix.cols, height), 4, height, matrix.region_sums)
     budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
-    tree.perturb(root, budgets, noise.substream("quadtree"), ledger, "node-count")
-    if smooth and tree.is_complete(root):
-        enforce_hierarchical_consistency(root)
-    return _leaves_hist(matrix, root, eps_total, ledger)
+    tree.perturb(table, budgets, noise.substream("quadtree"), ledger, "node-count")
+    if smooth and tree.is_complete(table):
+        enforce_hierarchical_consistency(table)
+    return _leaves_hist(matrix, table, eps_total, ledger)
 
 
 def exponential_mechanism_probs(utilities, eps: float, sensitivity: float = 1.0) -> np.ndarray:
@@ -232,11 +243,12 @@ def build_kdtree(
 
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
     tree.grow(root, lambda node: tree.bisect(node, median_cut, eps_struct_level, ledger, "em-split", matrix.region_sum))
+    table = tree.flatten(root)
     budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
-    tree.perturb(root, budgets, src, ledger, "node-count")
-    if smooth and tree.is_complete(root):
-        enforce_hierarchical_consistency(root)
-    return _leaves_hist(matrix, root, eps_total, ledger)
+    tree.perturb(table, budgets, src, ledger, "node-count")
+    if smooth and tree.is_complete(table):
+        enforce_hierarchical_consistency(table)
+    return _leaves_hist(matrix, table, eps_total, ledger)
 
 
 def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource) -> PrivateHistogram:
@@ -261,8 +273,16 @@ def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSo
     return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, ledger)
 
 
-def enforce_hierarchical_consistency(root: Node) -> Node:
-    """Re-estimate noisy counts so each parent equals its children's sum.
+def _fold(columns: np.ndarray) -> np.ndarray:
+    """Row sums of a 2D array, adding its columns left to right onto 0.0, as a Python loop over each row would."""
+    total = 0.0
+    for column in columns.T:
+        total = total + column
+    return total
+
+
+def enforce_hierarchical_consistency(table: tree.NodeTable) -> tree.NodeTable:
+    """Re-estimate the noisy counts of ``table`` in place so each parent equals its children's sum.
 
     Two passes of inverse-variance weighting: upward, each node's count
     is combined with the sum of its children's estimates; downward, the
@@ -270,42 +290,41 @@ def enforce_hierarchical_consistency(root: Node) -> Node:
     distributed by subtree variance. The transform is linear in the
     noisy counts, never increases leaf variance, and leaves an
     already-consistent tree unchanged. Requires a complete tree with
-    uniform fanout.
+    uniform fanout. Each pass is one array step per level, with each
+    node's children added in child order.
     """
-    if root.is_leaf:
-        return root
-    if not tree.is_complete(root):
+    if table.leaf[0]:
+        return table
+    if not tree.is_complete(table):
         raise ValueError("consistency smoothing needs a complete tree with uniform fanout")
 
-    nodes = list(tree.preorder(root))
-    estimates: dict[Node, tuple[float, float]] = {}
-    for node in reversed(nodes):  # every node after its children
-        if node.is_leaf:
-            estimates[node] = (node.ncount, node.noise_var)
-            continue
-        child_sum = 0.0
-        child_var = 0.0
-        for child in node.children:
-            z, s = estimates[child]
-            child_sum += z
-            child_var += s
-        own_var = node.noise_var
-        if own_var <= 0:
-            estimates[node] = (child_sum, child_var)
-        else:
-            z = (child_var * node.ncount + own_var * child_sum) / (child_var + own_var)
-            s = own_var * child_var / (own_var + child_var)
-            estimates[node] = (z, s)
+    fanout = int(table.children[0])
+    # the rows at each depth, root first; in a complete tree the children of
+    # the j-th node of a depth are nodes fanout*j ... fanout*j + fanout - 1 of the next
+    rows = np.argsort(table.depth, kind="stable")
+    by_depth = np.split(rows, np.cumsum(np.bincount(table.depth))[:-1])
+    z = table.ncount.copy()  # upward estimate and its variance; a leaf's are its own
+    s = table.noise_var.copy()
+    for parents, kids in zip(by_depth[-2::-1], by_depth[:0:-1]):  # the deepest parents first
+        kids = kids.reshape(-1, fanout)
+        child_sum = _fold(z[kids])
+        child_var = _fold(s[kids])
+        own = table.ncount[parents]
+        own_var = table.noise_var[parents]
+        weighted = own_var > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z[parents] = np.where(weighted, (child_var * own + own_var * child_sum) / (child_var + own_var), child_sum)
+            s[parents] = np.where(weighted, own_var * child_var / (own_var + child_var), child_var)
 
-    root.ncount = estimates[root][0]
-    for node in nodes:  # every node before its children
-        if node.is_leaf:
-            continue
-        child_z = [estimates[c][0] for c in node.children]
-        child_s = [estimates[c][1] for c in node.children]
-        total_s = sum(child_s)
-        residual = node.ncount - sum(child_z)
-        for child, z, s in zip(node.children, child_z, child_s):
-            share = s / total_s if total_s > 0 else 1.0 / len(node.children)
-            child.ncount = z + residual * share
-    return root
+    ncount = z.copy()  # the root keeps its upward estimate
+    for parents, kids in zip(by_depth[:-1], by_depth[1:]):
+        kids = kids.reshape(-1, fanout)
+        child_z = z[kids]
+        child_s = s[kids]
+        total_s = _fold(child_s)[:, None]
+        residual = (ncount[parents] - _fold(child_z))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = np.where(total_s > 0, child_s / total_s, 1.0 / fanout)
+        ncount[kids] = child_z + residual * share
+    table.ncount = ncount
+    return table

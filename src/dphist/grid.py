@@ -150,7 +150,8 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
     The cluster center is chosen uniformly at random; out-of-domain draws
     are resampled up to 100 times and any stragglers are clamped to the
     nearest boundary cell, so the output always has exactly ``n`` points.
-    Coordinates are in cell units.
+    Each round redraws, in row order, only the rows still outside, and
+    checks only those again. Coordinates are in cell units.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -160,11 +161,13 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
     center = rng.uniform(0.0, [rows, cols])
     pts = center + rng.normal(0.0, sigma, size=(n, 2))
     hi = np.array([rows, cols], dtype=np.float64)
+    bad = np.flatnonzero(np.any((pts < 0.0) | (pts >= hi), axis=1))
     for _ in range(100):
-        bad = np.any((pts < 0.0) | (pts >= hi), axis=1)
-        if not bad.any():
+        if not len(bad):
             break
-        pts[bad] = center + rng.normal(0.0, sigma, size=(int(bad.sum()), 2))
+        redrawn = center + rng.normal(0.0, sigma, size=(len(bad), 2))
+        pts[bad] = redrawn
+        bad = bad[np.any((redrawn < 0.0) | (redrawn >= hi), axis=1)]
     edge = np.nextafter(hi, 0.0)
     np.clip(pts, 0.0, edge, out=pts)
     return pts

@@ -36,6 +36,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -300,6 +301,17 @@ class BudgetLedger:
         require_positive("charge", eps)
         self.entries.append((label, level, tuple(path), float(eps), 1))
 
+    def charge_many(self, label: str, eps, *, paths, levels) -> None:
+        """``charge`` ``eps[i]`` at ``paths[i]`` and ``levels[i]`` for every i in turn, checking the ``eps`` array once."""
+        eps = np.asarray(eps, dtype=np.float64).reshape(-1)
+        levels = np.asarray(levels).reshape(-1)
+        if not len(eps) == len(levels) == len(paths):
+            raise ValueError(f"{len(eps)} charges with {len(paths)} paths and {len(levels)} levels")
+        ok = (eps > 0.0) & (eps < math.inf)
+        if not ok.all():
+            require_positive("charge", float(eps[ok.argmin()]))
+        self.entries.extend(zip(repeat(label), levels.tolist(), map(tuple, paths), eps.tolist(), repeat(1)))
+
     def charge_parallel(self, label: str, eps: float, *, count: int, level: int = 0) -> None:
         require_positive("charge", eps)
         if count < 1:
@@ -317,11 +329,11 @@ class BudgetLedger:
         return sum(e[3] for e in self.entries if e[0] == label)
 
     def chain_totals(self) -> dict[tuple[int, ...], float]:
-        """Budget consumed along each maximal charged path.
+        """Budget consumed along each maximal charged path, in the order the paths were first charged.
 
         The total for a path includes every charge at its prefixes plus
         every parallel group (a record's cell lies in exactly one site
-        of each group).
+        of each group), added from the root down with the groups first.
         """
         per_path: dict[tuple[int, ...], float] = {}
         parallel = 0.0
@@ -332,19 +344,19 @@ class BudgetLedger:
                 per_path[path] = per_path.get(path, 0.0) + eps
         if not per_path:
             return {(): parallel}
-        prefixes = set()
+        # the total at every prefix of a charged path, each found from its parent's once
+        prefix_total = {(): parallel + per_path.get((), 0.0)}
         for path in per_path:
-            for i in range(len(path)):
-                prefixes.add(path[:i])
-        out = {}
-        for path in per_path:
-            if path in prefixes:
-                continue
-            total = parallel
-            for i in range(len(path) + 1):
-                total += per_path.get(path[:i], 0.0)
-            out[path] = total
-        return out
+            todo = []
+            while path not in prefix_total:
+                todo.append(path)
+                path = path[:-1]
+            total = prefix_total[path]
+            for prefix in reversed(todo):
+                total += per_path.get(prefix, 0.0)
+                prefix_total[prefix] = total
+        inner = {prefix[:-1] for prefix in prefix_total if prefix}
+        return {path: prefix_total[path] for path in per_path if path not in inner}
 
     def assert_valid(self, eps_total: float, tol: float = EPS_TOL) -> None:
         """Raise BudgetOverflowError if any path exceeds ``eps_total``; a NaN total or ``eps_total`` counts as over."""

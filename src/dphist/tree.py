@@ -2,14 +2,20 @@
 
 Each of them cuts the grid into rectangles, cuts those again down to
 height 0, and gives every node a Laplace count keyed by its tree path (the
-child indices from the root). A ``Node`` carries its integer bounds
-``(row_lo, row_hi, col_lo, col_hi)``, as the histogram does, with its
-height, path, true count, noisy count and the variance of that noise;
-``bisect`` is the binary split step of htf and the kd-tree, and ``reserve``
-the one charge of split levels a node leaves unsplit. The walks go
-through a tree with an explicit stack, so the depth of a tree never meets
-the interpreter's recursion limit and no walk keeps a reference cycle to
-the data it reads.
+child indices from the root). htf and the kd-tree grow a ``Node`` at a
+time: a ``Node`` carries its integer bounds ``(row_lo, row_hi, col_lo,
+col_hi)``, as the histogram does, with its height, path, true count and
+noisy count; ``bisect`` is their binary split step, and ``reserve`` the
+one charge of split levels a node leaves unsplit. The walks go through a
+tree with an explicit stack, so the depth of a tree never meets the
+interpreter's recursion limit and no walk keeps a reference cycle to the
+data it reads.
+
+The count release works on a ``NodeTable``, the tree as arrays in
+preorder: the kd-tree ``flatten``s its grown nodes once, and the quadtree,
+which is complete, is laid out level by level (``complete``) without a
+``Node``. ``perturb`` draws every node count in one call and charges them
+in one bulk ledger charge.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .privacy import COUNT, BudgetLedger, NoiseSource, geometric_level_budget, p
 
 __all__ = [
     "Node",
+    "NodeTable",
     "preorder",
     "grow",
     "split_axis",
@@ -31,6 +38,8 @@ __all__ = [
     "halves",
     "bisect",
     "reserve",
+    "flatten",
+    "complete",
     "level_budgets",
     "perturb",
     "is_complete",
@@ -49,7 +58,6 @@ class Node:
     path: tuple[int, ...] = ()
     count: int = 0
     ncount: float = 0.0
-    noise_var: float = 0.0
     children: list["Node"] = field(default_factory=list)
 
     @property
@@ -64,6 +72,33 @@ class Node:
     @property
     def right(self) -> "Node | None":
         return self.children[1] if self.children else None
+
+
+@dataclass(eq=False)
+class NodeTable:
+    """A tree as arrays, one row per node in preorder (depth first, children left to right).
+
+    Row i holds the node's ``(row_lo, row_hi, col_lo, col_hi)`` bounds,
+    its ``height`` above the leaves and ``depth`` below the root, its
+    number of ``children`` (0 for a leaf), its tree path (``paths``, and
+    ``codes`` as ``path_code``, which ``perturb`` computes when they are
+    not given) and its true ``count``. ``perturb`` fills ``ncount`` and
+    ``noise_var``.
+    """
+
+    bounds: np.ndarray
+    height: np.ndarray
+    depth: np.ndarray
+    children: np.ndarray
+    paths: list[tuple[int, ...]]
+    count: np.ndarray
+    codes: np.ndarray | None = None
+    ncount: np.ndarray | None = None
+    noise_var: np.ndarray | None = None
+
+    @property
+    def leaf(self) -> np.ndarray:
+        return self.children == 0
 
 
 def preorder(root: Node):
@@ -139,6 +174,60 @@ def reserve(node: Node, eps: float, ledger: BudgetLedger) -> None:
         ledger.charge(PARTITION_RESERVED, eps * levels, path=node.path, level=node.height)
 
 
+def flatten(root: Node) -> NodeTable:
+    """The ``NodeTable`` of the tree under ``root``, read in one preorder walk."""
+    nodes, depth = [], []
+    stack = [(root, 0)]
+    while stack:
+        node, d = stack.pop()
+        nodes.append(node)
+        depth.append(d)
+        stack.extend((child, d + 1) for child in reversed(node.children))
+    return NodeTable(
+        bounds=np.array([node.bounds for node in nodes], dtype=np.int64),
+        height=np.array([node.height for node in nodes], dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+        children=np.array([len(node.children) for node in nodes], dtype=np.int64),
+        paths=[node.path for node in nodes],
+        count=np.array([node.count for node in nodes], dtype=np.int64),
+    )
+
+
+def complete(levels: list[np.ndarray], fanout: int, height: int, count) -> NodeTable:
+    """The complete tree with the ``(fanout**d, 4)`` bounds array ``levels[d]`` at depth d, as a ``NodeTable``.
+
+    Each level is in level order: the children of node j of one level
+    are nodes ``fanout*j`` to ``fanout*j + fanout - 1`` of the next,
+    child i reached by path index i (so ``fanout`` is at most 4, as in
+    ``path_code``). The root is at ``height``; ``count`` gives the true
+    counts of a ``(K, 4)`` bounds array.
+    """
+    last = len(levels) - 1
+    child = np.arange(fanout, dtype=np.uint64)
+    # preorder position, path code and path of every node, one level at a time:
+    # a child follows its parent and the subtrees of its elder siblings
+    position, codes, paths = [np.zeros(1, dtype=np.int64)], [np.ones(1, dtype=np.uint64)], [[()]]
+    for d in range(1, last + 1):
+        subtree = sum(fanout**k for k in range(last - d + 1))  # nodes of a depth-d subtree
+        position.append((position[-1][:, None] + 1 + np.arange(fanout) * subtree).ravel())
+        codes.append((codes[-1][:, None] << np.uint64(2) | child).ravel())
+        paths.append([path + (i,) for path in paths[-1] for i in range(fanout)])
+    order = np.empty(sum(len(level) for level in levels), dtype=np.int64)  # the level-order index of each preorder row
+    order[np.concatenate(position)] = np.arange(len(order))
+    depth = np.repeat(np.arange(last + 1), [len(level) for level in levels])[order]
+    bounds = np.concatenate(levels)[order]
+    paths = [path for level in paths for path in level]
+    return NodeTable(
+        bounds=bounds,
+        height=height - depth,
+        depth=depth,
+        children=np.where(depth < last, fanout, 0),
+        paths=[paths[i] for i in order.tolist()],
+        codes=np.concatenate(codes)[order],
+        count=count(bounds),
+    )
+
+
 def level_budgets(eps: float, height: int, alloc: str = "geometric", fanout: int = 2) -> list[float]:
     """Count budget per node height, leaves at index 0 and the root at ``height``; the levels sum to ``eps``."""
     if alloc == "uniform":
@@ -148,30 +237,33 @@ def level_budgets(eps: float, height: int, alloc: str = "geometric", fanout: int
     raise ValueError(f"alloc must be 'uniform' or 'geometric', got {alloc!r}")
 
 
-def perturb(root: Node, budgets: list[float], noise: NoiseSource, ledger: BudgetLedger, label: str) -> None:
+def perturb(table: NodeTable, budgets: list[float], noise: NoiseSource, ledger: BudgetLedger, label: str) -> None:
     """Give every node a Laplace count with the budget of its height, charged at its path.
 
     A leaf above height 0 also takes the unspent budgets of the heights
     below it, so every root-to-leaf path is charged ``sum(budgets)``. The
     node at ``path`` draws at site ``(COUNT, path_code(path), 0, 0)``, all
-    nodes in one ``laplace_array`` call.
+    nodes in one ``laplace_array`` call, and the charges go to the ledger
+    in preorder.
     """
-    up_to = list(accumulate(budgets))  # up_to[h] = budgets[0] + ... + budgets[h]
-    nodes = list(preorder(root))
-    eps = [up_to[node.height] if node.is_leaf else budgets[node.height] for node in nodes]
-    sites = site_counters(COUNT, [path_code(node.path) for node in nodes])
-    draws = noise.laplace_array(1.0 / np.asarray(eps), sites)
-    for node, node_eps, draw in zip(nodes, eps, draws.tolist()):
-        node.ncount = node.count + draw
-        node.noise_var = 2.0 / (node_eps * node_eps)
-        ledger.charge(label, node_eps, path=node.path, level=node.height)
+    up_to = np.array(list(accumulate(budgets)))  # up_to[h] = budgets[0] + ... + budgets[h]
+    eps = np.where(table.leaf, up_to[table.height], np.asarray(budgets)[table.height])
+    codes = table.codes if table.codes is not None else [path_code(path) for path in table.paths]
+    draws = noise.laplace_array(1.0 / eps, site_counters(COUNT, codes))
+    table.ncount = table.count + draws
+    table.noise_var = 2.0 / (eps * eps)
+    ledger.charge_many(label, eps, paths=table.paths, levels=table.height)
 
 
-def is_complete(root: Node) -> bool:
-    """True when every inner node has the root's fanout and every leaf is at height 0."""
-    fanout = len(root.children)
-    return fanout > 0 and all(
-        len(node.children) == fanout if node.children else node.height == 0 for node in preorder(root)
+def is_complete(table: NodeTable) -> bool:
+    """True when every inner node has the root's fanout and every leaf is at height 0 and at the deepest level."""
+    fanout = table.children[0]
+    leaf = table.leaf
+    return bool(
+        fanout > 0
+        and (table.children[~leaf] == fanout).all()
+        and (table.height[leaf] == 0).all()
+        and (table.depth[leaf] == table.depth.max()).all()
     )
 
 

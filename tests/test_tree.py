@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,8 @@ from dphist.grid import FrequencyMatrix
 from dphist.htf import HtfParams, release
 from dphist.privacy import BudgetLedger, NoiseSource
 from dphist.tree import Node
+
+from oracles import kdtree_nodes, quadtree_nodes
 
 
 def cells(bounds):
@@ -41,7 +46,7 @@ class TestWalks:
             node.children = [Node(node.bounds, node.height - 1, node.path + (0,))]
             node = node.children[0]
         assert sum(1 for _ in tree.preorder(root)) == 5001
-        assert tree.is_complete(root)
+        assert tree.is_complete(tree.flatten(root))
 
     def test_halves_and_children(self):
         node = Node((2, 6, 1, 4), 3, path=(1,))
@@ -74,19 +79,21 @@ class TestWalks:
         assert tree.split_axis((0, 1, 0, 1), 2) is None
 
     def test_is_complete(self):
-        assert tree.is_complete(binary_tree(3))
-        assert not tree.is_complete(Node((0, 1, 0, 1), 0))
+        assert tree.is_complete(tree.flatten(binary_tree(3)))
+        assert not tree.is_complete(tree.flatten(Node((0, 1, 0, 1), 0)))
         root = binary_tree(3)
         root.children[1].children = []
-        assert not tree.is_complete(root)
+        assert not tree.is_complete(tree.flatten(root))
 
     def test_perturb_charges_each_node_its_height_budget(self):
         root = binary_tree(2)
         ledger = BudgetLedger()
         budgets = tree.level_budgets(0.3, 2, "uniform")
-        tree.perturb(root, budgets, NoiseSource(0, zero_noise=True), ledger, "node-count")
+        table = tree.flatten(root)
+        tree.perturb(table, budgets, NoiseSource(0, zero_noise=True), ledger, "node-count")
         assert [(e[2], e[3]) for e in ledger.entries] == [(n.path, 0.3 / 3) for n in tree.preorder(root)]
-        assert all(n.ncount == n.count and n.noise_var == pytest.approx(200.0) for n in tree.preorder(root))
+        nodes = zip(table.ncount.tolist(), table.count.tolist(), table.noise_var.tolist())
+        assert all(ncount == count and noise_var == pytest.approx(200.0) for ncount, count, noise_var in nodes)
 
     def test_level_budgets_sum_to_eps(self):
         for alloc in ("uniform", "geometric"):
@@ -184,3 +191,52 @@ class TestLeavesAboveHeightZero:
         assert charges == [("partition-reserved", pytest.approx(struct)), ("node-count", pytest.approx(2 * count))]
         for total in hist.ledger.chain_totals().values():
             assert total == pytest.approx(0.5, abs=1e-12)
+
+
+@st.composite
+def grids_for_trees(draw):
+    """Non-square grids, grids one cell wide, heights past either tree's cap, both allocations, smoothing on and off."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.just(1), st.integers(1, 40)),
+            st.tuples(st.integers(1, 40), st.just(1)),
+            st.tuples(st.integers(2, 70), st.integers(2, 70)),
+        )
+    )
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, draw(st.integers(1, 200)), shape)
+    height = draw(st.integers(1, 14))
+    options = {"alloc": draw(st.sampled_from(["uniform", "geometric"])), "smooth": draw(st.booleans())}
+    return FrequencyMatrix(counts), height, options, draw(st.integers(0, 2**31 - 1))
+
+
+def release_bytes(hist) -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as scratch:
+        hist.save(Path(scratch) / "release.hist")
+        hist.ledger.save(Path(scratch) / "ledger.csv")
+        return (Path(scratch) / "release.hist").read_bytes(), (Path(scratch) / "ledger.csv").read_bytes()
+
+
+class TestArrayTreesAgainstNodeOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(grids_for_trees(), st.sampled_from(["quadtree", "kdtree"]))
+    def test_release_and_ledger_bytes_equal(self, case, method):
+        matrix, height, options, seed = case
+        build, oracle = {
+            "quadtree": (baselines.build_quadtree, quadtree_nodes),
+            "kdtree": (baselines.build_kdtree, kdtree_nodes),
+        }[method]
+        got = build(matrix, 0.3, height, NoiseSource(seed), **options)
+        expected = oracle(matrix, 0.3, height, NoiseSource(seed), **options)
+        assert got.bounds.tolist() == expected.bounds.tolist()
+        assert got.ncounts.tobytes() == expected.ncounts.tobytes()
+        assert got.ledger.entries == expected.ledger.entries
+        assert release_bytes(got) == release_bytes(expected)
+
+    def test_quadtree_creates_no_node(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_quadtree made a Node")
+
+        monkeypatch.setattr(Node, "__init__", refuse)
+        matrix = FrequencyMatrix(np.random.default_rng(3).integers(0, 9, (40, 24)))
+        hist = baselines.build_quadtree(matrix, 0.3, 4, NoiseSource(1), smooth=True)
+        assert len(hist) == 4**4
