@@ -10,8 +10,9 @@ and kd-tree release their counts through the tree core htf uses
 (``tree``): per-height count budgets, a ``tree.NodeTable`` of every node
 in preorder, and ``tree.perturb``, which draws every node count in one
 call. The quadtree is laid out as one bounds array per level and creates
-no ``tree.Node``; the kd-tree grows through htf's binary split step,
-``tree.bisect``, with its own cut, and is flattened once grown. They
+no ``tree.Node``; the kd-tree grows its full tree (``tree.grow``) through
+the binary split step htf also uses, ``tree.bisect``, with its own cut,
+and is flattened once grown. They
 optionally run a consistency smoothing pass that re-estimates node counts
 so every parent equals the sum of its children (a linear,
 noise-independent transform that never increases leaf variance), one

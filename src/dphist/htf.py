@@ -12,19 +12,20 @@ The release runs on a single total budget, in two passes:
 
 1. height estimation: perturb the dataset size and derive the tree
    depth from ``noisy_total * eps_total / height_constant``;
-2. partition and perturb-and-prune, in one top-down walk: node counts
-   are perturbed under a geometric per-level allocation (leaves get the
-   largest share), and a stop condition on the noisy count or cell
-   extent prunes a subtree, re-perturbing the pruned node with the
-   entire budget its path would have spent below. Only a node the stop
-   condition keeps is split: per level, a fixed slice of the structure
-   budget, charged once per split as ``split``, drives a quartering
-   search over candidate split indices, each evaluation perturbed with
-   sensitivity-2 Laplace noise. A pruned node's unspent structure
-   budget is charged as ``partition-reserved`` (``tree.reserve``), so
-   every path is charged the full total. Every draw is keyed by tree
-   path, so the walk releases exactly what perturb-and-prune releases on
-   the fully partitioned tree (``build_partitioning``).
+2. partition and perturb-and-prune, in one top-down walk
+   (``perturb_and_prune``): node counts are perturbed under a geometric
+   per-level allocation (leaves get the largest share), and a stop
+   condition on the noisy count or cell extent prunes a node,
+   re-perturbing it with the entire budget its path would have spent
+   below and charging its unspent structure budget as
+   ``partition-reserved`` (``tree.reserve``), so every path is charged
+   the full total. Every node the walk keeps is split (``split_node``):
+   per level, a fixed slice of the structure budget, charged once per
+   split as ``split``, drives a quartering search over candidate split
+   indices, each evaluation perturbed with sensitivity-2 Laplace noise.
+   An unsplittable root (a 1x1 grid) enters the walk as a height-0 leaf.
+   Draws are keyed by tree path, so pruning the full tree that
+   ``build_partitioning`` grows releases the same leaves.
 
 All draws are scalar keyed draws on the release's own noise
 (``privacy.laplace_sample``), at the sites ``(HEIGHT, 0, 0, 0)`` for the
@@ -62,6 +63,7 @@ __all__ = [
     "split_objective",
     "get_split_point",
     "estimate_height",
+    "split_node",
     "build_partitioning",
     "perturb_and_prune",
     "release",
@@ -217,10 +219,10 @@ def estimate_height(
     eps_total: float,
     noise: NoiseSource,
     *,
-    ledger: BudgetLedger | None = None,
+    ledger: BudgetLedger,
     height_constant: float = 10.0,
 ) -> int:
-    """Tree height from the perturbed dataset size.
+    """Tree height from the perturbed dataset size, its budget charged to ``ledger`` as ``height``.
 
     ``floor(log2(noisy_total * eps_total / height_constant))``, clamped
     to [1, log2(N * M)]. More data offsets less budget: the estimate
@@ -229,39 +231,19 @@ def estimate_height(
     for name, value in (("eps_height", eps_height), ("eps_total", eps_total), ("height_constant", height_constant)):
         require_positive(name, value)
     noisy_total = matrix.total + laplace_sample(1.0, eps_height, noise, privacy.HEIGHT, 0, 0, 0)
-    if ledger is not None:
-        ledger.charge(HEIGHT, eps_height, path=(), level=0)
+    ledger.charge(HEIGHT, eps_height, path=(), level=0)
     value = max(noisy_total, 1.0) * eps_total / height_constant
     height = int(math.floor(math.log2(value))) if value >= 1.0 else 0
     return min(max(height, 1), tree.binary_height_cap(matrix.rows, matrix.cols))
 
 
-@dataclass(eq=False)
-class _Splitter:
-    """Private split search for single nodes of one release's tree.
+def split_node(node: Node, matrix, level_budget: float, search_iters: int, noise, ledger) -> bool:
+    """Give ``node`` two children at a searched split index (``tree.bisect``); False if neither axis divides."""
 
-    Holds what every split needs: the counts, the per-level structure
-    budget, the search length, the noise and the ledger. ``split`` grows
-    a node's two children in place.
-    """
+    def cut(node: Node, axis: str) -> int:
+        return get_split_point(matrix, axis, level_budget, search_iters, noise, path=node.path, bounds=node.bounds)
 
-    matrix: FrequencyMatrix
-    level_budget: float
-    search_iters: int
-    noise: NoiseSource
-    ledger: BudgetLedger
-
-    def split(self, node: Node) -> bool:
-        """Give ``node`` two children at a searched split index (``tree.bisect``); False if neither axis divides."""
-        return tree.bisect(node, self.cut, self.level_budget, self.ledger, SPLIT, self.matrix.region_sum)
-
-    def cut(self, node: Node, axis: str) -> int:
-        return get_split_point(
-            self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, bounds=node.bounds
-        )
-
-    def make_root(self, height: int) -> Node:
-        return Node((0, self.matrix.rows, 0, self.matrix.cols), height, count=self.matrix.total)
+    return tree.bisect(node, cut, level_budget, ledger, SPLIT, matrix.region_sum)
 
 
 def build_partitioning(
@@ -275,48 +257,43 @@ def build_partitioning(
     """Private partitioning from the full domain down to height 0.
 
     Splits every node of the full tree; ``release`` instead splits only
-    the nodes that perturb-and-prune keeps, with the same draws.
+    the nodes that ``perturb_and_prune`` keeps, with the same draws.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
-    splitter = _Splitter(matrix, eps_partition_level, search_iters, noise, ledger)
-    return tree.grow(splitter.make_root(height), splitter.split)
+    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
+    return tree.grow(root, lambda node: split_node(node, matrix, eps_partition_level, search_iters, noise, ledger))
 
 
 def perturb_and_prune(
     root: Node,
+    matrix: FrequencyMatrix,
     eps_data: float,
+    eps_partition_level: float,
+    search_iters: int,
     stop_count: float,
     stop_cells: int,
-    height: int,
     noise: NoiseSource,
     ledger: BudgetLedger,
-    splitter: _Splitter | None = None,
 ) -> list[tuple[tuple[int, int, int, int], float]]:
-    """Top-down count perturbation with stop-condition pruning.
+    """Top-down count perturbation with stop-condition pruning, splitting the nodes it keeps.
 
-    Every visited node is charged its geometric level budget and gets a
-    noisy count. If that count is at most ``stop_count``, or the node
-    holds fewer than ``stop_cells`` cells, or the node has no children,
-    the subtree is dropped and the node re-perturbed with the entire
-    budget remaining on its path; the first noisy count only serves the
-    decision. Height-0 nodes are released with their geometric-budget
-    count as-is. ``root`` sits at ``height``.
-
-    Without ``splitter`` the tree must be built already. With it, a kept
-    node that has no children yet is split on the spot, and a pruned node
+    Every visited node is charged the geometric level budget of its
+    height (``eps_data`` over the levels from ``root.height`` down) and
+    gets a noisy count. If that count is at most ``stop_count``, or the
+    node holds fewer than ``stop_cells`` cells, the node is pruned: it
     charges the structure budget its subtree no longer spends
-    (``tree.reserve``), so every path still totals the full budget.
+    (``tree.reserve``), and is re-perturbed with the entire data budget
+    remaining on its path; the first noisy count only serves the
+    decision. A kept node without children is split (``split_node``);
+    one that neither axis divides is pruned the same way. Height-0 nodes
+    are released with their level-budget count as-is, so a height-0
+    root, an unsplittable grid, takes the whole of ``eps_data``.
     """
     require_positive("eps_data", eps_data)
-    if root.is_leaf:
-        # Degenerate single-node tree: one release with the full data budget.
-        ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
-        root.ncount = root.count + laplace_sample(1.0, eps_data, noise, privacy.COUNT, path_code(root.path), 0, 0)
-        return [(root.bounds, root.ncount)]
-
-    budgets = tree.level_budgets(eps_data, height)
-    # spent[h] = budgets[height] + ... + budgets[h], added from the root down
+    # the geometric share of a single level is eps_data only up to rounding
+    budgets = tree.level_budgets(eps_data, root.height) if root.height else [eps_data]
+    # spent[h] = budgets[root.height] + ... + budgets[h], added from the root down
     spent = list(accumulate(reversed(budgets)))[::-1]
     leaves = []
     for node in tree.preorder(root):
@@ -324,24 +301,21 @@ def perturb_and_prune(
         ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
         code = path_code(node.path)
         node.ncount = node.count + laplace_sample(1.0, level_eps, noise, privacy.COUNT, code, 0, 0)
-        if node.height == 0:
-            leaves.append((node.bounds, node.ncount))
-            continue
-        r0, r1, c0, c1 = node.bounds
-        stop = node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells
-        if splitter is not None:
-            if stop:
-                tree.reserve(node, splitter.level_budget, splitter.ledger)
+        if node.height > 0:
+            r0, r1, c0, c1 = node.bounds
+            if node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells:
+                tree.reserve(node, eps_partition_level, ledger)
+                node.children = []
             elif node.is_leaf:
-                splitter.split(node)
-        if stop or node.is_leaf:
-            eps_remain = eps_data - spent[node.height]
-            if eps_remain > 1e-12:
-                ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
-                node.ncount = node.count + laplace_sample(1.0, eps_remain, noise, privacy.PRUNE, code, 0, 0)
-            else:
-                ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
-            node.children = []
+                split_node(node, matrix, eps_partition_level, search_iters, noise, ledger)
+            if node.is_leaf:  # pruned, or neither axis divides it
+                eps_remain = eps_data - spent[node.height]
+                if eps_remain > 1e-12:
+                    ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
+                    node.ncount = node.count + laplace_sample(1.0, eps_remain, noise, privacy.PRUNE, code, 0, 0)
+                else:
+                    ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
+        if node.is_leaf:
             leaves.append((node.bounds, node.ncount))
     return leaves
 
@@ -385,13 +359,13 @@ def release(
             f"{eps_partition + params.eps_height} at height {height}"
         )
 
-    # The root is split before its stop test: an unsplittable root is the
-    # degenerate single-node release, which takes the whole data budget.
-    splitter = _Splitter(matrix, level_budget, params.search_iters, noise, ledger)
-    root = splitter.make_root(height)
-    data_height = height if splitter.split(root) else 0
+    # The root is split before its stop test. An unsplittable root (a 1x1
+    # grid) reserves every split level and enters the walk as a height-0 leaf.
+    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
+    if not split_node(root, matrix, level_budget, params.search_iters, noise, ledger):
+        root.height = 0
     leaves = perturb_and_prune(
-        root, eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
+        root, matrix, eps_data, level_budget, params.search_iters, params.stop_count, params.stop_cells, noise, ledger
     )
 
     bounds, ncounts = zip(*leaves)

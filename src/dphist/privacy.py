@@ -166,8 +166,8 @@ def _uniform(word: int) -> float:
 
 
 def _inverse_laplace(u: float) -> float:
-    """Unit-scale Laplace quantile at ``u`` in (0, 1)."""
-    return math.log(2.0 * u) if u < 0.5 else -math.log(2.0 - 2.0 * u)
+    """Unit-scale Laplace quantile at ``u`` in (0, 1), by ``np.log`` as in ``laplace_array``: one site, one draw."""
+    return float(np.log(2.0 * u)) if u < 0.5 else -float(np.log(2.0 - 2.0 * u))
 
 
 def _key_words(parts) -> tuple[int, ...]:

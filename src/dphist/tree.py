@@ -5,11 +5,11 @@ height 0, and gives every node a Laplace count keyed by its tree path (the
 child indices from the root). htf and the kd-tree grow a ``Node`` at a
 time: a ``Node`` carries its integer bounds ``(row_lo, row_hi, col_lo,
 col_hi)``, as the histogram does, with its height, path, true count and
-noisy count; ``bisect`` is their binary split step, and ``reserve`` the
-one charge of split levels a node leaves unsplit. The walks go through a
-tree with an explicit stack, so the depth of a tree never meets the
-interpreter's recursion limit and no walk keeps a reference cycle to the
-data it reads.
+noisy count; ``bisect`` is their one binary split step, which cuts and
+counts the two halves, and ``reserve`` the one charge of split levels a
+node leaves unsplit. The walks go through a tree with an explicit stack,
+so the depth of a tree never meets the interpreter's recursion limit and
+no walk keeps a reference cycle to the data it reads.
 
 The count release works on a ``NodeTable``, the tree as arrays in
 preorder: the kd-tree ``flatten``s its grown nodes once, and the quadtree,
@@ -34,8 +34,6 @@ __all__ = [
     "preorder",
     "grow",
     "split_axis",
-    "divide",
-    "halves",
     "bisect",
     "reserve",
     "flatten",
@@ -138,24 +136,10 @@ def split_axis(bounds, height: int) -> str | None:
     return None
 
 
-def divide(node: Node, parts, count) -> None:
-    """Give ``node`` one child per bounds in ``parts``, one level down, with ``count(bounds)`` as its count."""
-    node.children = [Node(b, node.height - 1, node.path + (i,), count(b)) for i, b in enumerate(parts)]
-
-
-def halves(node: Node, axis: str, k: int, count) -> None:
-    """Cut ``node`` into its first ``k`` rows (axis "y") or columns ("x") and the rest."""
-    r0, r1, c0, c1 = node.bounds
-    if axis == "y":
-        parts = ((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1))
-    else:
-        parts = ((r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1))
-    divide(node, parts, count)
-
-
 def bisect(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, count) -> bool:
     """Cut ``node`` in two along ``split_axis``, ``cut(node, axis)`` rows or columns first; charge ``eps`` as ``label``.
 
+    The halves, one level down at paths ``+ (0,)`` and ``+ (1,)``, count ``count(bounds)``.
     A node neither axis can divide stays a leaf and ``reserve``s its levels. True if split.
     """
     axis = split_axis(node.bounds, node.height)
@@ -163,7 +147,13 @@ def bisect(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, count)
         reserve(node, eps, ledger)
         return False
     ledger.charge(label, eps, path=node.path, level=node.height)
-    halves(node, axis, cut(node, axis), count)
+    k = cut(node, axis)
+    r0, r1, c0, c1 = node.bounds
+    if axis == "y":
+        parts = ((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1))
+    else:
+        parts = ((r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1))
+    node.children = [Node(b, node.height - 1, node.path + (i,), count(b)) for i, b in enumerate(parts)]
     return True
 
 

@@ -12,11 +12,16 @@ resampling loop follow them. The package replaced each with array passes
 that must give the same bits; these are the references they are checked
 against. A node's noise variance is kept as a ``noise_var`` attribute of
 its ``Node``.
+
+The two-mode htf walk is the reference of htf's one walk: it prunes a
+prebuilt tree, or splits the nodes it keeps through a splitter object,
+and releases a single-node tree on a branch of its own.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -26,8 +31,29 @@ from dphist import tree
 from dphist.baselines import enforce_hierarchical_consistency, exponential_mechanism_probs
 from dphist.grid import FrequencyMatrix
 from dphist.histogram import PrivateHistogram
-from dphist.htf import OBJECTIVE_SENSITIVITY, SPLIT, UnsplittableAxisError
-from dphist.privacy import COUNT, EM, BudgetLedger, NoiseSource, laplace_sample, path_code, require_positive, site_counters
+from dphist.htf import (
+    HEIGHT,
+    NODE_COUNT,
+    OBJECTIVE_SENSITIVITY,
+    PRUNE_TOPUP,
+    SPLIT,
+    WARN_NO_REMAIN,
+    HtfParams,
+    UnsplittableAxisError,
+    estimate_height,
+    get_split_point,
+)
+from dphist.privacy import (
+    COUNT,
+    EM,
+    PRUNE,
+    BudgetLedger,
+    NoiseSource,
+    laplace_sample,
+    path_code,
+    require_positive,
+    site_counters,
+)
 from dphist.privacy import SPLIT as SPLIT_SITE
 from dphist.tree import Node
 
@@ -263,7 +289,7 @@ def quadtree_nodes(matrix, eps_total, height, noise, *, alloc="geometric", smoot
         rm = r0 + (r1 - r0) // 2
         cm = c0 + (c1 - c0) // 2
         quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
-        tree.divide(node, quads, matrix.region_sum)
+        node.children = [Node(b, node.height - 1, node.path + (i,), matrix.region_sum(b)) for i, b in enumerate(quads)]
 
     root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
     budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
@@ -340,3 +366,110 @@ def sample_gaussian_points_all_rows(n: int, sigma: float, rows: int, cols: int, 
     edge = np.nextafter(hi, 0.0)
     np.clip(pts, 0.0, edge, out=pts)
     return pts
+
+
+# ---------------------------------------------------------------------------
+# the two-mode htf walk
+
+
+@dataclass(eq=False)
+class HtfSplitter:
+    """Private split search for single nodes of one release's tree: the counts, the per-level budget, the noise, the ledger."""
+
+    matrix: FrequencyMatrix
+    level_budget: float
+    search_iters: int
+    noise: NoiseSource
+    ledger: BudgetLedger
+
+    def split(self, node: Node) -> bool:
+        return tree.bisect(node, self.cut, self.level_budget, self.ledger, SPLIT, self.matrix.region_sum)
+
+    def cut(self, node: Node, axis: str) -> int:
+        return get_split_point(
+            self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, bounds=node.bounds
+        )
+
+    def make_root(self, height: int) -> Node:
+        return Node((0, self.matrix.rows, 0, self.matrix.cols), height, count=self.matrix.total)
+
+
+def perturb_and_prune_two_mode(
+    root: Node,
+    eps_data: float,
+    stop_count: float,
+    stop_cells: int,
+    height: int,
+    noise: NoiseSource,
+    ledger: BudgetLedger,
+    splitter: HtfSplitter | None = None,
+) -> list[tuple[tuple[int, int, int, int], float]]:
+    """htf's perturb-and-prune on a prebuilt tree (no ``splitter``), or splitting each kept leaf with ``splitter``.
+
+    A single-node tree is released with the whole ``eps_data``. With a
+    ``splitter``, a pruned node reserves its unspent split levels.
+    """
+    require_positive("eps_data", eps_data)
+    if root.is_leaf:
+        ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
+        root.ncount = root.count + laplace_sample(1.0, eps_data, noise, COUNT, path_code(root.path), 0, 0)
+        return [(root.bounds, root.ncount)]
+
+    budgets = tree.level_budgets(eps_data, height)
+    spent = list(accumulate(reversed(budgets)))[::-1]
+    leaves = []
+    for node in tree.preorder(root):
+        level_eps = budgets[node.height]
+        ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
+        code = path_code(node.path)
+        node.ncount = node.count + laplace_sample(1.0, level_eps, noise, COUNT, code, 0, 0)
+        if node.height == 0:
+            leaves.append((node.bounds, node.ncount))
+            continue
+        r0, r1, c0, c1 = node.bounds
+        stop = node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells
+        if splitter is not None:
+            if stop:
+                tree.reserve(node, splitter.level_budget, splitter.ledger)
+            elif node.is_leaf:
+                splitter.split(node)
+        if stop or node.is_leaf:
+            eps_remain = eps_data - spent[node.height]
+            if eps_remain > 1e-12:
+                ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
+                node.ncount = node.count + laplace_sample(1.0, eps_remain, noise, PRUNE, code, 0, 0)
+            else:
+                ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
+            node.children = []
+            leaves.append((node.bounds, node.ncount))
+    return leaves
+
+
+def release_two_mode(matrix: FrequencyMatrix, params: HtfParams, noise: NoiseSource) -> PrivateHistogram:
+    """``htf.release`` through the two-mode walk: the root split by the splitter, a single-node root on its own branch."""
+    ledger = BudgetLedger()
+    if params.height_override is not None:
+        height = params.height_override
+        ledger.charge(HEIGHT, params.eps_height, path=(), level=0)
+    else:
+        height = estimate_height(
+            matrix, params.eps_height, params.eps_total, noise, ledger=ledger, height_constant=params.height_constant
+        )
+    if params.eps_partition_level is not None:
+        level_budget = params.eps_partition_level
+        eps_partition = level_budget * height
+    else:
+        eps_partition = params.eps_partition
+        level_budget = eps_partition / height
+    eps_data = params.eps_total - eps_partition - params.eps_height
+    if eps_data <= 0:
+        raise ValueError("no data budget left")
+
+    splitter = HtfSplitter(matrix, level_budget, params.search_iters, noise, ledger)
+    root = splitter.make_root(height)
+    data_height = height if splitter.split(root) else 0
+    leaves = perturb_and_prune_two_mode(
+        root, eps_data, params.stop_count, params.stop_cells, data_height, noise, ledger, splitter
+    )
+    bounds, ncounts = zip(*leaves)
+    return PrivateHistogram.audited(matrix.shape, bounds, ncounts, params.eps_total, ledger)

@@ -178,7 +178,7 @@ def test_criterion_5_zero_noise_oracles():
 # cluster covers the 256x256 grid at about 1.5 points per cell. On counts
 # that sparse the minimum of the homogeneity objective falls on slivers,
 # and htf's partition alone (its leaves answered with exact counts) has a
-# uniformity error of 1.00-3.58 over 230-404 leaves, against 0.41-0.48 for
+# uniformity error of 0.88-2.46 over 304-534 leaves, against 0.41-0.48 for
 # the 1024 cells of the granularity-matched uniform grid. That grid is near
 # optimal on such data, and htf does not promise to beat it there.
 ORDERING_EXEMPT = {(100.0, "ug")}

@@ -1,10 +1,12 @@
 import gc
 import math
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dphist import baselines
@@ -22,12 +24,20 @@ from dphist.htf import (
     get_split_point,
     perturb_and_prune,
     release,
+    split_node,
     split_objective,
 )
 from dphist.privacy import BudgetLedger, NoiseSource
-from dphist.tree import PARTITION_RESERVED, preorder
+from dphist.tree import PARTITION_RESERVED, Node, preorder
 
-from oracles import noisy_split_baseline, objective_argmins_exact, objective_value, optimal_split_exact
+from oracles import (
+    noisy_split_baseline,
+    objective_argmins_exact,
+    objective_value,
+    optimal_split_exact,
+    perturb_and_prune_two_mode,
+    release_two_mode,
+)
 
 # 3x3 worked-example grid; left two columns form the homogeneous block
 # whose row splits score 0, 6 and 8.
@@ -212,7 +222,7 @@ class TestEstimateHeight:
     def test_reported_heights(self):
         matrix = self.make_matrix(3_500_000)
         for eps_total, expected in ((0.1, 15), (0.3, 16), (0.5, 17)):
-            got = estimate_height(matrix, 1e-4, eps_total, zero_noise())
+            got = estimate_height(matrix, 1e-4, eps_total, zero_noise(), ledger=BudgetLedger())
             assert got == expected
 
     def test_budget_charged(self):
@@ -222,17 +232,17 @@ class TestEstimateHeight:
 
     def test_small_data_clamps_to_one(self):
         matrix = self.make_matrix(50)
-        assert estimate_height(matrix, 1e-4, 0.1, zero_noise()) == 1
+        assert estimate_height(matrix, 1e-4, 0.1, zero_noise(), ledger=BudgetLedger()) == 1
 
     def test_scale_epsilon_exchangeability(self):
-        a = estimate_height(self.make_matrix(1_000_000), 1e-4, 0.2, zero_noise())
-        b = estimate_height(self.make_matrix(2_000_000), 1e-4, 0.1, zero_noise())
+        a = estimate_height(self.make_matrix(1_000_000), 1e-4, 0.2, zero_noise(), ledger=BudgetLedger())
+        b = estimate_height(self.make_matrix(2_000_000), 1e-4, 0.1, zero_noise(), ledger=BudgetLedger())
         assert a == b
 
     def test_clamped_to_grid_capacity(self):
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[0, 0] = 10**9
-        got = estimate_height(FrequencyMatrix(counts), 1e-4, 1.0, zero_noise())
+        got = estimate_height(FrequencyMatrix(counts), 1e-4, 1.0, zero_noise(), ledger=BudgetLedger())
         assert got == 4  # log2(16)
 
 
@@ -286,39 +296,45 @@ class TestBuildPartitioning:
 
 
 class TestPerturbAndPrune:
-    def build_fig_tree(self, ledger):
+    @staticmethod
+    def split_root(matrix, height, noise, ledger):
+        # as release starts the walk: the root split, or a height-0 leaf when it cannot be
+        root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
+        if not split_node(root, matrix, 5e-4, 3, noise, ledger):
+            root.height = 0
+        return root
+
+    def walk_fig_tree(self, noise, ledger):
         matrix = FrequencyMatrix(FIG_GRID)
-        return build_partitioning(matrix, 3, 5e-4, 3, zero_noise(), ledger)
+        root = self.split_root(matrix, 3, noise, ledger)
+        return perturb_and_prune(root, matrix, 0.09, 5e-4, 3, 7.0, 1, noise, ledger)
 
     def test_prune_on_count_stop(self):
         # the right column holds 6 points; a count stop of 7 prunes it whole
         ledger = BudgetLedger()
-        root = self.build_fig_tree(ledger)
-        leaves = perturb_and_prune(root, 0.09, 7.0, 1, 3, zero_noise(), ledger)
+        leaves = self.walk_fig_tree(zero_noise(), ledger)
         regions = {r for r, _ in leaves}
         assert (0, 3, 2, 3) in regions
 
     def test_zero_noise_counts_are_exact(self):
         ledger = BudgetLedger()
-        root = self.build_fig_tree(ledger)
         matrix = FrequencyMatrix(FIG_GRID)
-        leaves = perturb_and_prune(root, 0.09, 7.0, 1, 3, zero_noise(), ledger)
+        leaves = self.walk_fig_tree(zero_noise(), ledger)
         for region, ncount in leaves:
             assert ncount == matrix.region_sum(region)
 
     def test_single_node_tree_gets_full_data_budget(self):
         matrix = FrequencyMatrix(np.array([[9]]))
         ledger = BudgetLedger()
-        root = build_partitioning(matrix, 3, 1e-3, 3, zero_noise(), ledger)
-        leaves = perturb_and_prune(root, 0.05, 1.0, 1, 0, zero_noise(), ledger)
+        root = self.split_root(matrix, 3, zero_noise(), ledger)
+        leaves = perturb_and_prune(root, matrix, 0.05, 5e-4, 3, 1.0, 1, zero_noise(), ledger)
         assert leaves == [((0, 1, 0, 1), 9.0)]
         charges = [e for e in ledger.entries if e[0] == NODE_COUNT]
         assert len(charges) == 1 and charges[0][3] == pytest.approx(0.05)
 
     def test_pruned_path_budget_totals(self):
         ledger = BudgetLedger()
-        root = self.build_fig_tree(ledger)
-        perturb_and_prune(root, 0.09, 7.0, 1, 3, NoiseSource(5), ledger)
+        self.walk_fig_tree(NoiseSource(5), ledger)
         data = ledger.total_by_label(NODE_COUNT) + ledger.total_by_label(PRUNE_TOPUP)
         assert data > 0
         for total in ledger.chain_totals().values():
@@ -506,7 +522,7 @@ class TestLazyReleaseProperties:
             matrix, height, params.eps_partition_level, params.search_iters, NoiseSource(seed), BudgetLedger()
         )
         eps_data = params.eps_total - params.eps_partition_level * height - params.eps_height  # as release computes it
-        leaves = perturb_and_prune(
+        leaves = perturb_and_prune_two_mode(
             root, eps_data, params.stop_count, params.stop_cells,
             0 if root.is_leaf else height, NoiseSource(seed), BudgetLedger(),
         )
@@ -522,3 +538,41 @@ class TestLazyReleaseProperties:
         assert totals
         for total in totals.values():
             assert total == pytest.approx(params.eps_total, abs=1e-12)
+
+
+@st.composite
+def walk_cases(draw):
+    rows = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, draw(st.integers(1, 60)), size=(rows, cols))
+    structure = draw(st.sampled_from(["eps_partition", "eps_partition_level"]))
+    params = HtfParams(
+        eps_total=draw(st.floats(0.1, 5.0)),
+        height_override=draw(st.one_of(st.none(), st.integers(1, 7))),
+        stop_count=draw(st.floats(-20.0, 400.0)),
+        stop_cells=draw(st.integers(1, 12)),
+        **{structure: draw(st.floats(1e-4, 0.05) if structure == "eps_partition" else st.floats(1e-5, 1e-2))},
+    )
+    return FrequencyMatrix(counts), params, draw(st.integers(0, 2**31 - 1))
+
+
+def release_bytes(hist) -> tuple[bytes, bytes, list[str], list[str]]:
+    """The ``.hist`` and ledger files of a release, and the ``float.hex`` of every ledger eps and leaf count."""
+    with tempfile.TemporaryDirectory() as tmp:
+        hist.save(Path(tmp) / "out.hist")
+        hist.ledger.save(Path(tmp) / "out.ledger.csv")
+        files = (Path(tmp) / "out.hist").read_bytes(), (Path(tmp) / "out.ledger.csv").read_bytes()
+    return (*files, [float.hex(e[3]) for e in hist.ledger.entries], [float.hex(n) for n in hist.ncounts.tolist()])
+
+
+class TestOneWalkAgainstTwoModeReference:
+    # a 1x1 grid whose data budget is not its own single-level geometric share: 0.5 - 3 * 5e-4 - 1e-4
+    @example((FrequencyMatrix(np.array([[7]])), HtfParams(eps_total=0.5, height_override=3), 11))
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_release_and_ledger_bytes_equal(self, case):
+        matrix, params, seed = case
+        assert release_bytes(release(matrix, params, NoiseSource(seed))) == release_bytes(
+            release_two_mode(matrix, params, NoiseSource(seed))
+        )

@@ -199,8 +199,8 @@ class TestPhilox:
         assert uniforms.tolist() == [src.uniform(*c) for c in counters.tolist()]
         array = src.laplace_array(1.0, counters)
         scalar = np.array([src.laplace(1.0, *c) for c in counters.tolist()])
-        # np.log and math.log may round differently: at most one unit in the last place apart
-        assert (np.abs(array - scalar) <= np.spacing(np.abs(scalar))).all()
+        # both forms take the quantile through np.log: a site's draw does not depend on the entry point
+        assert array.tolist() == scalar.tolist()
 
     def test_uniform_open_interval(self):
         src = NoiseSource(0)

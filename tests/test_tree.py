@@ -21,8 +21,13 @@ def cells(bounds):
 
 
 def binary_tree(height):
+    def middle(node, axis):
+        return (node.bounds[3] - node.bounds[2]) // 2
+
+    # one row: every split falls to the columns, cut at the middle
     root = Node((0, 1, 0, 2**height), height)
-    return tree.grow(root, lambda node: tree.halves(node, "x", (node.bounds[3] - node.bounds[2]) // 2, cells))
+    ledger = BudgetLedger()
+    return tree.grow(root, lambda node: tree.bisect(node, middle, 1.0, ledger, "cut", cells))
 
 
 class TestWalks:
@@ -48,15 +53,16 @@ class TestWalks:
         assert sum(1 for _ in tree.preorder(root)) == 5001
         assert tree.is_complete(tree.flatten(root))
 
-    def test_halves_and_children(self):
-        node = Node((2, 6, 1, 4), 3, path=(1,))
-        tree.halves(node, "y", 1, cells)
+    def test_bisect_children(self):
+        node = Node((2, 6, 1, 4), 2, path=(1,))  # even height: rows
+        assert tree.bisect(node, lambda n, axis: 1, 0.01, BudgetLedger(), "cut", cells)
         assert [c.bounds for c in node.children] == [(2, 3, 1, 4), (3, 6, 1, 4)]
         assert [c.path for c in node.children] == [(1, 0), (1, 1)]
-        assert [c.height for c in node.children] == [2, 2]
+        assert [c.height for c in node.children] == [1, 1]
         assert [c.count for c in node.children] == [3, 9]
         assert node.left is node.children[0] and node.right is node.children[1]
-        tree.halves(node, "x", 2, lambda r: 0)
+        node = Node((2, 6, 1, 4), 3, path=(1,))  # odd height: columns
+        assert tree.bisect(node, lambda n, axis: 2, 0.01, BudgetLedger(), "cut", lambda r: 0)
         assert [c.bounds for c in node.children] == [(2, 6, 1, 3), (2, 6, 3, 4)]
 
     def test_bisect_cuts_on_the_split_axis_or_reserves_the_unsplit_levels(self):
