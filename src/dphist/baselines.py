@@ -10,10 +10,11 @@ and kd-tree release their counts through the tree core htf uses
 (``tree``): per-height count budgets, a ``tree.NodeTable`` of every node
 in preorder, and ``tree.perturb``, which draws every node count in one
 call. The quadtree is laid out as one bounds array per level and creates
-no ``tree.Node``; the kd-tree grows its full tree (``tree.grow``) through
-the binary split step htf also uses, ``tree.bisect``, with its own cut,
-and is flattened once grown. They
-optionally run a consistency smoothing pass that re-estimates node counts
+no ``tree.Node``; the kd-tree grows its full tree a level at a time
+(``tree.grow``) through the binary split step htf also uses,
+``tree.bisect``, drawing a level's exponential-mechanism uniforms in one
+call, and is flattened once grown. They optionally run a consistency
+smoothing pass that re-estimates node counts
 so every parent equals the sum of its children (a linear,
 noise-independent transform that never increases leaf variance), one
 array pass up the levels and one down.
@@ -52,6 +53,7 @@ __all__ = [
     "build_flat_uniform",
     "enforce_hierarchical_consistency",
     "exponential_mechanism_probs",
+    "exponential_mechanism_choices",
 ]
 
 
@@ -204,6 +206,18 @@ def exponential_mechanism_probs(utilities, eps: float, sensitivity: float = 1.0)
     return weights / weights.sum()
 
 
+def exponential_mechanism_choices(probs, noise: NoiseSource, counters) -> list[int]:
+    """A draw from each categorical ``probs[i]`` by inverse CDF on the uniform at row i of ``counters``, all in one call.
+
+    Zero-noise mode takes each argmax (the smallest index on ties).
+    """
+    if noise.zero_noise:
+        return [int(np.argmax(p)) for p in probs]
+    cdfs = [np.cumsum(p) for p in probs]
+    u = noise.uniform_array(counters).tolist()
+    return [min(int(np.searchsorted(cdf, x * cdf[-1], side="right")), len(cdf) - 1) for cdf, x in zip(cdfs, u)]
+
+
 def build_kdtree(
     matrix: FrequencyMatrix,
     eps_total: float,
@@ -234,16 +248,21 @@ def build_kdtree(
     eps_counts = (1.0 - structure_fraction) * eps_total
     src = noise.substream("kdtree")
 
-    def median_cut(node: Node, axis: str) -> int:
+    def median_probs(node: Node, axis: str) -> np.ndarray:
         r0, r1, c0, c1 = node.bounds
         sums = matrix.counts[r0:r1, c0:c1].sum(axis=1 if axis == "y" else 0)
         prefix = np.cumsum(sums)[:-1]  # candidate k = 1 .. extent-1
         utilities = -np.abs(prefix - sums.sum() / 2.0)
-        probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-        return src.choice_index(probs, EM, path_code(node.path), 0, 0) + 1
+        return exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
 
-    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-    tree.grow(root, lambda node: tree.bisect(node, median_cut, eps_struct_level, ledger, "em-split", matrix.region_sum))
+    def median_cuts(nodes: list[Node], axes: list[str]) -> list[int]:
+        sites = site_counters(EM, [path_code(node.path) for node in nodes])
+        return [i + 1 for i in exponential_mechanism_choices(list(map(median_probs, nodes, axes)), src, sites)]
+
+    def step(nodes: list[Node]) -> None:
+        tree.bisect(nodes, median_cuts, eps_struct_level, ledger, "em-split", matrix.region_sums)
+
+    root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
     table = tree.flatten(root)
     budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
     tree.perturb(table, budgets, src, ledger, "node-count")

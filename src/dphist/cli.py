@@ -55,7 +55,7 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
 
 def cmd_generate(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    cols = args.grid_cols or args.grid
+    cols = args.grid if args.grid_cols is None else args.grid_cols
     pts = grid.sample_gaussian_points(args.n, args.sigma, args.grid, cols, rng)
     grid.save_points(pts, args.out)
     print(f"wrote {len(pts)} points to {args.out}")
@@ -64,7 +64,7 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     pts = grid.load_points(args.points)
-    cols = args.grid_cols or args.grid
+    cols = args.grid if args.grid_cols is None else args.grid_cols
     bounds = _parse_bounds(args.bounds) if args.bounds else (0.0, args.grid, 0.0, cols)
     matrix, rejected = grid.discretize(pts, bounds, args.grid, cols)
     grid.save_matrix(matrix, args.out)

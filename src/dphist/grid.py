@@ -168,8 +168,8 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
         redrawn = center + rng.normal(0.0, sigma, size=(len(bad), 2))
         pts[bad] = redrawn
         bad = bad[np.any((redrawn < 0.0) | (redrawn >= hi), axis=1)]
-    edge = np.nextafter(hi, 0.0)
-    np.clip(pts, 0.0, edge, out=pts)
+    # inside the far edge also as ``save_points`` prints it, to ten significant digits
+    np.clip(pts, 0.0, hi * (1.0 - 1e-9), out=pts)
     return pts
 
 

@@ -55,13 +55,13 @@ class PrivateHistogram:
         return replace(self, bounds=self.bounds.copy(), ncounts=np.maximum(self.ncounts, 0.0))
 
     def save(self, path) -> None:
-        """Header ``N M eps_total leaf_count``, then one leaf per line."""
+        """Header ``N M eps_total leaf_count``, then one leaf per line; floats written as ``repr`` load back bit for bit."""
         rows = np.empty((len(self), 5), dtype=np.float64)  # grid coordinates are exact in float64
         rows[:, :4] = self.bounds
         rows[:, 4] = self.ncounts
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.shape[0]} {self.shape[1]} {self.eps_total:.12g} {len(self)}\n")
-            write_rows(fh, rows, "%d %d %d %d %.12g\n")
+            fh.write(f"{self.shape[0]} {self.shape[1]} {float(self.eps_total)!r} {len(self)}\n")
+            write_rows(fh, rows, "%d %d %d %d %r\n")
 
     @classmethod
     def load(cls, path) -> "PrivateHistogram":

@@ -12,14 +12,14 @@ The release runs on a single total budget, in two passes:
 
 1. height estimation: perturb the dataset size and derive the tree
    depth from ``noisy_total * eps_total / height_constant``;
-2. partition and perturb-and-prune, in one top-down walk
-   (``perturb_and_prune``): node counts are perturbed under a geometric
+2. partition and perturb-and-prune, in one top-down walk a level at a
+   time (``perturb_and_prune``): node counts are perturbed under a geometric
    per-level allocation (leaves get the largest share), and a stop
    condition on the noisy count or cell extent prunes a node,
    re-perturbing it with the entire budget its path would have spent
    below and charging its unspent structure budget as
    ``partition-reserved`` (``tree.reserve``), so every path is charged
-   the full total. Every node the walk keeps is split (``split_node``):
+   the full total. Every node the walk keeps is split (``split_level``):
    per level, a fixed slice of the structure budget, charged once per
    split as ``split``, drives a quartering search over candidate split
    indices, each evaluation perturbed with sensitivity-2 Laplace noise.
@@ -27,19 +27,19 @@ The release runs on a single total budget, in two passes:
    Draws are keyed by tree path, so pruning the full tree that
    ``build_partitioning`` grows releases the same leaves.
 
-All draws are scalar keyed draws on the release's own noise
-(``privacy.laplace_sample``), at the sites ``(HEIGHT, 0, 0, 0)`` for the
-height, ``(COUNT, code, 0, 0)`` and ``(PRUNE, code, 0, 0)`` for a node's
-counts and ``(SPLIT, code, e, 0)`` for its split evaluation ``e``, where
-``code`` is ``privacy.path_code`` of the node's path. A height above
-``privacy.MAX_PATH_DEPTH`` (31) is rejected: its paths have no code.
+Draws are keyed by site, not by visiting order: ``(HEIGHT, 0, 0, 0)``
+for the height (the one single draw), ``(COUNT, code, 0, 0)`` and
+``(PRUNE, code, 0, 0)`` for a node's counts and ``(SPLIT, code, e, 0)``
+for its split evaluation ``e``, where ``code`` is ``privacy.path_code`` of
+its path; a level's draws of each kind take one ``laplace_array`` call. A
+height above ``privacy.MAX_PATH_DEPTH`` (31) is rejected: no path code.
 
 Every budget passes ``privacy.require_positive``, and ``release`` checks
 that a data budget is left. The ledger is the one budget record: rows
 ``height``, ``split``/``partition-reserved`` and ``node-count``/``prune-topup``.
 
 The tree itself (``tree.Node`` on integer bounds, the alternating split
-axis, the binary split step ``bisect``, the preorder walk and the
+axis, the binary split step ``bisect``, the level-wise ``grow`` and the
 per-height budgets) is the core the kd-tree and quadtree baselines share.
 """
 
@@ -47,14 +47,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import compress
 
 import numpy as np
 
 from . import kernels, privacy, tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, laplace_sample, path_code, require_positive
+from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, laplace_sample, path_code, require_positive, site_counters
 from .tree import Node
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
     "split_objective",
     "get_split_point",
     "estimate_height",
-    "split_node",
+    "split_level",
     "build_partitioning",
     "perturb_and_prune",
     "release",
@@ -161,7 +161,7 @@ def get_split_point(
     path: tuple[int, ...] = (),
     bounds: tuple[int, int, int, int] | None = None,
 ) -> int:
-    """Quartering search for a near-optimal split index.
+    """Quartering search for a near-optimal split index of one block, its evaluations drawn in one call.
 
     Starts at the midpoint of the candidate range, then repeatedly
     evaluates the two inner quarter points and recenters on the noisy
@@ -180,24 +180,28 @@ def get_split_point(
     extent = _axis_extent(bounds, axis)
     if extent < 2:
         raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
+    return _quartering_search(counts, bounds, axis, _split_draws(noise, [path], eps_partition_level, search_iters)[0])
 
-    eps_eval = eps_partition_level / (2 * search_iters + 1)
-    row_split = axis == "y"
-    code = path_code(path)
-    eval_idx = 0
+
+def _split_draws(noise: NoiseSource, paths, level_budget: float, search_iters: int) -> np.ndarray:
+    """The ``(K, 2 * search_iters + 1)`` evaluation noise of the nodes at ``paths``: e at ``(SPLIT, code, e, 0)``."""
+    evals = 2 * search_iters + 1
+    codes = np.array([path_code(path) for path in paths], dtype=np.uint64)[:, None]
+    sites = site_counters(privacy.SPLIT, codes, np.arange(evals))
+    return noise.laplace_array(OBJECTIVE_SENSITIVITY / (level_budget / evals), sites).reshape(-1, evals)
+
+
+def _quartering_search(counts: np.ndarray, bounds, axis: str, draws: np.ndarray) -> int:
+    """``get_split_point``'s search on the block ``bounds`` of ``counts``, evaluation e perturbed by ``draws[e]``."""
+    noise = iter(draws.tolist())
 
     def noisy_objective(k: int) -> float:
-        nonlocal eval_idx
-        value = kernels.objective_at(counts, *bounds, k, row_split)
-        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, noise, privacy.SPLIT, code, eval_idx, 0)
-        eval_idx += 1
-        return value + draw
+        return kernels.objective_at(counts, *bounds, k, axis == "y") + next(noise)
 
-    lo, hi = 1, extent
+    lo, hi = 1, _axis_extent(bounds, axis)
     k = lo + (hi - lo) // 2
     center = noisy_objective(k)
-    remaining = search_iters
-    while lo <= hi and remaining > 0:
+    for _ in range(len(draws) // 2):  # lo <= k <= hi throughout
         k1 = lo + (k - lo) // 2
         k2 = k + (hi - k) // 2
         y1 = noisy_objective(k1)
@@ -209,7 +213,6 @@ def get_split_point(
             k, hi, center = k1, k, y1
         else:
             lo, k, center = k, k2, y2
-        remaining -= 1
     return k
 
 
@@ -237,13 +240,17 @@ def estimate_height(
     return min(max(height, 1), tree.binary_height_cap(matrix.rows, matrix.cols))
 
 
-def split_node(node: Node, matrix, level_budget: float, search_iters: int, noise, ledger) -> bool:
-    """Give ``node`` two children at a searched split index (``tree.bisect``); False if neither axis divides."""
+def split_level(nodes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger) -> list[Node]:
+    """Give each of ``nodes`` two children at a searched split index (``tree.bisect``); return those split.
 
-    def cut(node: Node, axis: str) -> int:
-        return get_split_point(matrix, axis, level_budget, search_iters, noise, path=node.path, bounds=node.bounds)
+    The evaluations of every node an axis divides are drawn in one call.
+    """
 
-    return tree.bisect(node, cut, level_budget, ledger, SPLIT, matrix.region_sum)
+    def cut(split: list[Node], axes: list[str]) -> list[int]:
+        draws = _split_draws(noise, [node.path for node in split], level_budget, search_iters)
+        return [_quartering_search(matrix.counts, n.bounds, axis, row) for n, axis, row in zip(split, axes, draws)]
+
+    return tree.bisect(nodes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
 
 
 def build_partitioning(
@@ -254,15 +261,18 @@ def build_partitioning(
     noise: NoiseSource,
     ledger: BudgetLedger,
 ) -> Node:
-    """Private partitioning from the full domain down to height 0.
+    """Private partitioning from the full domain down to height 0, a level at a time (``tree.grow``).
 
     Splits every node of the full tree; ``release`` instead splits only
     the nodes that ``perturb_and_prune`` keeps, with the same draws.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
-    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-    return tree.grow(root, lambda node: split_node(node, matrix, eps_partition_level, search_iters, noise, ledger))
+
+    def step(nodes: list[Node]) -> None:
+        split_level(nodes, matrix, eps_partition_level, search_iters, noise, ledger)
+
+    return tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
 
 
 def perturb_and_prune(
@@ -276,7 +286,7 @@ def perturb_and_prune(
     noise: NoiseSource,
     ledger: BudgetLedger,
 ) -> list[tuple[tuple[int, int, int, int], float]]:
-    """Top-down count perturbation with stop-condition pruning, splitting the nodes it keeps.
+    """Top-down count perturbation with stop-condition pruning, splitting the nodes it keeps, a level at a time.
 
     Every visited node is charged the geometric level budget of its
     height (``eps_data`` over the levels from ``root.height`` down) and
@@ -285,39 +295,49 @@ def perturb_and_prune(
     charges the structure budget its subtree no longer spends
     (``tree.reserve``), and is re-perturbed with the entire data budget
     remaining on its path; the first noisy count only serves the
-    decision. A kept node without children is split (``split_node``);
+    decision. A kept node without children is split (``split_level``);
     one that neither axis divides is pruned the same way. Height-0 nodes
     are released with their level-budget count as-is, so a height-0
-    root, an unsplittable grid, takes the whole of ``eps_data``.
+    root, an unsplittable grid, takes the whole of ``eps_data``. The
+    leaves come out in preorder.
     """
     require_positive("eps_data", eps_data)
     # the geometric share of a single level is eps_data only up to rounding
-    budgets = tree.level_budgets(eps_data, root.height) if root.height else [eps_data]
-    # spent[h] = budgets[root.height] + ... + budgets[h], added from the root down
-    spent = list(accumulate(reversed(budgets)))[::-1]
+    budgets = np.array(tree.level_budgets(eps_data, root.height) if root.height else [eps_data])
+    # remain[h] = eps_data - (budgets[root.height] + ... + budgets[h]), the spent part added from the root down
+    remain = eps_data - np.cumsum(budgets[::-1])[::-1]
     leaves = []
-    for node in tree.preorder(root):
-        level_eps = budgets[node.height]
-        ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
-        code = path_code(node.path)
-        node.ncount = node.count + laplace_sample(1.0, level_eps, noise, privacy.COUNT, code, 0, 0)
-        if node.height > 0:
-            r0, r1, c0, c1 = node.bounds
-            if node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells:
-                tree.reserve(node, eps_partition_level, ledger)
-                node.children = []
-            elif node.is_leaf:
-                split_node(node, matrix, eps_partition_level, search_iters, noise, ledger)
-            if node.is_leaf:  # pruned, or neither axis divides it
-                eps_remain = eps_data - spent[node.height]
-                if eps_remain > 1e-12:
-                    ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
-                    node.ncount = node.count + laplace_sample(1.0, eps_remain, noise, privacy.PRUNE, code, 0, 0)
-                else:
-                    ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
-        if node.is_leaf:
-            leaves.append((node.bounds, node.ncount))
-    return leaves
+
+    def step(nodes: list[Node]) -> None:
+        height = np.array([node.height for node in nodes])
+        paths = [node.path for node in nodes]
+        codes = np.array([path_code(path) for path in paths], dtype=np.uint64)
+        eps = budgets[height]
+        ledger.charge_many(NODE_COUNT, eps, paths=paths, levels=height)
+        count = np.array([node.count for node in nodes], dtype=np.int64)
+        ncount = count + noise.laplace_array(1.0 / eps, site_counters(privacy.COUNT, codes))
+        r0, r1, c0, c1 = np.array([node.bounds for node in nodes], dtype=np.int64).T
+        pruned = (height > 0) & ((ncount <= stop_count) | ((r1 - r0) * (c1 - c0) < stop_cells))
+        tree.reserve([node for node, p in zip(nodes, pruned) if p], eps_partition_level, ledger)
+        for node in compress(nodes, pruned):
+            node.children = []
+        unsplit = [node for node, p in zip(nodes, pruned) if not p and node.is_leaf]
+        split_level(unsplit, matrix, eps_partition_level, search_iters, noise, ledger)
+        # pruned, or neither axis divides it: re-perturbed with the data budget left on its path
+        ends = np.array([node.is_leaf for node in nodes]) & (height > 0)
+        topup = ends & (remain[height] > 1e-12)
+        for node in compress(nodes, ends & ~topup):
+            ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
+        eps_topup = remain[height[topup]]
+        ledger.charge_many(PRUNE_TOPUP, eps_topup, paths=list(compress(paths, topup)), levels=height[topup])
+        ncount[topup] = count[topup] + noise.laplace_array(1.0 / eps_topup, site_counters(privacy.PRUNE, codes[topup]))
+        for node, value in zip(nodes, ncount.tolist()):
+            node.ncount = value
+        leaves.extend(node for node in nodes if node.is_leaf)
+
+    tree.grow(root, step, ledger)
+    leaves.sort(key=lambda node: node.path)
+    return [(node.bounds, node.ncount) for node in leaves]
 
 
 def release(
@@ -362,7 +382,7 @@ def release(
     # The root is split before its stop test. An unsplittable root (a 1x1
     # grid) reserves every split level and enters the walk as a height-0 leaf.
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-    if not split_node(root, matrix, level_budget, params.search_iters, noise, ledger):
+    if not split_level([root], matrix, level_budget, params.search_iters, noise, ledger):
         root.height = 0
     leaves = perturb_and_prune(
         root, matrix, eps_data, level_budget, params.search_iters, params.stop_count, params.stop_cells, noise, ledger

@@ -13,14 +13,14 @@ function of three things: the seed, the substream key (a ``NoiseSource``'s
 stream prefix, such as ``"ug"``) and a four-word site counter
 ``(label, w1, w2, w3)``. ``label`` comes from the fixed table below; a tree
 node enters as ``path_code(path)``. The draw is the first output word of
-Philox4x64-10 (``philox``, or ``philox_array`` for a ``(K, 4)`` array of
-counters) for that counter, under the two-word key that each
-``NoiseSource`` derives once from ``SeedSequence(seed, spawn_key)``. The
-word's top 53 bits become a uniform in (0, 1), and the inverse Laplace
-CDF turns that into the draw. Distinct sites therefore never share a draw,
-the same seed repeats every draw bit for bit, and a whole grid or tree
-is drawn in one numpy call (``NoiseSource.laplace_array``);
-``NoiseSource.laplace`` is the scalar form of the same function.
+Philox4x64-10 for that counter, under the two-word key that each
+``NoiseSource`` derives once from ``SeedSequence(seed, spawn_key)``, by the
+one cipher ``philox_array`` on a ``(K, 4)`` array of counters. The word's
+top 53 bits become a uniform in (0, 1) (``uniform_array``), and the
+inverse Laplace CDF turns that into the draw (``laplace_array``). Distinct
+sites therefore never share a draw, the same seed repeats every draw bit
+for bit, and a whole grid, tree or tree level is drawn in one numpy call;
+``NoiseSource.laplace`` is its one-row form, for the two single draws.
 Inverse-CDF sampling on a float uniform is the setting Mironov analyses in
 "On significance of the least significant bits for differential privacy"
 (CCS 2012); this module does not snap its outputs.
@@ -32,7 +32,6 @@ uses it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ __all__ = [
     "MAX_PATH_DEPTH",
     "path_code",
     "site_counters",
-    "philox",
     "philox_array",
     "NoiseSource",
     "laplace_sample",
@@ -107,30 +105,8 @@ def site_counters(label: int, w1, w2=0, w3=0) -> np.ndarray:
 
 # Philox4x64-10 (Random123): round multipliers and key increments
 _MASK = 0xFFFFFFFFFFFFFFFF
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_ROUNDS = 10
-
-
-@functools.lru_cache(maxsize=64)
-def _round_keys(k0: int, k1: int) -> tuple[tuple[int, int], ...]:
-    return tuple(((k0 + r * _W0) & _MASK, (k1 + r * _W1) & _MASK) for r in range(_ROUNDS))
-
-
-def philox(counter, key) -> int:
-    """The first output word of Philox4x64-10 for a four-word ``counter`` under a two-word ``key`` (Python ints)."""
-    if len(counter) != 4:
-        raise ValueError(f"a counter is four words, got {tuple(counter)!r}")
-    c0, c1, c2, c3 = (int(c) for c in counter)
-    if min(c0, c1, c2, c3) < 0 or max(c0, c1, c2, c3) > _MASK:
-        raise ValueError(f"counter words must fit in 64 bits, got {tuple(counter)!r}")
-    for k0, k1 in _round_keys(int(key[0]), int(key[1])):
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
-    return c0
-
-
 _BLOCK = 1 << 15  # counters per philox_array call in NoiseSource.laplace_array
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
@@ -147,27 +123,17 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
 
 
 def philox_array(counters, key) -> np.ndarray:
-    """``philox`` for every row of a ``(K, 4)`` uint64 counter array: K first output words as uint64."""
+    """The first output word of Philox4x64-10 under the two-word ``key`` for each row of a ``(K, 4)`` uint64 array."""
     counters = np.asarray(counters, dtype=np.uint64)
     if counters.ndim != 2 or counters.shape[1] != 4:
-        raise ValueError(f"counters must be a (K, 4) array, got shape {counters.shape}")
+        raise ValueError(f"a counter is four words: counters must be a (K, 4) array, got shape {counters.shape}")
     c0, c1, c2, c3 = counters.T
-    m0, m1 = np.uint64(_M0), np.uint64(_M1)
-    for k0, k1 in _round_keys(int(key[0]), int(key[1])):
-        hi0, lo0 = _mulhilo(c0, m0)
-        hi1, lo1 = _mulhilo(c2, m1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    for r in range(10):
+        hi0, lo0 = _mulhilo(c0, _M0)
+        hi1, lo1 = _mulhilo(c2, _M1)
+        k0, k1 = np.uint64((int(key[0]) + r * _W0) & _MASK), np.uint64((int(key[1]) + r * _W1) & _MASK)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return c0
-
-
-def _uniform(word: int) -> float:
-    """The top 53 bits of ``word`` as a uniform in (0, 1), at the midpoint of its 2**-53 bin."""
-    return ((word >> 11) + 0.5) * 2.0**-53
-
-
-def _inverse_laplace(u: float) -> float:
-    """Unit-scale Laplace quantile at ``u`` in (0, 1), by ``np.log`` as in ``laplace_array``: one site, one draw."""
-    return float(np.log(2.0 * u)) if u < 0.5 else -float(np.log(2.0 - 2.0 * u))
 
 
 def _key_words(parts) -> tuple[int, ...]:
@@ -226,36 +192,29 @@ class NoiseSource:
             self._generator = np.random.default_rng(self._seed_sequence())
         return self._generator
 
-    def uniform(self, *site: int) -> float:
-        """The uniform in (0, 1) of the draw at ``site``."""
-        return _uniform(philox(site, self.key))
+    def uniform_array(self, counters) -> np.ndarray:
+        """The uniform in (0, 1) at each row of a ``(K, 4)`` counter array, its word's top 53 bits mid-bin; never zeroed."""
+        return ((philox_array(counters, self.key) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def laplace(self, scale: float, *site: int) -> float:
-        """Laplace(0, ``scale``) at ``site``; 0 in zero-noise mode."""
-        if self.zero_noise:
-            return 0.0
-        return scale * _inverse_laplace(self.uniform(*site))
+        """``laplace_array`` at the one four-word ``site``."""
+        return float(self.laplace_array(scale, np.array([site], dtype=np.uint64))[0])
 
     def laplace_array(self, scale, counters) -> np.ndarray:
-        """``laplace`` at every row of a ``(K, 4)`` counter array, in one call; ``scale`` broadcasts over the K draws."""
+        """Laplace(0, ``scale``) at each row of a ``(K, 4)`` counter array, 0 in zero-noise mode; ``scale`` broadcasts."""
+        scale = np.asarray(scale, dtype=np.float64)
+        ok = (scale > 0.0) & (scale < math.inf)
+        if not ok.all():
+            require_positive("scale", float(scale.flat[ok.argmin()]))
         if self.zero_noise:
             return np.zeros(len(counters))
-        scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), len(counters))
+        scale = np.broadcast_to(scale, len(counters))
         out = np.empty(len(counters))
         for lo in range(0, len(counters), _BLOCK):  # blocks bound the cipher's temporaries
-            words = philox_array(counters[lo:lo + _BLOCK], self.key)
-            u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            u = self.uniform_array(counters[lo:lo + _BLOCK])
             unit = np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 - 2.0 * u))
             out[lo:lo + _BLOCK] = scale[lo:lo + _BLOCK] * unit
         return out
-
-    def choice_index(self, probs: np.ndarray, *site: int) -> int:
-        """Categorical draw at ``site`` by inverse CDF; zero-noise mode returns the argmax (smallest on ties)."""
-        if self.zero_noise:
-            return int(np.argmax(probs))
-        cdf = np.cumsum(probs)
-        index = int(np.searchsorted(cdf, self.uniform(*site) * cdf[-1], side="right"))
-        return min(index, len(cdf) - 1)
 
 
 def laplace_sample(sensitivity: float, eps: float, src: NoiseSource, *site: int) -> float:
@@ -368,9 +327,9 @@ class BudgetLedger:
                 )
 
     def save(self, path) -> None:
-        """Delimiter-separated audit log: label,level,path,eps,sites."""
+        """Delimiter-separated audit log: label,level,path,eps,sites, each eps as its ``repr``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("label,level,path,eps,sites\n")
             for label, level, node_path, eps, sites in self.entries:
                 loc = "*" if node_path is None else "/".join(map(str, node_path))
-                fh.write(f"{label},{level},{loc},{eps:.12g},{sites}\n")
+                fh.write(f"{label},{level},{loc},{float(eps)!r},{sites}\n")

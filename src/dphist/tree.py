@@ -2,14 +2,13 @@
 
 Each of them cuts the grid into rectangles, cuts those again down to
 height 0, and gives every node a Laplace count keyed by its tree path (the
-child indices from the root). htf and the kd-tree grow a ``Node`` at a
-time: a ``Node`` carries its integer bounds ``(row_lo, row_hi, col_lo,
-col_hi)``, as the histogram does, with its height, path, true count and
-noisy count; ``bisect`` is their one binary split step, which cuts and
-counts the two halves, and ``reserve`` the one charge of split levels a
-node leaves unsplit. The walks go through a tree with an explicit stack,
-so the depth of a tree never meets the interpreter's recursion limit and
-no walk keeps a reference cycle to the data it reads.
+child indices from the root). htf and the kd-tree grow ``Node``s one depth
+at a time (``grow``): a ``Node`` carries its integer bounds ``(row_lo,
+row_hi, col_lo, col_hi)``, as the histogram does, with its height, path,
+true count and noisy count; ``bisect`` is their one binary split step,
+which cuts a level's nodes and counts their halves, and ``reserve`` the
+one charge of split levels a node leaves unsplit. No walk recurses, so the
+depth of a tree never meets the interpreter's recursion limit.
 
 The count release works on a ``NodeTable``, the tree as arrays in
 preorder: the kd-tree ``flatten``s its grown nodes once, and the quadtree,
@@ -31,7 +30,6 @@ from .privacy import COUNT, BudgetLedger, NoiseSource, geometric_level_budget, p
 __all__ = [
     "Node",
     "NodeTable",
-    "preorder",
     "grow",
     "split_axis",
     "bisect",
@@ -99,27 +97,20 @@ class NodeTable:
         return self.children == 0
 
 
-def preorder(root: Node):
-    """Yield every node top-down, children left to right (depth-first preorder).
+def grow(root: Node, step, ledger: BudgetLedger) -> Node:
+    """Grow the tree under ``root`` a depth at a time: ``step(nodes)`` splits or keeps each node of a depth.
 
-    A node's children are read only after the node is yielded, so the
-    caller may split the node or drop its children before the walk goes on.
+    ``nodes`` are in preorder. The ledger rows charged meanwhile are then
+    put back in preorder by one stable sort on their paths (a path sorts
+    before its extensions), each node's rows in the order they were
+    charged. Returns ``root``.
     """
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
-def grow(root: Node, split) -> Node:
-    """Call ``split(node)`` on every node above height 0, top-down, and return ``root``.
-
-    ``split`` gives the node its children, or leaves it a leaf.
-    """
-    for node in preorder(root):
-        if node.height > 0:
-            split(node)
+    start = len(ledger.entries)
+    nodes = [root]
+    while nodes:
+        step(nodes)
+        nodes = [child for node in nodes for child in node.children]
+    ledger.entries[start:] = sorted(ledger.entries[start:], key=lambda entry: entry[2])
     return root
 
 
@@ -136,32 +127,40 @@ def split_axis(bounds, height: int) -> str | None:
     return None
 
 
-def bisect(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, count) -> bool:
-    """Cut ``node`` in two along ``split_axis``, ``cut(node, axis)`` rows or columns first; charge ``eps`` as ``label``.
+def bisect(nodes, cut, eps: float, ledger: BudgetLedger, label: str, counts) -> list[Node]:
+    """Cut each of ``nodes`` above height 0 in two along its ``split_axis``, charged ``eps`` as ``label``; return them.
 
-    The halves, one level down at paths ``+ (0,)`` and ``+ (1,)``, count ``count(bounds)``.
-    A node neither axis can divide stays a leaf and ``reserve``s its levels. True if split.
+    ``cut(split, axes)`` gives how many rows or columns of each node an axis
+    divides go first. The halves, one level down at paths ``+ (0,)`` and
+    ``+ (1,)``, count ``counts(bounds)`` in one call. A node neither axis
+    divides stays a leaf and ``reserve``s its levels.
     """
-    axis = split_axis(node.bounds, node.height)
-    if axis is None:
-        reserve(node, eps, ledger)
-        return False
-    ledger.charge(label, eps, path=node.path, level=node.height)
-    k = cut(node, axis)
-    r0, r1, c0, c1 = node.bounds
-    if axis == "y":
-        parts = ((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1))
-    else:
-        parts = ((r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1))
-    node.children = [Node(b, node.height - 1, node.path + (i,), count(b)) for i, b in enumerate(parts)]
-    return True
+    nodes = [node for node in nodes if node.height > 0]
+    axes = [split_axis(node.bounds, node.height) for node in nodes]
+    reserve([node for node, axis in zip(nodes, axes) if axis is None], eps, ledger)
+    split, axes = [node for node, axis in zip(nodes, axes) if axis], [axis for axis in axes if axis]
+    if not split:
+        return split
+    ledger.charge_many(label, np.full(len(split), eps), paths=[n.path for n in split], levels=[n.height for n in split])
+    halves = []
+    for node, axis, k in zip(split, axes, cut(split, axes)):
+        r0, r1, c0, c1 = node.bounds
+        if axis == "y":
+            halves.append(((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)))
+        else:
+            halves.append(((r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1)))
+    sums = iter(np.asarray(counts([bounds for pair in halves for bounds in pair])).tolist())
+    for node, pair in zip(split, halves):
+        node.children = [Node(bounds, node.height - 1, node.path + (i,), next(sums)) for i, bounds in enumerate(pair)]
+    return split
 
 
-def reserve(node: Node, eps: float, ledger: BudgetLedger) -> None:
-    """Charge ``eps`` as ``PARTITION_RESERVED`` for each split level left below ``node``: all if a leaf, else all but its own."""
-    levels = node.height if node.is_leaf else node.height - 1
-    if levels > 0:
-        ledger.charge(PARTITION_RESERVED, eps * levels, path=node.path, level=node.height)
+def reserve(nodes, eps: float, ledger: BudgetLedger) -> None:
+    """Charge ``eps`` as ``PARTITION_RESERVED`` per split level left below each of ``nodes``: all if a leaf, else all but one."""
+    owed = [(node, node.height if node.is_leaf else node.height - 1) for node in nodes]
+    owed = [(node, levels) for node, levels in owed if levels > 0]
+    paths, levels = [node.path for node, _ in owed], [node.height for node, _ in owed]
+    ledger.charge_many(PARTITION_RESERVED, [eps * n for _, n in owed], paths=paths, levels=levels)
 
 
 def flatten(root: Node) -> NodeTable:

@@ -16,6 +16,13 @@ its ``Node``.
 The two-mode htf walk is the reference of htf's one walk: it prunes a
 prebuilt tree, or splits the nodes it keeps through a splitter object,
 and releases a single-node tree on a branch of its own.
+
+Every draw of these walks goes through the reference cipher here:
+Philox4x64-10 on Python ints (``philox``), one site at a time, with the
+package's uniform and Laplace quantile (``laplace``). The package draws
+through its numpy form, ``privacy.philox_array``, a grid, a tree or a
+tree level per call, so a walk and its array pass agree only if the two
+ciphers do.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from dphist import tree
+from dphist import kernels, tree
 from dphist.baselines import enforce_hierarchical_consistency, exponential_mechanism_probs
 from dphist.grid import FrequencyMatrix
 from dphist.histogram import PrivateHistogram
@@ -41,7 +48,6 @@ from dphist.htf import (
     HtfParams,
     UnsplittableAxisError,
     estimate_height,
-    get_split_point,
 )
 from dphist.privacy import (
     COUNT,
@@ -49,13 +55,125 @@ from dphist.privacy import (
     PRUNE,
     BudgetLedger,
     NoiseSource,
-    laplace_sample,
     path_code,
     require_positive,
-    site_counters,
 )
 from dphist.privacy import SPLIT as SPLIT_SITE
 from dphist.tree import Node
+
+
+# ---------------------------------------------------------------------------
+# the reference cipher: one site at a time, on Python ints
+
+_MASK = 2**64 - 1
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # Philox4x64 round multipliers
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # and key increments
+
+
+def philox(counter, key) -> int:
+    """The first output word of Philox4x64-10 for a four-word ``counter`` under a two-word ``key``."""
+    if len(counter) != 4:
+        raise ValueError(f"a counter is four words, got {tuple(counter)!r}")
+    c0, c1, c2, c3 = (int(c) for c in counter)
+    if min(c0, c1, c2, c3) < 0 or max(c0, c1, c2, c3) > _MASK:
+        raise ValueError(f"counter words must fit in 64 bits, got {tuple(counter)!r}")
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(10):
+        p0 = _M0 * c0
+        p1 = _M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+        k0, k1 = (k0 + _W0) & _MASK, (k1 + _W1) & _MASK
+    return c0
+
+
+def uniform(noise: NoiseSource, *site: int) -> float:
+    """The uniform in (0, 1) of the draw at ``site``: the top 53 bits of its word, at the midpoint of their bin."""
+    return ((philox(site, noise.key) >> 11) + 0.5) * 2.0**-53
+
+
+def laplace(noise: NoiseSource, scale: float, *site: int) -> float:
+    """Laplace(0, ``scale``) at ``site`` by the inverse CDF through ``np.log``; 0 in zero-noise mode."""
+    if noise.zero_noise:
+        return 0.0
+    u = uniform(noise, *site)
+    return scale * (float(np.log(2.0 * u)) if u < 0.5 else -float(np.log(2.0 - 2.0 * u)))
+
+
+def laplace_draw(sensitivity: float, eps: float, noise: NoiseSource, *site: int) -> float:
+    """``privacy.laplace_sample`` through the reference cipher."""
+    require_positive("sensitivity", sensitivity)
+    require_positive("eps", eps)
+    return laplace(noise, sensitivity / eps, *site)
+
+
+def choice(noise: NoiseSource, probs, *site: int) -> int:
+    """One categorical draw at ``site`` by inverse CDF; the argmax (smallest on ties) in zero-noise mode."""
+    if noise.zero_noise:
+        return int(np.argmax(probs))
+    cdf = np.cumsum(probs)
+    return min(int(np.searchsorted(cdf, uniform(noise, *site) * cdf[-1], side="right")), len(cdf) - 1)
+
+
+def preorder(root: Node):
+    """Every node top-down, children left to right; a node's children are read after it is yielded."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def grow_nodes(root: Node, split) -> Node:
+    """Call ``split(node)`` on every node above height 0 in preorder, top-down, and return ``root``."""
+    for node in preorder(root):
+        if node.height > 0:
+            split(node)
+    return root
+
+
+def bisect_node(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, matrix) -> bool:
+    """``tree.bisect`` of the one ``node``, ``cut(node, axis)`` giving its index; True if split."""
+
+    def cuts(nodes, axes):
+        return [cut(nodes[0], axes[0])]
+
+    return bool(tree.bisect([node], cuts, eps, ledger, label, matrix.region_sums))
+
+
+def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, path=(), bounds=None) -> int:
+    """``htf.get_split_point`` drawing each evaluation on its own as it goes."""
+    require_positive("eps_partition_level", eps_partition_level)
+    counts = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
+    bounds = (0, counts.shape[0], 0, counts.shape[1]) if bounds is None else bounds
+    r0, r1, c0, c1 = bounds
+    extent = r1 - r0 if axis == "y" else c1 - c0
+    if extent < 2:
+        raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
+    eps_eval = eps_partition_level / (2 * search_iters + 1)
+    code = path_code(path)
+    evals = []
+
+    def noisy_objective(k: int) -> float:
+        draw = laplace_draw(OBJECTIVE_SENSITIVITY, eps_eval, noise, SPLIT_SITE, code, len(evals), 0)
+        evals.append(k)
+        return kernels.objective_at(counts, *bounds, k, axis == "y") + draw
+
+    lo, hi = 1, extent
+    k = lo + (hi - lo) // 2
+    center = noisy_objective(k)
+    for _ in range(search_iters):
+        k1 = lo + (k - lo) // 2
+        k2 = k + (hi - k) // 2
+        y1 = noisy_objective(k1)
+        y2 = noisy_objective(k2)
+        best = min(center, y1, y2)
+        if best == center:
+            lo, hi = k1, k2
+        elif best == y1:
+            k, hi, center = k1, k, y1
+        else:
+            lo, k, center = k, k2, y2
+    return k
 
 
 def cluster_deviation(cells) -> float:
@@ -169,7 +287,7 @@ def noisy_split_baseline(
     code = path_code(path)
     noisy = np.empty_like(scan)
     for i in range(len(scan)):
-        draw = laplace_sample(OBJECTIVE_SENSITIVITY, eps_eval, src, SPLIT_SITE, code, i, 0)
+        draw = laplace_draw(OBJECTIVE_SENSITIVITY, eps_eval, src, SPLIT_SITE, code, i, 0)
         noisy[i] = scan[i] + draw
         if ledger is not None:
             ledger.charge(SPLIT, eps_eval, path=path, level=level)
@@ -181,14 +299,11 @@ def noisy_split_baseline(
 
 
 def perturb_nodes(root: Node, budgets, noise: NoiseSource, ledger: BudgetLedger, label: str) -> None:
-    """``tree.perturb`` on a ``Node`` tree: sets each node's ``ncount`` and ``noise_var``, one charge per node."""
+    """``tree.perturb`` on a ``Node`` tree: each node's ``ncount`` and ``noise_var``, one draw and one charge per node."""
     up_to = list(accumulate(budgets))  # up_to[h] = budgets[0] + ... + budgets[h]
-    nodes = list(tree.preorder(root))
-    eps = [up_to[node.height] if node.is_leaf else budgets[node.height] for node in nodes]
-    sites = site_counters(COUNT, [path_code(node.path) for node in nodes])
-    draws = noise.laplace_array(1.0 / np.asarray(eps), sites)
-    for node, node_eps, draw in zip(nodes, eps, draws.tolist()):
-        node.ncount = node.count + draw
+    for node in preorder(root):
+        node_eps = up_to[node.height] if node.is_leaf else budgets[node.height]
+        node.ncount = node.count + laplace(noise, 1.0 / node_eps, COUNT, path_code(node.path), 0, 0)
         node.noise_var = 2.0 / (node_eps * node_eps)
         ledger.charge(label, node_eps, path=node.path, level=node.height)
 
@@ -197,7 +312,7 @@ def is_complete_nodes(root: Node) -> bool:
     """True when every inner node has the root's fanout and every leaf is at height 0."""
     fanout = len(root.children)
     return fanout > 0 and all(
-        len(node.children) == fanout if node.children else node.height == 0 for node in tree.preorder(root)
+        len(node.children) == fanout if node.children else node.height == 0 for node in preorder(root)
     )
 
 
@@ -212,7 +327,7 @@ def smooth_dict(root: Node) -> Node:
     if not is_complete_nodes(root):
         raise ValueError("consistency smoothing needs a complete tree with uniform fanout")
 
-    nodes = list(tree.preorder(root))
+    nodes = list(preorder(root))
     estimates: dict[Node, tuple[float, float]] = {}
     for node in reversed(nodes):  # every node after its children
         if node.is_leaf:
@@ -258,7 +373,7 @@ def smooth_nodes(root: Node, noise_var: float) -> Node:
     variance ``noise_var``, and the smoothed counts written back.
     """
     table = tree.flatten(root)
-    nodes = list(tree.preorder(root))
+    nodes = list(preorder(root))
     table.ncount = np.array([node.ncount for node in nodes], dtype=np.float64)
     table.noise_var = np.full(len(nodes), float(noise_var))
     enforce_hierarchical_consistency(table)
@@ -268,7 +383,7 @@ def smooth_nodes(root: Node, noise_var: float) -> Node:
 
 
 def _leaves_hist(matrix, root: Node, eps_total, ledger) -> PrivateHistogram:
-    leaves = [node for node in tree.preorder(root) if node.is_leaf]
+    leaves = [node for node in preorder(root) if node.is_leaf]
     bounds = [leaf.bounds for leaf in leaves]
     return PrivateHistogram.audited(matrix.shape, bounds, [leaf.ncount for leaf in leaves], eps_total, ledger)
 
@@ -291,7 +406,7 @@ def quadtree_nodes(matrix, eps_total, height, noise, *, alloc="geometric", smoot
         quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
         node.children = [Node(b, node.height - 1, node.path + (i,), matrix.region_sum(b)) for i, b in enumerate(quads)]
 
-    root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
+    root = grow_nodes(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
     budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
     perturb_nodes(root, budgets, noise.substream("quadtree"), ledger, "node-count")
     if smooth and is_complete_nodes(root):
@@ -302,7 +417,7 @@ def quadtree_nodes(matrix, eps_total, height, noise, *, alloc="geometric", smoot
 def kdtree_nodes(
     matrix, eps_total, height, noise, *, structure_fraction=0.15, alloc="uniform", smooth=True
 ) -> PrivateHistogram:
-    """``build_kdtree`` with its counts drawn and smoothed one ``Node`` at a time."""
+    """``build_kdtree`` grown, drawn and smoothed one ``Node`` at a time."""
     require_positive("eps_total", eps_total)
     height = min(height, tree.binary_height_cap(matrix.rows, matrix.cols))
     ledger = BudgetLedger()
@@ -316,10 +431,10 @@ def kdtree_nodes(
         prefix = np.cumsum(sums)[:-1]
         utilities = -np.abs(prefix - sums.sum() / 2.0)
         probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-        return src.choice_index(probs, EM, path_code(node.path), 0, 0) + 1
+        return choice(src, probs, EM, path_code(node.path), 0, 0) + 1
 
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-    tree.grow(root, lambda node: tree.bisect(node, median_cut, eps_struct_level, ledger, "em-split", matrix.region_sum))
+    grow_nodes(root, lambda node: bisect_node(node, median_cut, eps_struct_level, ledger, "em-split", matrix))
     budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
     perturb_nodes(root, budgets, src, ledger, "node-count")
     if smooth and is_complete_nodes(root):
@@ -363,8 +478,7 @@ def sample_gaussian_points_all_rows(n: int, sigma: float, rows: int, cols: int, 
         if not bad.any():
             break
         pts[bad] = center + rng.normal(0.0, sigma, size=(int(bad.sum()), 2))
-    edge = np.nextafter(hi, 0.0)
-    np.clip(pts, 0.0, edge, out=pts)
+    np.clip(pts, 0.0, hi * (1.0 - 1e-9), out=pts)
     return pts
 
 
@@ -383,10 +497,10 @@ class HtfSplitter:
     ledger: BudgetLedger
 
     def split(self, node: Node) -> bool:
-        return tree.bisect(node, self.cut, self.level_budget, self.ledger, SPLIT, self.matrix.region_sum)
+        return bisect_node(node, self.cut, self.level_budget, self.ledger, SPLIT, self.matrix)
 
     def cut(self, node: Node, axis: str) -> int:
-        return get_split_point(
+        return split_point(
             self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, bounds=node.bounds
         )
 
@@ -412,17 +526,17 @@ def perturb_and_prune_two_mode(
     require_positive("eps_data", eps_data)
     if root.is_leaf:
         ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
-        root.ncount = root.count + laplace_sample(1.0, eps_data, noise, COUNT, path_code(root.path), 0, 0)
+        root.ncount = root.count + laplace_draw(1.0, eps_data, noise, COUNT, path_code(root.path), 0, 0)
         return [(root.bounds, root.ncount)]
 
     budgets = tree.level_budgets(eps_data, height)
     spent = list(accumulate(reversed(budgets)))[::-1]
     leaves = []
-    for node in tree.preorder(root):
+    for node in preorder(root):
         level_eps = budgets[node.height]
         ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
         code = path_code(node.path)
-        node.ncount = node.count + laplace_sample(1.0, level_eps, noise, COUNT, code, 0, 0)
+        node.ncount = node.count + laplace_draw(1.0, level_eps, noise, COUNT, code, 0, 0)
         if node.height == 0:
             leaves.append((node.bounds, node.ncount))
             continue
@@ -430,14 +544,14 @@ def perturb_and_prune_two_mode(
         stop = node.ncount <= stop_count or (r1 - r0) * (c1 - c0) < stop_cells
         if splitter is not None:
             if stop:
-                tree.reserve(node, splitter.level_budget, splitter.ledger)
+                tree.reserve([node], splitter.level_budget, splitter.ledger)
             elif node.is_leaf:
                 splitter.split(node)
         if stop or node.is_leaf:
             eps_remain = eps_data - spent[node.height]
             if eps_remain > 1e-12:
                 ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
-                node.ncount = node.count + laplace_sample(1.0, eps_remain, noise, PRUNE, code, 0, 0)
+                node.ncount = node.count + laplace_draw(1.0, eps_remain, noise, PRUNE, code, 0, 0)
             else:
                 ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
             node.children = []

@@ -12,11 +12,12 @@ from dphist.baselines import (
     build_quadtree,
     build_singular,
     build_uniform_grid,
+    exponential_mechanism_choices,
     exponential_mechanism_probs,
 )
 from dphist.grid import FrequencyMatrix
 from dphist.htf import HtfParams, release
-from dphist.privacy import EM, NoiseSource
+from dphist.privacy import EM, NoiseSource, site_counters
 from dphist.tree import Node
 from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
 
@@ -158,14 +159,15 @@ class TestKdtree:
         probs = exponential_mechanism_probs(utilities, 2.0)
         picks = np.zeros(4)
         for seed in range(4000):
-            picks[NoiseSource(seed).substream("em").choice_index(probs, EM, 1, 0, 0)] += 1
+            [pick] = exponential_mechanism_choices([probs], NoiseSource(seed).substream("em"), site_counters(EM, 1))
+            picks[pick] += 1
         assert 0.5 * np.abs(picks / 4000 - probs).sum() < 0.05
 
     def test_em_concentrates_with_large_budget(self):
         utilities = np.array([-5.0, 0.0, -1.0, -4.0])
         probs = exponential_mechanism_probs(utilities, 1e9)
         assert probs[1] == pytest.approx(1.0)
-        assert NoiseSource(3).substream("em").choice_index(probs, EM, 1, 0, 0) == 1
+        assert exponential_mechanism_choices([probs], NoiseSource(3).substream("em"), site_counters(EM, 1)) == [1]
 
     def test_cover_and_ledger(self):
         matrix = random_matrix(11, shape=(32, 32), high=60)

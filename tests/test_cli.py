@@ -45,7 +45,31 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_stragglers_clamped_inside_the_grid_are_ingested(self, tmp_path, capsys):
+        # sigma far above the grid: points still outside after the redraws are clamped to the far edges
+        pts, out = tmp_path / "pts.txt", tmp_path / "m.txt"
+        assert run(["generate", "--out", pts, "--n", 100, "--grid", 8, "--sigma", 50, "--seed", 0]) == 0
+        assert run(["ingest", "--points", pts, "--grid", 8, "--out", out]) == 0
+        assert "rejected=0" in capsys.readouterr().out
+        assert load_matrix(out).total == 100
+
+    @pytest.mark.parametrize("cols", ["0", "-3"])
+    def test_bad_grid_cols_exits_2(self, tmp_path, capsys, cols):
+        out = tmp_path / "pts.txt"
+        assert run(["generate", "--out", out, "--n", 10, "--grid", 8, "--grid-cols", cols]) == 2
+        assert "grid dimensions must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIngest:
+    @pytest.mark.parametrize("cols", ["0", "-3"])
+    def test_bad_grid_cols_exits_2(self, tmp_path, capsys, cols):
+        pts, out = tmp_path / "pts.txt", tmp_path / "m.txt"
+        run(["generate", "--out", pts, "--n", 10, "--grid", 8])
+        assert run(["ingest", "--points", pts, "--grid", 8, "--grid-cols", cols, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_matrix_total(self, tmp_path, matrix_file):
         matrix = load_matrix(matrix_file)
         assert matrix.total == 5000

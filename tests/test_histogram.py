@@ -3,14 +3,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dphist import baselines
+from dphist.grid import generate_gaussian
 from dphist.histogram import PrivateHistogram
+from dphist.htf import HtfParams, release
+from dphist.privacy import NoiseSource
 
 
 def reference_text(hist):
-    """The file format written one formatted line at a time."""
-    lines = [f"{hist.shape[0]} {hist.shape[1]} {hist.eps_total:.12g} {len(hist)}\n"]
+    """The file format written one formatted line at a time, every float as its ``repr``."""
+    lines = [f"{hist.shape[0]} {hist.shape[1]} {float(hist.eps_total)!r} {len(hist)}\n"]
     for (r0, r1, c0, c1), ncount in zip(hist.bounds.tolist(), hist.ncounts.tolist()):
-        lines.append(f"{r0} {r1} {c0} {c1} {ncount:.12g}\n")
+        lines.append(f"{r0} {r1} {c0} {c1} {ncount!r}\n")
     return "".join(lines)
 
 
@@ -89,3 +93,26 @@ class TestHistFiles:
         path.write_text("2 2 0.1 2\n0 1 0 2 3\n1 2 0 2 nan\n")
         with pytest.raises(ValueError, match="leaf line 2 has a non-finite count"):
             PrivateHistogram.load(path)
+
+
+RELEASES = {
+    "htf": lambda m, ns: release(m, HtfParams(eps_total=0.37, stop_count=20.0), ns),
+    "ug": lambda m, ns: baselines.build_uniform_grid(m, 0.37, ns),
+    "ag": lambda m, ns: baselines.build_adaptive_grid(m, 0.37, ns),
+    "quadtree": lambda m, ns: baselines.build_quadtree(m, 0.37, 5, ns),
+    "kdtree": lambda m, ns: baselines.build_kdtree(m, 0.37, 8, ns),
+    "singular": lambda m, ns: baselines.build_singular(m, 0.37, ns),
+    "uniform": lambda m, ns: baselines.build_flat_uniform(m, 0.37, ns),
+}
+
+
+@pytest.mark.parametrize("method", RELEASES)
+def test_release_files_restore_every_bit(tmp_path, method):
+    hist = RELEASES[method](generate_gaussian(20_000, 8.0, 64, 64, seed=2), NoiseSource(6))
+    hist.save(tmp_path / "r.hist")
+    hist.ledger.save(tmp_path / "r.ledger.csv")
+    loaded = PrivateHistogram.load(tmp_path / "r.hist")
+    assert [c.hex() for c in loaded.ncounts.tolist()] == [c.hex() for c in hist.ncounts.tolist()]
+    assert float(loaded.eps_total).hex() == float(hist.eps_total).hex()
+    rows = (tmp_path / "r.ledger.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(row.split(",")[3]).hex() for row in rows] == [float(e[3]).hex() for e in hist.ledger.entries]

@@ -24,11 +24,11 @@ from dphist.htf import (
     get_split_point,
     perturb_and_prune,
     release,
-    split_node,
+    split_level,
     split_objective,
 )
 from dphist.privacy import BudgetLedger, NoiseSource
-from dphist.tree import PARTITION_RESERVED, Node, preorder
+from dphist.tree import PARTITION_RESERVED, Node
 
 from oracles import (
     noisy_split_baseline,
@@ -36,6 +36,7 @@ from oracles import (
     objective_value,
     optimal_split_exact,
     perturb_and_prune_two_mode,
+    preorder,
     release_two_mode,
 )
 
@@ -300,7 +301,7 @@ class TestPerturbAndPrune:
     def split_root(matrix, height, noise, ledger):
         # as release starts the walk: the root split, or a height-0 leaf when it cannot be
         root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-        if not split_node(root, matrix, 5e-4, 3, noise, ledger):
+        if not split_level([root], matrix, 5e-4, 3, noise, ledger):
             root.height = 0
         return root
 

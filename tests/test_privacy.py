@@ -21,12 +21,12 @@ from dphist.privacy import (
     geometric_level_budget,
     laplace_sample,
     path_code,
-    philox,
     philox_array,
     require_positive,
     site_counters,
 )
 
+import oracles
 from oracles import chain_totals_by_prefix_slices
 
 BAD_BUDGETS = [0.0, -1.0, math.nan, math.inf, -math.inf]
@@ -90,6 +90,15 @@ class TestLaplaceSample:
         src = NoiseSource(2025).substream("ks")
         draws = src.laplace_array(2.0, site_counters(CELL, np.arange(1_000_000)))
         assert stats.kstest(draws, "laplace", args=(0.0, 2.0)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_array_rejects_a_bad_scale(self, zero_noise, scale):
+        src = NoiseSource(0, zero_noise=zero_noise)
+        sites = site_counters(COUNT, [1, 2, 3])
+        for bad in (scale, [1.0, scale, 2.0]):
+            with pytest.raises(ValueError, match=rf"^scale must be positive and finite, got {scale!r}$"):
+                src.laplace_array(bad, sites)
 
     def test_site_must_be_four_words(self):
         with pytest.raises(ValueError, match="four words"):
@@ -165,12 +174,13 @@ def _random_words(rng, shape) -> np.ndarray:
 
 class TestPhilox:
     def test_scalar_and_array_match_numpy(self):
+        # the scalar cipher is the reference one of the test oracles
         rng = np.random.default_rng(11)
         counters = _random_words(rng, (1200, 4))
         keys = rng.integers(0, 2**64, size=(1200, 2), dtype=np.uint64, endpoint=False)
         for counter, key in zip(counters, keys):
             expected = _philox_reference(counter, key)
-            assert philox(counter.tolist(), key.tolist()) == expected
+            assert oracles.philox(counter.tolist(), key.tolist()) == expected
             assert int(philox_array(counter[None], key.tolist())[0]) == expected
 
     def test_array_matches_numpy_under_one_key(self):
@@ -183,30 +193,31 @@ class TestPhilox:
 
     def test_rejects_bad_counters(self):
         with pytest.raises(ValueError):
-            philox((1, 2, 3), (0, 0))
+            oracles.philox((1, 2, 3), (0, 0))
         with pytest.raises(ValueError):
-            philox((1, 2, 3, 2**64), (0, 0))
+            oracles.philox((1, 2, 3, 2**64), (0, 0))
         with pytest.raises(ValueError):
             philox_array(np.zeros((3, 3), dtype=np.uint64), (0, 0))
 
     def test_scalar_and_array_draws_agree(self):
+        # the package's one cipher against the reference one, a site at a time
         rng = np.random.default_rng(13)
         counters = _random_words(rng, (3000, 4))
         src = NoiseSource(5).substream("agree")
         words = philox_array(counters, src.key)
-        assert words.tolist() == [philox(c, src.key) for c in counters.tolist()]
-        uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        assert uniforms.tolist() == [src.uniform(*c) for c in counters.tolist()]
+        assert words.tolist() == [oracles.philox(c, src.key) for c in counters.tolist()]
+        assert src.uniform_array(counters).tolist() == [oracles.uniform(src, *c) for c in counters.tolist()]
         array = src.laplace_array(1.0, counters)
-        scalar = np.array([src.laplace(1.0, *c) for c in counters.tolist()])
-        # both forms take the quantile through np.log: a site's draw does not depend on the entry point
+        scalar = np.array([oracles.laplace(src, 1.0, *c) for c in counters.tolist()])
+        # both take the quantile through np.log: a site's draw does not depend on the cipher's form
         assert array.tolist() == scalar.tolist()
+        assert [src.laplace(1.0, *c) for c in counters[:50].tolist()] == array[:50].tolist()
 
-    def test_uniform_open_interval(self):
+    def test_uniform_open_interval(self, monkeypatch):
         src = NoiseSource(0)
-        for word, expected in ((0, 2.0**-54), (2**64 - 1, 1.0 - 2.0**-54)):
-            assert privacy._uniform(word) == expected
-        assert 0.0 < src.uniform(COUNT, 1, 0, 0) < 1.0
+        assert 0.0 < src.uniform_array(site_counters(COUNT, 1))[0] < 1.0
+        monkeypatch.setattr(privacy, "philox_array", lambda counters, key: np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert src.uniform_array(site_counters(COUNT, [1, 2])).tolist() == [2.0**-54, 1.0 - 2.0**-54]
 
     def test_array_scale_per_site(self):
         src = NoiseSource(3)
@@ -262,16 +273,15 @@ class TestNoiseSource:
 
     def test_choice_zero_noise_is_argmax(self):
         src = NoiseSource(0, zero_noise=True)
-        assert src.choice_index(np.array([0.2, 0.5, 0.3])) == 1
-        assert src.choice_index(np.array([0.4, 0.4, 0.2])) == 0
+        probs = [np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2])]
+        assert baselines.exponential_mechanism_choices(probs, src, site_counters(EM, [1, 2])) == [1, 0]
 
     def test_choice_is_inverse_cdf_of_the_site_uniform(self):
         src = NoiseSource(4)
         probs = np.array([0.1, 0.2, 0.3, 0.4])
-        for site in range(200):
-            u = src.uniform(EM, site, 0, 0)
-            expected = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-            assert src.choice_index(probs, EM, site, 0, 0) == expected
+        sites = site_counters(EM, np.arange(200))
+        expected = np.searchsorted(np.cumsum(probs), src.uniform_array(sites), side="right").tolist()
+        assert baselines.exponential_mechanism_choices([probs] * 200, src, sites) == expected
 
     def test_zero_noise_array(self):
         assert NoiseSource(0, zero_noise=True).laplace_array(5.0, site_counters(CELL, [1, 2])).tolist() == [0.0, 0.0]
@@ -310,11 +320,7 @@ METHODS_64 = {
 @pytest.mark.parametrize("method", METHODS_64)
 def test_release_draws_each_counter_once(monkeypatch, method):
     drawn = []
-    scalar, array = privacy.philox, privacy.philox_array
-
-    def traced_scalar(counter, key):
-        drawn.append((tuple(key), tuple(int(w) for w in counter)))
-        return scalar(counter, key)
+    array = privacy.philox_array
 
     def traced_array(counters, key):
         drawn.extend((tuple(key), tuple(row)) for row in np.asarray(counters, dtype=np.uint64).tolist())
@@ -323,13 +329,53 @@ def test_release_draws_each_counter_once(monkeypatch, method):
     def no_generator(self):
         pytest.fail("a release drew from NoiseSource.generator")
 
-    monkeypatch.setattr(privacy, "philox", traced_scalar)
     monkeypatch.setattr(privacy, "philox_array", traced_array)
     monkeypatch.setattr(NoiseSource, "generator", property(no_generator))
     matrix = generate_gaussian(20_000, 8.0, 64, 64, seed=2)
     METHODS_64[method](matrix, NoiseSource(6))
     assert drawn
     assert len(set(drawn)) == len(drawn)
+
+
+def _count_cipher_calls(monkeypatch):
+    calls = {"philox_array": 0, "rows": 0, "laplace": 0}
+    array, laplace = privacy.philox_array, NoiseSource.laplace
+
+    def traced_array(counters, key):
+        calls["philox_array"] += 1
+        calls["rows"] += len(counters)
+        return array(counters, key)
+
+    def traced_laplace(self, scale, *site):
+        calls["laplace"] += 1
+        return laplace(self, scale, *site)
+
+    monkeypatch.setattr(privacy, "philox_array", traced_array)
+    monkeypatch.setattr(NoiseSource, "laplace", traced_laplace)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_htf_draws_each_level_in_at_most_three_calls(monkeypatch, seed):
+    calls = _count_cipher_calls(monkeypatch)
+    matrix = generate_gaussian(100_000, 20.0, 256, 256, seed=seed)
+    hist = release(matrix, HtfParams(eps_total=0.5, stop_count=20.0), NoiseSource(seed))
+    levels = 1 + max(len(e[2]) for e in hist.ledger.entries)
+    assert levels > 5
+    assert calls["laplace"] == 1  # the height estimate
+    assert calls["philox_array"] <= 1 + 3 * levels
+
+
+@pytest.mark.parametrize("height", [4, 8, 12])
+def test_kdtree_draws_each_level_in_one_call(monkeypatch, height):
+    calls = _count_cipher_calls(monkeypatch)
+    matrix = generate_gaussian(20_000, 8.0, 64, 64, seed=2)
+    hist = baselines.build_kdtree(matrix, 0.5, height, NoiseSource(6))
+    assert calls["laplace"] == 0
+    assert calls["philox_array"] <= height + 1
+    # every split and every node count is drawn through it
+    labels = [e[0] for e in hist.ledger.entries]
+    assert calls["rows"] == labels.count("em-split") + labels.count("node-count")
 
 
 class TestBudgetLedger:

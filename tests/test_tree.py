@@ -12,37 +12,53 @@ from dphist.htf import HtfParams, release
 from dphist.privacy import BudgetLedger, NoiseSource
 from dphist.tree import Node
 
-from oracles import kdtree_nodes, quadtree_nodes
+from oracles import kdtree_nodes, preorder, quadtree_nodes
 
 
-def cells(bounds):
-    r0, r1, c0, c1 = bounds
-    return (r1 - r0) * (c1 - c0)
+def cells(parts):
+    return [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in parts]
 
 
-def binary_tree(height):
-    def middle(node, axis):
-        return (node.bounds[3] - node.bounds[2]) // 2
+def middles(nodes, axes):
+    return [(node.bounds[3] - node.bounds[2]) // 2 for node in nodes]
 
+
+def binary_tree(height, ledger=None):
     # one row: every split falls to the columns, cut at the middle
     root = Node((0, 1, 0, 2**height), height)
-    ledger = BudgetLedger()
-    return tree.grow(root, lambda node: tree.bisect(node, middle, 1.0, ledger, "cut", cells))
+    ledger = BudgetLedger() if ledger is None else ledger
+
+    def step(nodes):
+        tree.bisect(nodes, middles, 1.0, ledger, "cut", cells)
+
+    return tree.grow(root, step, ledger)
 
 
 class TestWalks:
     def test_preorder_is_depth_first_left_to_right(self):
-        paths = [node.path for node in tree.preorder(binary_tree(2))]
+        paths = tree.flatten(binary_tree(2)).paths
         assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
 
-    def test_preorder_reads_children_after_yielding(self):
-        root = binary_tree(3)
+    def test_grow_reads_children_after_each_step(self):
         seen = []
-        for node in tree.preorder(root):
-            seen.append(node.path)
-            if node.path == (0,):
-                node.children = []
-        assert seen == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
+
+        def step(nodes):
+            seen.append([node.path for node in nodes])
+            tree.bisect(nodes, middles, 1.0, ledger, "cut", cells)
+            for node in nodes:
+                if node.path == (0,):
+                    node.children = []
+
+        ledger = BudgetLedger()
+        root = tree.grow(Node((0, 1, 0, 8), 3), step, ledger)
+        assert seen == [[()], [(0,), (1,)], [(1, 0), (1, 1)], [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
+        assert tree.flatten(root).paths == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
+
+    def test_grow_puts_the_ledger_rows_back_in_preorder(self):
+        ledger = BudgetLedger()
+        ledger.note("before", path=(1,))
+        root = binary_tree(3, ledger)
+        assert [e[2] for e in ledger.entries] == [(1,)] + [n.path for n in preorder(root) if n.height > 0]
 
     def test_deep_tree_needs_no_recursion(self):
         # a chain far deeper than the interpreter's recursion limit
@@ -50,29 +66,29 @@ class TestWalks:
         for _ in range(5000):
             node.children = [Node(node.bounds, node.height - 1, node.path + (0,))]
             node = node.children[0]
-        assert sum(1 for _ in tree.preorder(root)) == 5001
+        assert len(tree.flatten(root).paths) == 5001
         assert tree.is_complete(tree.flatten(root))
 
     def test_bisect_children(self):
         node = Node((2, 6, 1, 4), 2, path=(1,))  # even height: rows
-        assert tree.bisect(node, lambda n, axis: 1, 0.01, BudgetLedger(), "cut", cells)
+        assert tree.bisect([node], lambda nodes, axes: [1], 0.01, BudgetLedger(), "cut", cells)
         assert [c.bounds for c in node.children] == [(2, 3, 1, 4), (3, 6, 1, 4)]
         assert [c.path for c in node.children] == [(1, 0), (1, 1)]
         assert [c.height for c in node.children] == [1, 1]
         assert [c.count for c in node.children] == [3, 9]
         assert node.left is node.children[0] and node.right is node.children[1]
         node = Node((2, 6, 1, 4), 3, path=(1,))  # odd height: columns
-        assert tree.bisect(node, lambda n, axis: 2, 0.01, BudgetLedger(), "cut", lambda r: 0)
+        assert tree.bisect([node], lambda nodes, axes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
         assert [c.bounds for c in node.children] == [(2, 6, 1, 3), (2, 6, 3, 4)]
 
     def test_bisect_cuts_on_the_split_axis_or_reserves_the_unsplit_levels(self):
         ledger = BudgetLedger()
         node = Node((0, 1, 0, 6), 4, path=(1,))  # one row: even height falls back to columns
-        assert tree.bisect(node, lambda n, axis: 2 if axis == "x" else None, 0.01, ledger, "cut", cells)
+        assert tree.bisect([node], lambda nodes, axes: [2 if axes[0] == "x" else None], 0.01, ledger, "cut", cells)
         assert [c.bounds for c in node.children] == [(0, 1, 0, 2), (0, 1, 2, 6)]
         assert [c.count for c in node.children] == [2, 4]
         leaf = Node((3, 4, 5, 6), 3, path=(0,))
-        assert not tree.bisect(leaf, None, 0.01, ledger, "cut", cells)
+        assert not tree.bisect([leaf], None, 0.01, ledger, "cut", cells)
         assert leaf.is_leaf
         assert [(e[0], e[1], e[2]) for e in ledger.entries] == [("cut", 4, (1,)), (tree.PARTITION_RESERVED, 3, (0,))]
         assert [e[3] for e in ledger.entries] == [0.01, pytest.approx(0.03)]
@@ -97,7 +113,7 @@ class TestWalks:
         budgets = tree.level_budgets(0.3, 2, "uniform")
         table = tree.flatten(root)
         tree.perturb(table, budgets, NoiseSource(0, zero_noise=True), ledger, "node-count")
-        assert [(e[2], e[3]) for e in ledger.entries] == [(n.path, 0.3 / 3) for n in tree.preorder(root)]
+        assert [(e[2], e[3]) for e in ledger.entries] == [(path, 0.3 / 3) for path in table.paths]
         nodes = zip(table.ncount.tolist(), table.count.tolist(), table.noise_var.tolist())
         assert all(ncount == count and noise_var == pytest.approx(200.0) for ncount, count, noise_var in nodes)
 
