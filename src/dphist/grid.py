@@ -6,12 +6,18 @@ carries a 2D prefix-sum table so any rectangular sub-grid total is an
 O(1) lookup; a rectangle is the half-open integer bounds ``(row_lo,
 row_hi, col_lo, col_hi)``, one tuple or a ``(K, 4)`` array of them. Also
 provides the seeded Gaussian-cluster generator used for synthetic
-experiments and the plain-text file formats consumed by the CLI.
+experiments and the plain-text file formats consumed by the CLI. Every
+table of numbers is written by ``write_rows``: byte for byte as Python's
+``%`` writes it, from numpy arrays where that is proven exact and through
+``%`` itself, one value at a time, where it is not.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -89,7 +95,10 @@ class FrequencyMatrix:
         return int(self._prefix[-1, -1])
 
     def region_sum(self, bounds) -> int:
-        """``region_sums`` of one rectangle, without the array set-up that would dominate a tree's child counts."""
+        """The total inside one half-open rectangle ``(row_lo, row_hi, col_lo, col_hi)``.
+
+        ``region_sums``' one-rectangle form, for tests and library callers.
+        """
         r0, r1, c0, c1 = bounds
         if not (0 <= r0 < r1 <= self.rows and 0 <= c0 < c1 <= self.cols):
             raise ValueError(f"region {(r0, r1, c0, c1)} is empty or outside the {self.rows}x{self.cols} grid")
@@ -185,16 +194,184 @@ def generate_gaussian(n: int, sigma: float, rows: int, cols: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 # file formats
 
-# values formatted per write: bounds the temporary strings to a few MB
+# values formatted per write: bounds the temporary arrays and strings to a few MB
 _WRITE_CHUNK = 1 << 17
+_CONVERSION = re.compile(r"%(d|r|\.\d+g)")
+_G_DIGITS = 12  # the widest %.<p>g the array path formats: its digits and point fit in 16 bytes
+_POW10 = 10.0 ** np.arange(_G_DIGITS + 1)  # exact
+_GROUP = 10_000  # digits are looked up four at a time
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each v < 10**4 as four ASCII digits in a little-endian uint32, the first in the lowest byte: zero-padded,
+    and with leading zeros as NUL (0 is all NUL); and v's trailing zero digits (4 for 0)."""
+    v = np.arange(_GROUP)
+    digits = np.stack([v // 10 ** (3 - j) % 10 for j in range(4)], axis=1)
+    text = (digits + ord("0")).astype(np.uint8)
+    padded = text.view("<u4")[:, 0]
+    unpadded = np.where(np.cumsum(digits, axis=1) == 0, 0, text).astype(np.uint8).view("<u4")[:, 0]
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    for table in (padded, unpadded, trailing):
+        table.flags.writeable = False
+    return padded, unpadded, trailing
+
+
+@functools.cache
+def _point_masks() -> np.ndarray:
+    """``(3, 256, 2)`` little-endian words of 16-byte masks, at ``16 * k + t`` for the point at byte k and the
+    last nonzero digit at byte t: the bytes before k, the fraction's bytes (shifted one right) and the point."""
+    masks = np.zeros((3, 16, 16, 16), np.uint8)
+    for k in range(16):
+        masks[0, k, :, :k] = 0xFF
+        for t in range(k, 16):  # a nonzero fraction digit: keep the point and the digits up to t
+            masks[1, k, t, k + 1:t + 2] = 0xFF
+            masks[2, k, t, k] = ord(".")
+    masks = masks.reshape(3, 256, 16).view("<u8")
+    masks.flags.writeable = False
+    return masks
+
+
+def _digit_words(mag: np.ndarray, groups: int, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ASCII digits of each ``mag < 10**(4 * groups)`` in the first ``groups`` of ``width`` little-endian
+    uint32 words, right-aligned with leading zeros as NUL (0 as one ``0``); and its four-digit groups, most
+    significant first."""
+    padded, unpadded, _ = _digit_tables()
+    parts = []
+    for _ in range(groups - 1):
+        rest = mag // _GROUP  # floor division by a constant is fast; % is not
+        parts.append(mag - rest * _GROUP)
+        mag = rest
+    parts = [mag, *parts[::-1]]
+    words = np.zeros((len(mag), width), "<u4")
+    words[:, 0] = unpadded[parts[0]]
+    leading = parts[0] == 0  # no nonzero digit yet
+    for i, part in enumerate(parts[1:], 1):
+        words[:, i] = np.where(leading, unpadded[part], padded[part]) if leading.any() else padded[part]
+        leading &= part == 0
+    words[leading, groups - 1] = ord("0") << 24
+    return words, parts
+
+
+def _d_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``%d`` of each value as NUL-padded ASCII rows, and which rows are right."""
+    n = len(values)
+    if np.can_cast(values.dtype, np.int64):
+        ints, ok = values.astype(np.int64), np.ones(n, bool)
+    elif values.dtype.kind == "f":
+        ok = np.abs(values) < 2.0**63  # finite and inside int64; %d truncates toward zero, as the cast does
+        ints = np.where(ok, values, 0.0).astype(np.int64)
+    else:
+        return np.zeros((n, 0), np.uint8), np.zeros(n, bool)
+    negative = ints < 0
+    mag = ints.view(np.uint64)
+    mag = np.where(negative, -mag, mag)  # two's complement: exact for -2**63 too
+    digits = len(str(int(mag.max())))
+    groups = -(-digits // 4)
+    words, _ = _digit_words(mag, groups, groups)
+    text = words.view(np.uint8)[:, 4 * groups - digits:]  # leading bytes NUL in every row: each NUL costs the write
+    if not negative.any():
+        return text, ok
+    return np.hstack([(negative * np.uint8(ord("-")))[:, None], text]), ok
+
+
+def _g_field(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``%.<p>g`` of each ``x`` in the fast domain as NUL-padded ASCII rows, and which rows are right (see
+    ``write_rows``)."""
+    n = len(x)
+    if not 1 <= p <= _G_DIGITS:
+        return np.zeros((n, 0), np.uint8), np.zeros(n, bool)
+    # nan, inf, 0, negatives and huge values warn here, and fail the test below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.clip(np.log10(x).astype(np.intp), 0, p - 1)
+        y = x * _POW10[p - 1 - e]
+        mantissa = np.rint(y)
+        ok = (y >= _POW10[p - 1]) & (mantissa < _POW10[p]) & (np.abs(y - np.floor(y) - 0.5) > np.spacing(_POW10[p]))
+        mantissa = np.where(ok, mantissa, _POW10[p - 1]).astype(np.int64)
+    groups = -(-p // 4)
+    width = 4 * groups
+    words, parts = _digit_words(mantissa, groups, 4)
+    _, _, trailing = _digit_tables()
+    zeros = trailing[parts[-1]]
+    for i, part in enumerate(parts[-2::-1], 1):  # rows whose later groups are all zero count on
+        rows = np.flatnonzero(zeros == 4 * i)
+        zeros[rows] += trailing[part[rows]]
+    # the point goes at byte k, after the integer digits; byte t holds the last nonzero digit
+    code = 16 * (width - p + 1 + e) + (width - 1 - zeros)
+    digits = words.view("<u8")
+    shifted = digits << np.uint64(8)
+    shifted[:, 1] |= digits[:, 0] >> np.uint64(56)
+    keep, fraction, point = (m.take(code, axis=0) for m in _point_masks())
+    keep &= digits
+    fraction &= shifted
+    keep |= fraction
+    keep |= point
+    return keep.astype("<u8", copy=False).view(np.uint8)[:, width - p:width + 1], ok
+
+
+def _field(values: np.ndarray, conversion: str) -> np.ndarray:
+    """Each value through ``%`` and ``conversion`` as a ``(n, w)`` uint8 array of ASCII, padded with NUL anywhere."""
+    fmt = "%" + conversion
+    if conversion == "d":
+        field, ok = _d_field(values)
+    elif conversion == "r":
+        field, ok = np.zeros((len(values), 0), np.uint8), np.zeros(len(values), bool)
+    else:
+        field, ok = _g_field(np.asarray(values, dtype=np.float64), int(conversion[1:-1]))
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        text = np.array([fmt % v for v in values[bad].tolist()], dtype=bytes)
+        padded = np.zeros((len(values), max(field.shape[1], text.itemsize)), np.uint8)
+        padded[:, :field.shape[1]] = field
+        padded[bad] = 0
+        padded[bad, :text.itemsize] = text.view(np.uint8).reshape(len(bad), text.itemsize)
+        field = padded
+    return field
 
 
 def write_rows(fh, values: np.ndarray, row_format: str) -> None:
-    """Write each row of the 2D ``values`` through ``row_format``, one ``%`` per chunk."""
+    """Write each row of the 2D ``values`` through ``row_format``, byte for byte as Python's ``%`` writes it.
+
+    ``row_format`` holds one ``%d``, ``%r`` or ``%.<p>g`` per column between ASCII literals. Each chunk of rows
+    becomes one uint8 array of fields and literals, each field padded with NUL, and is written once its NULs
+    are removed. Columns in a run with one conversion, each followed by a literal of one length, are
+    formatted as one array. ``%d`` and ``%.<p>g`` fields are made from a table of four-digit groups; a value
+    the array path cannot format exactly takes Python's ``%``, that field only, as does every ``%r`` field.
+
+    The ``%.<p>g`` array path, for ``p <= 12``, is exact. Let ``e`` be any guess in ``[0, p)`` of the
+    decimal exponent (``log10``'s, clipped), ``y = fl(x * 10**(p-1-e))`` (the power of ten is exact) and
+    ``M = rint(y)``. The value is formatted from ``M`` only when ``10**(p-1) <= y``, ``M < 10**p`` and
+    ``y``'s fraction is more than ``ulp(10**p)`` from one half. Then ``y`` is within half an ulp of
+    ``x * 10**(p-1-e)``, so ``M`` is that product correctly rounded, and ``e`` is the exponent ``%g`` picks
+    after rounding: had the guess been one too high, ``y`` would round up to ``10**(p-1)`` and so would
+    ``%g``. ``x`` is written in fixed notation as the digits of ``M`` with the point after ``e + 1`` of
+    them, trailing fraction zeros and a bare point dropped. Every other value takes Python's ``%``: 0, -0.0,
+    negatives, values below 1, values ``%g`` writes with an exponent, nan, inf, near-ties and mantissas that
+    round up to ``10**p``.
+    """
+    parts = _CONVERSION.split(row_format)
+    head, conversions, tails = parts[0], parts[1::2], parts[2::2]
+    literals_ok = all("%" not in s and "\0" not in s and s.isascii() for s in parts[0::2])
+    if len(conversions) != values.shape[1] or not literals_ok:
+        raise ValueError(f"row format {row_format!r} is not {values.shape[1]} fields of %d, %r or %.<p>g")
+    runs = []
+    for (conversion, width), run in itertools.groupby(range(len(tails)), lambda j: (conversions[j], len(tails[j]))):
+        run = list(run)
+        literal = np.frombuffer("".join(tails[j] for j in run).encode("ascii"), np.uint8)
+        runs.append((run[0], run[-1] + 1, conversion, literal.reshape(len(run), width)))
+    head = np.frombuffer(head.encode("ascii"), np.uint8)
     step = max(1, _WRITE_CHUNK // values.shape[1])
     for start in range(0, values.shape[0], step):
         chunk = values[start:start + step]
-        fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        n = chunk.shape[0]
+        pieces = [np.broadcast_to(head, (n, len(head)))]
+        for lo, hi, conversion, literal in runs:
+            field = _field(chunk[:, lo:hi].ravel(), conversion).reshape(n, hi - lo, -1)
+            piece = np.empty((n, hi - lo, field.shape[2] + literal.shape[1]), np.uint8)
+            piece[:, :, :field.shape[2]] = field
+            piece[:, :, field.shape[2]:] = literal
+            pieces.append(piece.reshape(n, -1))
+        fh.write(np.hstack(pieces).tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def save_points(points, path) -> None:

@@ -98,8 +98,16 @@ def path_code(path) -> int:
 
 
 def site_counters(label: int, w1, w2=0, w3=0) -> np.ndarray:
-    """The ``(K, 4)`` uint64 counters ``(label, w1, w2, w3)`` of K sites, the words broadcast against each other."""
-    words = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in (label, w1, w2, w3)))
+    """The ``(K, 4)`` uint64 counters ``(label, w1, w2, w3)`` of K sites, the words broadcast against each other.
+
+    Raises ValueError for a word that is not an integer in ``[0, 2**64)``: a cast would move a float or an
+    out-of-range word onto another site's counter.
+    """
+    words = [np.asarray(w) for w in (label, w1, w2, w3)]
+    for w in words:
+        if w.dtype.kind not in "iu" or (w < 0).any():  # Python ints of 2**64 and above are object arrays
+            raise ValueError(f"site words must be integers in [0, 2**64), got {w!r}")
+    words = np.broadcast_arrays(*(w.astype(np.uint64) for w in words))
     return np.stack(words, axis=-1).reshape(-1, 4)
 
 

@@ -1,3 +1,5 @@
+import io
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from dphist.grid import (
     sample_gaussian_points,
     save_matrix,
     save_points,
+    write_rows,
 )
 
 from oracles import naive_region_sum, sample_gaussian_points_all_rows
@@ -223,6 +226,26 @@ def reference_points_text(pts):
     return "# x,y\n" + "".join(f"{x:.10g},{y:.10g}\n" for x, y in pts)
 
 
+def decimal_rounded(values):
+    """Each row rounded to 0-11 decimals in turn: values whose digits stop short of ten, or are ties at ten."""
+    scale = 10.0 ** (np.arange(len(values)) % 12)[:, None]
+    return np.round(values * scale) / scale
+
+
+def written_rows(values, row_format):
+    out = io.StringIO()
+    write_rows(out, values, row_format)
+    return out.getvalue()
+
+
+ANY_FLOAT = st.one_of(
+    st.floats(),  # nan, inf, -0.0, subnormals and every magnitude
+    st.floats(1.0, 1e13),  # the array path's domain and a little past it
+    st.builds(lambda m, k: m / 10.0**k, st.integers(0, 10**13), st.integers(0, 13)),  # decimals, near-ties
+)
+INT64 = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**5), 10**5), st.sampled_from([-(2**63), 2**63 - 1]))
+
+
 def reference_matrix_text(matrix):
     lines = [f"{matrix.rows} {matrix.cols} {matrix.total}"]
     lines += [" ".join(str(int(v)) for v in row) for row in matrix.counts]
@@ -236,8 +259,23 @@ class TestFileFormats:
             np.empty((0, 2)),
             np.array([[-0.0, 0.0], [1e300, -1e-300], [5e-324, 123456789.123456789], [0.1, 1 / 3]]),
             np.random.default_rng(11).normal(0.0, 1e3, size=(70_000, 2)),
+            np.array([
+                [2.5, 1.00000000005],  # a half in the last digit, and one just past the tenth
+                [1.0000000005, 1234567890.5],  # ties at the tenth digit: decimal, and exact in binary
+                [1234567891.5, 9999999999.4],  # a tie that rounds up to even; the largest ten digits
+                [999.99999999995, 9.9999999999],  # round up to a power of ten
+                [9999999999.5, 1e10],  # round up to, and at, 10**10, which %g writes with an exponent
+                [1e-4, np.nextafter(1e-4, 0.0)],  # where %g switches to an exponent
+                [5e-324, 2.2250738585072014e-308 / 3],  # subnormals
+                [-0.0, math.nan],
+                [math.inf, -math.inf],
+                [1024 * (1 - 1e-9), 64 * (1 - 1e-9)],  # sample_gaussian_points' clamp below hi
+                [1.0, 0.5],
+            ]),
+            sample_gaussian_points(5000, 200.0, 64, 64, np.random.default_rng(3)),  # below 1 and at the clamp
+            decimal_rounded(np.random.default_rng(13).uniform(0.0, 2000.0, size=(12_000, 2))),
         ],
-        ids=["empty", "edge-values", "more-than-one-chunk"],
+        ids=["empty", "edge-values", "more-than-one-chunk", "rounding-edges", "wide-cluster", "decimal-rounded"],
     )
     def test_points_match_per_line_format(self, tmp_path, pts):
         path = tmp_path / "pts.txt"
@@ -245,7 +283,21 @@ class TestFileFormats:
         text = path.read_text()
         assert text == reference_points_text(pts)
         parsed = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
-        assert np.array_equal(load_points(path), np.array(parsed).reshape(-1, 2))
+        assert np.array_equal(load_points(path), np.array(parsed).reshape(-1, 2), equal_nan=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), max_size=40), st.sampled_from(["%.10g", "%.12g"]))
+    def test_write_rows_matches_percent_on_floats(self, pairs, conversion):
+        values = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        row_format = f"{conversion},{conversion}\n"
+        assert written_rows(values, row_format) == "".join(row_format % tuple(row) for row in values.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(INT64, INT64, INT64), max_size=40))
+    def test_write_rows_matches_percent_on_int64(self, rows):
+        values = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        row_format = "%d, %d %d\n"
+        assert written_rows(values, row_format) == "".join(row_format % tuple(row) for row in values.tolist())
 
     @pytest.mark.parametrize(
         "counts",

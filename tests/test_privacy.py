@@ -199,6 +199,18 @@ class TestPhilox:
         with pytest.raises(ValueError):
             philox_array(np.zeros((3, 3), dtype=np.uint64), (0, 0))
 
+    @pytest.mark.parametrize("word", [1.5, -1, 2**64, np.array([0.0, 1.0]), [3, -2]],
+                             ids=["float", "negative", "2**64", "float-array", "negative-in-list"])
+    def test_site_counters_reject_a_bad_word(self, word):
+        # a cast to uint64 truncates 1.5 onto the counter of 1, and overflows or wraps the others
+        for args in ((COUNT, word), (COUNT, 1, word), (COUNT, [1, 2], 0, word), (word, 1)):
+            with pytest.raises(ValueError, match=r"site words must be integers in \[0, 2\*\*64\)"):
+                site_counters(*args)
+
+    def test_site_counters_keep_every_word_below_2_to_the_64(self):
+        sites = site_counters(COUNT, [0, 2**63 - 1], np.array([2**63, 2**64 - 1], dtype=np.uint64), 2**64 - 1)
+        assert sites.tolist() == [[COUNT, 0, 2**63, 2**64 - 1], [COUNT, 2**63 - 1, 2**64 - 1, 2**64 - 1]]
+
     def test_scalar_and_array_draws_agree(self):
         # the package's one cipher against the reference one, a site at a time
         rng = np.random.default_rng(13)
