@@ -3,9 +3,11 @@
 All builders return the same ``PrivateHistogram`` artifact as the tree
 release so the evaluation harness treats every method uniformly. The
 uniform grid, both levels of the adaptive grid and the per-cell release
-lay out their cells as ``(K, 4)`` bounds arrays (``_grid_cells``), count
-them with one ``FrequencyMatrix.region_sums`` call and draw their keyed
-Laplace noise with one ``NoiseSource.laplace_array`` call. The quadtree
+lay out their cells as column-major ``(K, 4)`` bounds arrays
+(``_grid_cells``), count them with one ``FrequencyMatrix.region_sums``
+call (the per-cell release reads the matrix's counts as they are) and
+draw their keyed Laplace noise with one ``NoiseSource.laplace_array``
+call. The quadtree
 and kd-tree release their counts through the tree core htf uses
 (``tree``): per-height count budgets, a ``tree.NodeTable`` of every node
 in preorder, and ``tree.perturb``, which draws every node count in one
@@ -61,23 +63,26 @@ def _grid_cells(rects, mr, mc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """Cut each half-open rect of the ``(K, 4)`` array ``rects`` into its ``mr x mc`` cells, row-major.
 
     ``mr`` and ``mc`` are one count or one per rect. Returns the cells of
-    every rect in turn as one ``(sum(mr * mc), 4)`` array, with each cell's
-    rect index, row index and column index. Cell edges along an extent of
-    ``e`` cells from ``lo`` fall at ``lo + e * i // parts``.
+    every rect in turn as one column-major ``(sum(mr * mc), 4)`` array, with
+    each cell's rect index, row index and column index. Cell edges along an
+    extent of ``e`` cells from ``lo`` fall at ``lo + e * i // parts``, found
+    once per row and column of each rect.
     """
     rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
-    parts = [np.broadcast_to(np.asarray(m, dtype=np.int64), len(rects)) for m in (mr, mc)]
-    sizes = parts[0] * parts[1]
-    owner = np.repeat(np.arange(len(rects)), sizes)
-    row, col = np.divmod(np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes), parts[1][owner])
-    cells = np.empty((len(owner), 4), dtype=np.int64)
-    for axis, index in enumerate((row, col)):
-        lo = rects[owner, 2 * axis]
-        extent = rects[owner, 2 * axis + 1] - lo
-        n = parts[axis][owner]
-        cells[:, 2 * axis] = lo + extent * index // n
-        cells[:, 2 * axis + 1] = lo + extent * (index + 1) // n
-    return cells, owner, row, col
+    mr, mc = (np.broadcast_to(np.asarray(m, dtype=np.int64), len(rects)) for m in (mr, mc))
+
+    def strips(lo, hi, parts):  # the index and edges of each row (or column) of every rect, rect by rect
+        index = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+        lo, extent, n = np.repeat(lo, parts), np.repeat(hi - lo, parts), np.repeat(parts, parts)
+        return index, lo + extent * index // n, lo + extent * (index + 1) // n
+
+    row_index, row_lo, row_hi = strips(rects[:, 0], rects[:, 1], mr)
+    col_index, col_lo, col_hi = strips(rects[:, 2], rects[:, 3], mc)
+    run = np.repeat(mc, mr)  # each row of a rect holds mc of its cells
+    # the column strip of each cell: its rect's first column strip, plus its place in its row
+    strip = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run - np.repeat(np.cumsum(mc) - mc, mr), run)
+    cells = np.stack([np.repeat(row_lo, run), np.repeat(row_hi, run), col_lo[strip], col_hi[strip]])
+    return cells.T, np.repeat(np.arange(len(rects)), mr * mc), np.repeat(row_index, run), col_index[strip]
 
 
 def build_uniform_grid(
@@ -279,7 +284,7 @@ def build_singular(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSource
     bounds, _, i, j = _grid_cells((0, rows, 0, cols), rows, cols)
     ledger.charge_parallel("cell", eps_total, count=rows * cols)
     draws = noise.substream("singular").laplace_array(1.0 / eps_total, site_counters(CELL, i, j))
-    ncounts = matrix.region_sums(bounds) + draws
+    ncounts = matrix.counts.reshape(-1) + draws  # the cells are the matrix's, row-major
     return PrivateHistogram.audited(matrix.shape, bounds, ncounts, eps_total, ledger)
 
 

@@ -37,17 +37,20 @@ __all__ = [
 ]
 
 
-def require_inside(rects: np.ndarray, rows: int, cols: int, what: str, error=ValueError) -> None:
+def require_inside(rects, rows: int, cols: int, what: str, error=ValueError) -> np.ndarray:
     """Raise ``error`` at the first ``(K, 4)`` half-open rectangle that is empty or leaves a rows x cols grid.
 
     The message starts with ``what``, in which ``{}`` stands for the
-    rectangle's index, then gives its bounds.
+    rectangle's index, then gives its bounds. Returns the ``(4, K)`` int64
+    transpose of ``rects``, one row per bound, contiguous when ``rects`` is column-major.
     """
-    r0, r1, c0, c1 = rects.T
+    columns = np.asarray(rects, dtype=np.int64).reshape(-1, 4).T  # not copied: that raises a loaded .hist's peak
+    r0, r1, c0, c1 = columns
     ok = (0 <= r0) & (r0 < r1) & (r1 <= rows) & (0 <= c0) & (c0 < c1) & (c1 <= cols)
     if not ok.all():
         bad = int(ok.argmin())
-        raise error(f"{what.format(bad)} {tuple(rects[bad].tolist())} is empty or outside the {rows}x{cols} grid")
+        raise error(f"{what.format(bad)} {tuple(columns[:, bad].tolist())} is empty or outside the {rows}x{cols} grid")
+    return columns
 
 
 class FrequencyMatrix:
@@ -107,9 +110,7 @@ class FrequencyMatrix:
 
     def region_sums(self, rects) -> np.ndarray:
         """Totals inside the ``(K, 4)`` half-open rectangles ``rects``, four prefix lookups each."""
-        rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
-        require_inside(rects, self.rows, self.cols, "region {}")
-        r0, r1, c0, c1 = rects.T
+        r0, r1, c0, c1 = require_inside(rects, self.rows, self.cols, "region {}")
         p = self._prefix
         return p[r1, c1] - p[r0, c1] - p[r1, c0] + p[r0, c0]
 

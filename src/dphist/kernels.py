@@ -83,17 +83,15 @@ def leaf_owner(bounds, shape) -> np.ndarray:
     is non-empty, their cells add up to N·M, and every cell is painted.
     """
     rows, cols = shape
-    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 4)
-    require_inside(bounds, rows, cols, "leaf", CoverageError)
-    cells = int(((bounds[:, 1] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 2])).sum())
+    r0, r1, c0, c1 = require_inside(bounds, rows, cols, "leaf", CoverageError)
+    cells = int(((r1 - r0) * (c1 - c0)).sum())
     if cells != rows * cols:
         raise CoverageError(f"leaves hold {cells} cells of the {rows}x{cols} grid")
     # index sums wrap in int32 only where leaves overlap, and an uncovered cell still reads 0
-    dtype = np.int32 if len(bounds) < 2**31 else np.int64
-    ids = np.arange(1, len(bounds) + 1, dtype=dtype)
+    dtype = np.int32 if len(r0) < 2**31 else np.int64
+    ids = np.arange(1, len(r0) + 1, dtype=dtype)
     owner = np.zeros((rows + 1, cols + 1), dtype=dtype)
     flat = owner.reshape(-1)  # a view: flat indices make add.at several times faster
-    r0, r1, c0, c1 = bounds.T
     r0, r1 = r0 * (cols + 1), r1 * (cols + 1)
     np.add.at(flat, r0 + c0, ids)
     np.subtract.at(flat, r0 + c1, ids)

@@ -17,10 +17,12 @@ Philox4x64-10 for that counter, under the two-word key that each
 ``NoiseSource`` derives once from ``SeedSequence(seed, spawn_key)``, by the
 one cipher ``philox_array`` on a ``(K, 4)`` array of counters. The word's
 top 53 bits become a uniform in (0, 1) (``uniform_array``), and the
-inverse Laplace CDF turns that into the draw (``laplace_array``). Distinct
-sites therefore never share a draw, the same seed repeats every draw bit
-for bit, and a whole grid, tree or tree level is drawn in one numpy call;
-``NoiseSource.laplace`` is its one-row form, for the two single draws.
+inverse Laplace CDF, one log per draw, turns that into the draw
+(``laplace_array``). Distinct sites therefore never share a draw, the same
+seed repeats every draw bit for bit, and a whole grid, tree or tree level
+is one ``philox_array`` call per draw kind; ``NoiseSource.laplace`` is its
+one-row form, for the two single draws. The cipher runs ``_BLOCK``
+counters at a time, every round in place in one preallocated buffer.
 Inverse-CDF sampling on a float uniform is the setting Mironov analyses in
 "On significance of the least significant bits for differential privacy"
 (CCS 2012); this module does not snap its outputs.
@@ -100,48 +102,87 @@ def path_code(path) -> int:
 def site_counters(label: int, w1, w2=0, w3=0) -> np.ndarray:
     """The ``(K, 4)`` uint64 counters ``(label, w1, w2, w3)`` of K sites, the words broadcast against each other.
 
-    Raises ValueError for a word that is not an integer in ``[0, 2**64)``: a cast would move a float or an
-    out-of-range word onto another site's counter.
+    The array is the ``(K, 4)`` view of a ``(4, K)`` one, so each word is a contiguous column. Raises ValueError
+    for a word that is not an integer in ``[0, 2**64)``: a cast would move a float or an out-of-range word onto
+    another site's counter.
     """
     words = [np.asarray(w) for w in (label, w1, w2, w3)]
     for w in words:
         if w.dtype.kind not in "iu" or (w < 0).any():  # Python ints of 2**64 and above are object arrays
             raise ValueError(f"site words must be integers in [0, 2**64), got {w!r}")
     words = np.broadcast_arrays(*(w.astype(np.uint64) for w in words))
-    return np.stack(words, axis=-1).reshape(-1, 4)
+    return np.stack(words).reshape(4, -1).T
 
 
-# Philox4x64-10 (Random123): round multipliers and key increments
+def _counter_rows(counters) -> np.ndarray:
+    """``counters`` as a ``(K, 4)`` uint64 array, in its own layout if it is one; ValueError unless each row is a site."""
+    counters = np.asarray(counters)
+    if counters.ndim != 2 or counters.shape[1] != 4:
+        raise ValueError(f"a counter is four words: counters must be a (K, 4) array, got shape {counters.shape}")
+    return counters if counters.dtype == np.uint64 else site_counters(*counters.T)
+
+
+# Philox4x64-10 (Random123): the round multipliers of (c0, c2), and key increments
 _MASK = 0xFFFFFFFFFFFFFFFF
-_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_BLOCK = 1 << 15  # counters per philox_array call in NoiseSource.laplace_array
+_BLOCK = 1 << 13  # counters per block of philox_array; its (12, _BLOCK) uint64 buffer, 768 KB, stays in L2
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``a * m``, the high word built from 32-bit halves."""
-    a_lo, a_hi = a & _LO32, a >> _U32
+def _mulhi(a: np.ndarray, m: np.ndarray, out: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
+    """The high words of the 128-bit products ``a * m`` into ``out``, from 32-bit halves; ``t0``-``t2`` are scratch."""
     m_lo, m_hi = m & _LO32, m >> _U32
-    lo_lo = a_lo * m_lo
-    hi_lo = a_hi * m_lo
-    cross = (lo_lo >> _U32) + (hi_lo & _LO32) + a_lo * m_hi  # below 2**64
-    return a_hi * m_hi + (hi_lo >> _U32) + (cross >> _U32), a * m
+    np.bitwise_and(a, _LO32, out=t0)  # a_lo
+    np.right_shift(a, _U32, out=t1)  # a_hi
+    np.multiply(t0, m_lo, out=t2)
+    np.multiply(t1, m_lo, out=out)
+    t0 *= m_hi
+    t2 >>= _U32
+    t2 += t0
+    np.bitwise_and(out, _LO32, out=t0)
+    t2 += t0  # the middle column of the product, below 2**64
+    t2 >>= _U32
+    out >>= _U32
+    out += t2
+    t1 *= m_hi
+    out += t1
 
 
 def philox_array(counters, key) -> np.ndarray:
-    """The first output word of Philox4x64-10 under the two-word ``key`` for each row of a ``(K, 4)`` uint64 array."""
-    counters = np.asarray(counters, dtype=np.uint64)
-    if counters.ndim != 2 or counters.shape[1] != 4:
-        raise ValueError(f"a counter is four words: counters must be a (K, 4) array, got shape {counters.shape}")
-    c0, c1, c2, c3 = counters.T
-    for r in range(10):
-        hi0, lo0 = _mulhilo(c0, _M0)
-        hi1, lo1 = _mulhilo(c2, _M1)
-        k0, k1 = np.uint64((int(key[0]) + r * _W0) & _MASK), np.uint64((int(key[1]) + r * _W1) & _MASK)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0
+    """The first output word of Philox4x64-10 under the two-word ``key`` for each row of a ``(K, 4)`` counter array.
+
+    Reads ``_BLOCK`` rows at a time, in any layout, into one buffer that every round writes with ``out=``, each
+    operation on the pair (c0, c2) at once; the last two rounds compute only what the first word needs.
+    """
+    counters = _counter_rows(counters)
+    # round r's key words, (k1, k0): they meet the high words of (c0 * M0, c2 * M1)
+    keys = [np.array([[(int(key[1]) + r * _W1) & _MASK], [(int(key[0]) + r * _W0) & _MASK]], np.uint64) for r in range(10)]
+    out = np.empty((1, len(counters)), dtype=np.uint64)
+    buf = np.empty((12, min(len(counters), _BLOCK)), dtype=np.uint64)
+    for lo in range(0, len(counters), _BLOCK):
+        block = counters[lo:lo + _BLOCK]
+        pair, cross, high, *scratch = (buf[i:i + 2, :len(block)] for i in range(0, 12, 2))
+        buf[:4, :len(block)] = block.T[[0, 2, 3, 1]]  # pair (c0, c2), cross (c3, c1)
+        for k in keys[:8]:
+            # (c0, c2) <- (hi(c2 * M1) ^ c1 ^ k0, hi(c0 * M0) ^ c3 ^ k1) and (c3, c1) <- lo((c0, c2) * (M0, M1))
+            _mulhi(pair, _M, high, *scratch)
+            high ^= cross
+            high ^= k
+            np.multiply(pair, _M, out=cross)
+            pair, high = high[::-1], pair
+        one = [t[:1] for t in scratch]
+        c2 = high[:1]  # round 9 needs only c2 = hi(c0 * M0) ^ c3 ^ k1 and c1 = lo(c2 * M1)
+        _mulhi(pair[:1], _M[:1], c2, *one)
+        c2 ^= cross[:1]
+        c2 ^= keys[8][:1]
+        np.multiply(pair[1:], _M[1:], out=cross[1:])
+        c0 = pair[:1]  # round 10: c0 = hi(c2 * M1) ^ c1 ^ k0
+        _mulhi(c2, _M[1:], c0, *one)
+        c0 ^= cross[1:]
+        np.bitwise_xor(c0, keys[9][1:], out=out[:, lo:lo + len(block)])
+    return out[0]
 
 
 def _key_words(parts) -> tuple[int, ...]:
@@ -205,24 +246,33 @@ class NoiseSource:
         return ((philox_array(counters, self.key) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def laplace(self, scale: float, *site: int) -> float:
-        """``laplace_array`` at the one four-word ``site``."""
-        return float(self.laplace_array(scale, np.array([site], dtype=np.uint64))[0])
+        """``laplace_array`` at the one four-word ``site``, its words checked as ``site_counters`` checks them."""
+        if len(site) != 4:
+            raise ValueError(f"a site is four words, got {site!r}")
+        return float(self.laplace_array(scale, site_counters(*site))[0])
 
     def laplace_array(self, scale, counters) -> np.ndarray:
-        """Laplace(0, ``scale``) at each row of a ``(K, 4)`` counter array, 0 in zero-noise mode; ``scale`` broadcasts."""
+        """Laplace(0, ``scale``) at each row of a ``(K, 4)`` counter array; ``scale`` broadcasts.
+
+        In zero-noise mode every draw is 0, once the counters and ``scale`` pass the same checks.
+        """
+        counters = _counter_rows(counters)
         scale = np.asarray(scale, dtype=np.float64)
         ok = (scale > 0.0) & (scale < math.inf)
         if not ok.all():
             require_positive("scale", float(scale.flat[ok.argmin()]))
         if self.zero_noise:
             return np.zeros(len(counters))
-        scale = np.broadcast_to(scale, len(counters))
-        out = np.empty(len(counters))
-        for lo in range(0, len(counters), _BLOCK):  # blocks bound the cipher's temporaries
-            u = self.uniform_array(counters[lo:lo + _BLOCK])
-            unit = np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 - 2.0 * u))
-            out[lo:lo + _BLOCK] = scale[lo:lo + _BLOCK] * unit
-        return out
+        # one log per draw, in place: log(2u) below 1/2, and its negation -log(2 - 2u) from 1/2 up
+        u = self.uniform_array(counters)
+        u *= 2.0
+        sign = 2.0 - u
+        np.minimum(u, sign, out=u)  # the log's argument, which equals 2 - 2u exactly from 1/2 up
+        np.subtract(u, sign, out=sign)  # so this is +0 from 1/2 up and negative below
+        np.negative(np.copysign(scale, sign, out=sign), out=sign)
+        np.log(u, out=u)
+        u *= sign
+        return u
 
 
 def laplace_sample(sensitivity: float, eps: float, src: NoiseSource, *site: int) -> float:

@@ -11,7 +11,8 @@ consistency smoothing, the ledger's path audit and the Gaussian sampler's
 resampling loop follow them. The package replaced each with array passes
 that must give the same bits; these are the references they are checked
 against. A node's noise variance is kept as a ``noise_var`` attribute of
-its ``Node``.
+its ``Node``. The grid baselines' cell layout (``grid_cells``) is the
+same kind of reference.
 
 The two-mode htf walk is the reference of htf's one walk: it prunes a
 prebuilt tree, or splits the nodes it keeps through a splitter object,
@@ -91,12 +92,16 @@ def uniform(noise: NoiseSource, *site: int) -> float:
     return ((philox(site, noise.key) >> 11) + 0.5) * 2.0**-53
 
 
+def laplace_quantile(scale: float, u: float) -> float:
+    """The inverse Laplace(0, ``scale``) CDF at the uniform ``u``, through ``np.log``."""
+    return scale * (float(np.log(2.0 * u)) if u < 0.5 else -float(np.log(2.0 - 2.0 * u)))
+
+
 def laplace(noise: NoiseSource, scale: float, *site: int) -> float:
-    """Laplace(0, ``scale``) at ``site`` by the inverse CDF through ``np.log``; 0 in zero-noise mode."""
+    """Laplace(0, ``scale``) at ``site`` by the inverse CDF; 0 in zero-noise mode."""
     if noise.zero_noise:
         return 0.0
-    u = uniform(noise, *site)
-    return scale * (float(np.log(2.0 * u)) if u < 0.5 else -float(np.log(2.0 - 2.0 * u)))
+    return laplace_quantile(scale, uniform(noise, *site))
 
 
 def laplace_draw(sensitivity: float, eps: float, noise: NoiseSource, *site: int) -> float:
@@ -466,6 +471,28 @@ def chain_totals_by_prefix_slices(ledger: BudgetLedger) -> dict[tuple[int, ...],
             total += per_path.get(path[:i], 0.0)
         out[path] = total
     return out
+
+
+def grid_cells(rects, mr, mc) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``baselines._grid_cells`` placing every cell by integer division of its index, then a gather per edge.
+
+    Cuts each half-open rect of the ``(K, 4)`` array ``rects`` into its
+    ``mr x mc`` cells, row-major, ``mr`` and ``mc`` one count or one per
+    rect; returns the C-order cells with each cell's rect, row and column.
+    """
+    rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+    parts = [np.broadcast_to(np.asarray(m, dtype=np.int64), len(rects)) for m in (mr, mc)]
+    sizes = parts[0] * parts[1]
+    owner = np.repeat(np.arange(len(rects)), sizes)
+    row, col = np.divmod(np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes), parts[1][owner])
+    cells = np.empty((len(owner), 4), dtype=np.int64)
+    for axis, index in enumerate((row, col)):
+        lo = rects[owner, 2 * axis]
+        extent = rects[owner, 2 * axis + 1] - lo
+        n = parts[axis][owner]
+        cells[:, 2 * axis] = lo + extent * index // n
+        cells[:, 2 * axis + 1] = lo + extent * (index + 1) // n
+    return cells, owner, row, col
 
 
 def sample_gaussian_points_all_rows(n: int, sigma: float, rows: int, cols: int, rng) -> np.ndarray:

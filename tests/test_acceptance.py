@@ -2,6 +2,7 @@
 PASS line with its measured numbers (run with ``pytest -s`` to see them
 on passing runs)."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -14,7 +15,7 @@ from dphist.baselines import (
     build_uniform_grid,
 )
 from dphist.cli import main as cli_main
-from dphist.grid import FrequencyMatrix, generate_gaussian
+from dphist.grid import FrequencyMatrix, generate_gaussian, save_matrix
 from dphist.htf import (
     HtfParams,
     build_partitioning,
@@ -343,3 +344,54 @@ def test_criterion_9_determinism(tmp_path):
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
     print("\nACCEPTANCE 9 PASS: repeated release and sweep byte-identical")
+
+
+# sha256 of each method's .hist and ledger for test_release_bytes_are_pinned, recorded with numpy 2.4.6 on
+# x86-64 for the keyed Philox noise stream. A change that moves the noise stream must record new ones and say so;
+# a numpy whose np.log differs in the last bit also fails here, since every count is written bit for bit.
+RELEASE_DIGESTS = {
+    "htf": (
+        "ebe729a8a83cc4ce50761ab70ddbbb4309ba77705cc4d39a345df410a4b39bc3",
+        "6907f4d2c54e3edf5c24ff3ab036d3fd4db5447fb247099f8fa1c4c6f74b3d41",
+    ),
+    "ug": (
+        "f0cb2368841d7431686f1a50e70ce5836ae17d2f8331f1ecb383ea8a4ccc19af",
+        "d1582ed1ae66684ad304cdb4b77b6a91db98f387ee5c8bd8e7cb80dbec62ef11",
+    ),
+    "ag": (
+        "0e621e4053c3a068064c5f99b352360f0c18e5b9faabfe9002629c10ceeee278",
+        "8039f70b90fd68d2dcc66fdd11e67e41e462af22395c34532fcf1021d27bfbc1",
+    ),
+    "quadtree": (
+        "f805d81ad964ab2c7415c1ad89c660f0fb28fdff15ed769242e0e1d20d6cea5f",
+        "a7126ea865b3f16c85c2a297fcc34f73c8b3d541310b6672245ff311f9aea9dd",
+    ),
+    "kdtree": (
+        "bb14400d457a96531a4a72d6f37e6f962e4fc6de002ba0dfa5a1b8630037dd55",
+        "1864956e566be71f96474918ad0a67750ffaa96221fc175c768fc3ebcbff5aeb",
+    ),
+    "singular": (
+        "56fb9bc946e46906045f3713035da662b27aca231abaf377ba6346e58cbd89e9",
+        "a56d818ce8fd89ffbe8e7dc569c1dab1847c8dcf6b2540e7a848664579d9114d",
+    ),
+    "uniform": (
+        "34a3c592d9a67d3ac2e25b6315f633f23c213e9dd79b24473d4d62b5926900f9",
+        "7988284261a4e6be7364f0a32ee6d430e6ad78468f8c0c624acf7bbe8861ba9b",
+    ),
+}
+
+
+def test_release_bytes_are_pinned(tmp_path):
+    # criterion 9 compares two runs of one commit; these digests compare every commit with the last recorded one
+    mat = tmp_path / "matrix.txt"
+    save_matrix(generate_gaussian(20_000, 8.0, 64, 64, seed=1), mat)
+    digests = {}
+    for method in ("htf", "ug", "ag", "quadtree", "kdtree", "singular", "uniform"):
+        hist, ledger = tmp_path / f"{method}.hist", tmp_path / f"{method}.ledger.csv"
+        code = cli_main([
+            "release", "--matrix", str(mat), "--method", method, "--eps-total", "0.5",
+            "--seed", "1", "--out", str(hist), "--ledger-out", str(ledger),
+        ])
+        assert code == 0
+        digests[method] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (hist, ledger))
+    assert digests == RELEASE_DIGESTS

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphist.baselines import (
+    _grid_cells,
     build_adaptive_grid,
     build_flat_uniform,
     build_kdtree,
@@ -21,7 +22,7 @@ from dphist.privacy import EM, NoiseSource, site_counters
 from dphist.tree import Node
 from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
 
-from oracles import smooth_nodes
+from oracles import grid_cells, smooth_nodes
 
 
 def zero_noise():
@@ -237,6 +238,35 @@ def grid_releases(draw):
     if method == "ag":
         options = {"alpha": draw(st.floats(0.05, 0.95)), "c0": draw(st.floats(0.5, 20.0))}
     return FrequencyMatrix(counts), method, draw(st.floats(0.01, 2.0)), options
+
+
+SIDES_20 = st.one_of(st.just(1), st.integers(1, 20))
+
+
+@st.composite
+def rect_cuts(draw):
+    """Rects on a 70 x 70 grid with per-rect row and column counts up to each extent, or one count for all."""
+    rects, mr, mc = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        r0, c0, height, width = draw(st.integers(0, 50)), draw(st.integers(0, 50)), draw(SIDES_20), draw(SIDES_20)
+        rects.append((r0, r0 + height, c0, c0 + width))
+        mr.append(draw(st.one_of(st.just(height), st.integers(1, height))))
+        mc.append(draw(st.one_of(st.just(width), st.integers(1, width))))
+    if draw(st.booleans()):  # one count for every rect, as ug and singular pass
+        return np.array(rects), draw(st.integers(1, min(mr))), draw(st.integers(1, min(mc)))
+    return np.array(rects), np.array(mr), np.array(mc)
+
+
+class TestGridCells:
+    @settings(max_examples=200, deadline=None)
+    @given(rect_cuts())
+    def test_matches_the_division_reference(self, case):
+        rects, mr, mc = case
+        got, want = _grid_cells(rects, mr, mc), grid_cells(rects, mr, mc)
+        for name, g, w in zip(("cells", "owner", "row", "col"), got, want):
+            assert g.dtype == w.dtype, name
+            assert g.tolist() == w.tolist(), name
+        assert got[0].T.flags.c_contiguous  # one contiguous column per bound
 
 
 class TestGridReleaseProperties:

@@ -71,7 +71,7 @@ class TestLaplaceSample:
 
     def test_zero_noise_mode(self):
         src = NoiseSource(0, zero_noise=True)
-        assert laplace_sample(2.0, 0.001, src) == 0.0
+        assert laplace_sample(2.0, 0.001, src, COUNT, 1, 0, 0) == 0.0
 
     def test_huge_eps_limit(self):
         src = NoiseSource(1)
@@ -103,6 +103,21 @@ class TestLaplaceSample:
     def test_site_must_be_four_words(self):
         with pytest.raises(ValueError, match="four words"):
             laplace_sample(1.0, 1.0, NoiseSource(0), COUNT, 1)
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("word", [1.5, -1, 2**64])
+    def test_site_words_checked(self, zero_noise, word):
+        # a cast truncates 1.5 onto the site (2, 1, 0, 0), and overflows or wraps the others
+        with pytest.raises(ValueError, match=r"site words must be integers in \[0, 2\*\*64\)"):
+            NoiseSource(0, zero_noise=zero_noise).laplace(1.0, COUNT, word, 0, 0)
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_counters_checked_in_both_modes(self, zero_noise):
+        src = NoiseSource(0, zero_noise=zero_noise)
+        with pytest.raises(ValueError, match="four words"):
+            src.laplace_array(1.0, np.zeros((3, 3), dtype=np.uint64))
+        with pytest.raises(ValueError, match="four words"):
+            src.laplace(1.0, 1, 2)
 
 
 class TestGeometricLevelBudget:
@@ -191,6 +206,27 @@ class TestPhilox:
         assert got.dtype == np.uint64
         assert got.tolist() == [_philox_reference(c, key) for c in counters]
 
+    @pytest.mark.parametrize("layout", ["C", "column-major", "strided", "int64"])
+    def test_kernel_blocks_and_layouts_match_the_reference(self, layout):
+        # K around the kernel's block, every counter layout a caller may pass, against the reference cipher
+        rng = np.random.default_rng(14)
+        block = privacy._BLOCK
+        src = NoiseSource(7).substream("blocks")
+        for k in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+            words = rng.integers(0, 2**63, size=(k, 4), dtype=np.int64)
+            counters = {
+                "C": words.astype(np.uint64),
+                "column-major": np.ascontiguousarray(words.T.astype(np.uint64)).T,
+                "strided": np.repeat(words.astype(np.uint64), 3, axis=0)[::3],
+                "int64": words,
+            }[layout]
+            got = philox_array(counters, src.key)
+            assert got.dtype == np.uint64 and got.shape == (k,)
+            rows = words.tolist()
+            assert got.tolist() == [oracles.philox(c, src.key) for c in rows]
+            if layout == "column-major":
+                assert src.uniform_array(counters).tolist() == [oracles.uniform(src, *c) for c in rows]
+
     def test_rejects_bad_counters(self):
         with pytest.raises(ValueError):
             oracles.philox((1, 2, 3), (0, 0))
@@ -230,6 +266,16 @@ class TestPhilox:
         assert 0.0 < src.uniform_array(site_counters(COUNT, 1))[0] < 1.0
         monkeypatch.setattr(privacy, "philox_array", lambda counters, key: np.array([0, 2**64 - 1], dtype=np.uint64))
         assert src.uniform_array(site_counters(COUNT, [1, 2])).tolist() == [2.0**-54, 1.0 - 2.0**-54]
+
+    def test_quantile_at_the_half(self, monkeypatch):
+        # the top 53 bits 2**52 - 1 and 2**52 give the uniforms just below 1/2 and exactly 1/2 (0.5 + 2**52 rounds
+        # to even), where the branch of the quantile, and the sign of a zero draw, are decided
+        tops = [0, 1, 2**51, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2]
+        words = np.array([top << 11 | 0x5A5 for top in tops], dtype=np.uint64)
+        monkeypatch.setattr(privacy, "philox_array", lambda counters, key: words.copy())
+        got = NoiseSource(0).laplace_array(1.5, site_counters(COUNT, np.arange(len(tops))))
+        want = [oracles.laplace_quantile(1.5, (top + 0.5) * 2.0**-53) for top in tops]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
     def test_array_scale_per_site(self):
         src = NoiseSource(3)
