@@ -67,7 +67,8 @@ class FrequencyMatrix:
         self._counts = arr
         # padded prefix table: _prefix[i, j] = sum of counts[:i, :j]
         prefix = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(arr, axis=0), axis=1, out=prefix[1:, 1:])
+        np.cumsum(arr, axis=1, out=prefix[1:, 1:])
+        np.cumsum(prefix, axis=0, out=prefix)  # in place: an int64 accumulate down rows into a new array is slower
         prefix.setflags(write=False)
         self._prefix = prefix
 

@@ -28,6 +28,7 @@ class PrivateHistogram:
     ncounts: np.ndarray
     eps_total: float
     ledger: BudgetLedger | None = field(default=None, repr=False)
+    _owner = None  # the paint ``audited`` keeps for the first answer; a class default, not a field
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=np.int64).reshape(-1, 4)
@@ -37,18 +38,26 @@ class PrivateHistogram:
 
     @classmethod
     def audited(cls, shape, bounds, ncounts, eps_total, ledger) -> "PrivateHistogram":
-        """A new release, once its leaves tile the grid and no ledger path spends more than ``eps_total``."""
+        """A new release, once its leaves tile the grid and no ledger path spends more than ``eps_total``.
+
+        It keeps its audit's leaf paint for ``take_owner``; copies and loaded releases start without one.
+        """
         hist = cls(shape, bounds, ncounts, eps_total, ledger)
-        hist.validate_cover()
+        hist._owner = hist.validate_cover()
         ledger.assert_valid(eps_total)
         return hist
 
     def __len__(self) -> int:
         return self.bounds.shape[0]
 
-    def validate_cover(self) -> None:
-        """Check the leaves are pairwise disjoint and tile the full grid."""
-        leaf_owner(self.bounds, self.shape)
+    def validate_cover(self) -> np.ndarray:
+        """The ``(N + 1, M + 1)`` leaf paint of ``kernels.leaf_owner``; CoverageError unless the leaves tile the grid."""
+        return leaf_owner(self.bounds, self.shape)
+
+    def take_owner(self) -> np.ndarray | None:
+        """The leaf paint ``audited`` kept, once: the paint is dropped, so later calls return None."""
+        owner, self._owner = self._owner, None
+        return owner
 
     def clamp_nonnegative(self) -> "PrivateHistogram":
         """Post-processed copy with negative counts raised to zero."""

@@ -9,7 +9,9 @@ an N x M grid. ``leaf_owner`` paints each cell with the index of the
 leaf that holds it (an integer corner-difference array and two
 cumulative sums, which also proves that the leaves tile the grid); each
 cell then takes its leaf's density ``ncount / cells``, and each query is
-four lookups in a 2D prefix sum of those densities.
+four lookups in a 2D prefix sum of those densities. A release's cover
+audit paints it once, and its first answer takes that paint as ``owner``
+(``PrivateHistogram.audited``); any other answer paints again.
 
 A plain float64 prefix sum loses small answers: its entries carry the
 mass of the whole release, so the four-corner difference of a query over
@@ -104,20 +106,26 @@ def leaf_owner(bounds, shape) -> np.ndarray:
     return owner
 
 
-def answer_workload(bounds, ncounts, queries, shape):
+def answer_workload(bounds, ncounts, queries, shape, owner=None):
     """Uniform-density expansion of released leaves over query rectangles.
 
     ``bounds`` is an ``(L, 4)`` array of half-open leaf rectangles
-    ``row_lo, row_hi, col_lo, col_hi`` that must tile the ``shape`` grid
-    (CoverageError otherwise); each query, which must lie inside the
-    grid, picks up ``ncount * overlap_cells / leaf_cells`` from every
-    leaf it touches. Raises ValueError on a non-finite count.
+    ``row_lo, row_hi, col_lo, col_hi`` that must tile the ``shape`` grid;
+    each query, which must lie inside the grid, picks up
+    ``ncount * overlap_cells / leaf_cells`` from every leaf it touches.
+    ``owner`` is the array ``leaf_owner(bounds, shape)`` returned, which
+    already proves the tiling; without it the kernel paints the leaves
+    itself and raises CoverageError unless they tile. Raises ValueError on
+    a non-finite count or an ``owner`` that is not ``(N + 1, M + 1)``.
     """
     ncounts = np.asarray(ncounts, dtype=np.float64).reshape(-1)
     mass = float(np.abs(ncounts).sum())
     if not math.isfinite(mass):
         raise ValueError("leaf counts must be finite")
-    owner = leaf_owner(bounds, shape)
+    if owner is None:
+        owner = leaf_owner(bounds, shape)
+    elif owner.shape != (shape[0] + 1, shape[1] + 1):
+        raise ValueError(f"leaf paint of shape {owner.shape} for a {shape[0]}x{shape[1]} grid")
     bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 4)
     density = ncounts / ((bounds[:, 1] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 2]))
     k = 50 - math.ceil(math.log2(mass + 1.0))

@@ -243,7 +243,8 @@ class NoiseSource:
 
     def uniform_array(self, counters) -> np.ndarray:
         """The uniform in (0, 1) at each row of a ``(K, 4)`` counter array, its word's top 53 bits mid-bin; never zeroed."""
-        return ((philox_array(counters, self.key) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        u = ((philox_array(counters, self.key) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return np.minimum(u, np.nextafter(1.0, 0.0), out=u)  # the top bin's midpoint rounds to 1.0: take 1 - 2**-53
 
     def laplace(self, scale: float, *site: int) -> float:
         """``laplace_array`` at the one four-word ``site``, its words checked as ``site_counters`` checks them."""

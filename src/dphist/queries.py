@@ -95,7 +95,7 @@ class EvalReport:
 def answer_workload(hist: PrivateHistogram, workload: Workload) -> np.ndarray:
     """Answers to every query; ValueError names the first empty or out-of-grid query."""
     require_inside(workload.queries, *hist.shape, "query {}")
-    return kernels.answer_workload(hist.bounds, hist.ncounts, workload.queries, hist.shape)
+    return kernels.answer_workload(hist.bounds, hist.ncounts, workload.queries, hist.shape, owner=hist.take_owner())
 
 
 def relative_error(count, answer, smoothing: float = DEFAULT_SMOOTHING):

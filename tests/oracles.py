@@ -88,8 +88,11 @@ def philox(counter, key) -> int:
 
 
 def uniform(noise: NoiseSource, *site: int) -> float:
-    """The uniform in (0, 1) of the draw at ``site``: the top 53 bits of its word, at the midpoint of their bin."""
-    return ((philox(site, noise.key) >> 11) + 0.5) * 2.0**-53
+    """The uniform in (0, 1) of the draw at ``site``: the top 53 bits of its word, at the midpoint of their bin.
+
+    The top bin's midpoint rounds to 1.0 and is clamped to the float below it, ``1 - 2**-53``.
+    """
+    return min(((philox(site, noise.key) >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def laplace_quantile(scale: float, u: float) -> float:
@@ -229,6 +232,14 @@ def naive_region_sum(counts, row_lo, row_hi, col_lo, col_hi) -> int:
         for j in range(col_lo, col_hi):
             total += int(counts[i][j])
     return total
+
+
+def prefix_table(counts) -> np.ndarray:
+    """``FrequencyMatrix``'s padded prefix table, ``[i, j]`` the sum of ``counts[:i, :j]``, as two out-of-place cumsums."""
+    counts = np.asarray(counts, dtype=np.int64)
+    prefix = np.zeros((counts.shape[0] + 1, counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(counts, axis=0), axis=1, out=prefix[1:, 1:])
+    return prefix
 
 
 def _objective_scan_rows(counts, r0, r1, c0, c1):

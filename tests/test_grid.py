@@ -19,7 +19,7 @@ from dphist.grid import (
     write_rows,
 )
 
-from oracles import naive_region_sum, sample_gaussian_points_all_rows
+from oracles import naive_region_sum, prefix_table, sample_gaussian_points_all_rows
 
 # Worked-example grid: 3x3 cells grouped into four partitions holding
 # 0, 12, 4 and 2 points.
@@ -141,6 +141,24 @@ class TestFrequencyMatrix:
         matrix = FrequencyMatrix.zeros(2, 2)
         with pytest.raises(ValueError):
             matrix.counts[0, 0] = 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.just((1, 1)),
+            st.tuples(st.just(1), st.integers(1, 60)),
+            st.tuples(st.integers(1, 60), st.just(1)),
+            st.tuples(st.integers(1, 60), st.integers(1, 60)),
+        ),
+        st.integers(0, 2**32),
+        st.integers(0, 2**31),
+    )
+    def test_prefix_table_matches_two_cumsums(self, shape, high, seed):
+        counts = np.random.default_rng(seed).integers(0, high, size=shape, endpoint=True)
+        table = FrequencyMatrix(counts)._prefix
+        want = prefix_table(counts)
+        assert table.dtype == want.dtype == np.int64
+        assert table.tobytes() == want.tobytes()
 
 
 class TestGaussianGenerator:

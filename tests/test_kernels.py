@@ -185,6 +185,19 @@ class TestLeafOwner:
         with pytest.raises(kernels.CoverageError):
             kernels.answer_workload(np.array(bounds), np.ones(len(bounds)), np.array([(0, 1, 0, 1)]), (2, 2))
 
+    def test_given_paint_answers_as_a_fresh_one(self):
+        bounds = np.array([(0, 1, 0, 3), (1, 3, 0, 2), (1, 3, 2, 3)])
+        queries = np.array([(0, 3, 0, 3), (0, 2, 1, 3), (2, 3, 2, 3)])
+        owner = kernels.leaf_owner(bounds, (3, 3))
+        got = kernels.answer_workload(bounds, [3.0, -1.5, 7.25], queries, (3, 3), owner=owner)
+        assert got.tobytes() == kernels.answer_workload(bounds, [3.0, -1.5, 7.25], queries, (3, 3)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (5, 5), (16,)])
+    def test_rejects_a_paint_of_another_shape(self, shape):
+        bounds = np.array([(0, 1, 0, 3), (1, 3, 0, 2), (1, 3, 2, 3)])
+        with pytest.raises(ValueError, match="leaf paint"):
+            kernels.answer_workload(bounds, np.ones(3), np.array([(0, 1, 0, 1)]), (3, 3), owner=np.ones(shape, np.int32))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_counts(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -265,7 +265,17 @@ class TestPhilox:
         src = NoiseSource(0)
         assert 0.0 < src.uniform_array(site_counters(COUNT, 1))[0] < 1.0
         monkeypatch.setattr(privacy, "philox_array", lambda counters, key: np.array([0, 2**64 - 1], dtype=np.uint64))
-        assert src.uniform_array(site_counters(COUNT, [1, 2])).tolist() == [2.0**-54, 1.0 - 2.0**-54]
+        got = src.uniform_array(site_counters(COUNT, [1, 2]))
+        # the top word's bin midpoint 1 - 2**-54 rounds to 1.0, so it is clamped to the float below 1
+        assert got.tolist() == [2.0**-54, 1.0 - 2.0**-53] and got[1] < 1.0
+
+    def test_top_word_draws_a_finite_laplace(self, monkeypatch):
+        words = np.array([2**64 - 1, (2**53 - 2) << 11], dtype=np.uint64)
+        monkeypatch.setattr(privacy, "philox_array", lambda counters, key: words.copy())
+        got = NoiseSource(0).laplace_array(1.5, site_counters(COUNT, [1, 2]))
+        # -log(2 - 2u) at u = 1 - 2**-53 and at 1 - 2**-52, the next bin down: 52 and 51 times log 2
+        assert got.tolist() == [1.5 * -float(np.log(2.0**-52)), 1.5 * -float(np.log(2.0**-51))]
+        assert [oracles.laplace_quantile(1.5, u) for u in (1.0 - 2.0**-53, 1.0 - 2.0**-52)] == got.tolist()
 
     def test_quantile_at_the_half(self, monkeypatch):
         # the top 53 bits 2**52 - 1 and 2**52 give the uniforms just below 1/2 and exactly 1/2 (0.5 + 2**52 rounds

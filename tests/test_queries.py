@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dphist.grid import FrequencyMatrix
-from dphist.histogram import PrivateHistogram
+from dphist import cli, histogram, kernels
+from dphist.grid import FrequencyMatrix, generate_gaussian
+from dphist.histogram import CoverageError, PrivateHistogram
 from dphist.htf import HtfParams, release
 from dphist.privacy import NoiseSource
 from dphist.queries import (
@@ -228,6 +231,84 @@ class TestEvaluate:
         wl = generate_workload(WorkloadSpec(200, "random", "random", seed=6), 9, 13)
         report = evaluate(hist, matrix, wl)
         assert report.true.tolist() == [naive_region_sum(counts, *q) for q in wl.queries.tolist()]
+
+
+METHODS = ("htf", "ug", "ag", "quadtree", "kdtree", "singular", "uniform")
+
+
+def cli_release(method, matrix, seed):
+    """What ``dphist release --method <method> --eps-total 0.5 --seed <seed>`` releases for ``matrix``."""
+    args = cli.build_parser().parse_args(
+        ["release", "--matrix", "-", "--method", method, "--eps-total", "0.5", "--seed", str(seed), "--out", "-"]
+    )
+    return cli.build_release(matrix, args, NoiseSource(seed))
+
+
+@pytest.fixture
+def paints(monkeypatch):
+    """The grid shape of each ``kernels.leaf_owner`` call, under both names the package calls it by."""
+    calls = []
+    original = kernels.leaf_owner
+
+    def counted(bounds, shape):
+        calls.append(shape)
+        return original(bounds, shape)
+
+    monkeypatch.setattr(kernels, "leaf_owner", counted)
+    monkeypatch.setattr(histogram, "leaf_owner", counted)
+    return calls
+
+
+class TestKeptPaint:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_release_and_evaluate_paint_once(self, paints, method):
+        matrix = generate_gaussian(20_000, 8.0, 64, 64, seed=1)
+        workload = generate_workload(WorkloadSpec(100, seed=1), 64, 64)
+        hist = cli_release(method, matrix, 1)
+        evaluate(hist, matrix, workload)
+        assert paints == [(64, 64)]
+        assert hist.take_owner() is None  # the first answer took the paint
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_kept_paint_answers_as_a_fresh_one(self, paints, n, seed):
+        matrix = generate_gaussian(20_000, n / 8, n, n, seed=seed)
+        workload = generate_workload(WorkloadSpec(300, seed=seed), n, n)
+        for method in METHODS:
+            hist = cli_release(method, matrix, seed)
+            fresh = kernels.answer_workload(hist.bounds, hist.ncounts, workload.queries, hist.shape)
+            del paints[:]
+            assert answer_workload(hist, workload).tobytes() == fresh.tobytes(), method
+            assert paints == [], method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_copies_loads_and_second_answers_paint_again(self, paints, tmp_path, method):
+        matrix = generate_gaussian(20_000, 8.0, 64, 64, seed=2)
+        workload = generate_workload(WorkloadSpec(200, seed=2), 64, 64)
+        hist = cli_release(method, matrix, 2)
+        hist.save(tmp_path / "h.hist")
+        # all three are made while the release still holds its paint
+        replaced, clamped, loaded = replace(hist), hist.clamp_nonnegative(), PrivateHistogram.load(tmp_path / "h.hist")
+        first = answer_workload(hist, workload)
+        del paints[:]
+        again = [answer_workload(h, workload).tobytes() for h in (hist, replaced, loaded)]
+        assert again == [first.tobytes()] * 3
+        clamped_answers = answer_workload(clamped, workload)
+        assert paints == [(64, 64)] * 4
+        fresh = kernels.answer_workload(clamped.bounds, clamped.ncounts, workload.queries, clamped.shape)
+        assert clamped_answers.tobytes() == fresh.tobytes()
+
+    def test_validate_cover_returns_the_paint(self):
+        hist = fig_histogram()
+        assert hist.validate_cover().tolist() == kernels.leaf_owner(hist.bounds, (3, 3)).tolist()
+        assert hist.validate_cover().shape == (4, 4)
+        assert hist.take_owner() is None  # only ``audited`` keeps a paint
+
+    @pytest.mark.parametrize("bounds", [[(0, 2, 0, 2), (0, 1, 0, 1)], [(0, 1, 0, 2), (0, 1, 0, 2)]])
+    def test_hand_built_overlap_raises_when_answered(self, bounds):
+        hist = PrivateHistogram(shape=(2, 2), bounds=bounds, ncounts=[1.0, 2.0], eps_total=1.0)
+        with pytest.raises(CoverageError):
+            answer_workload(hist, Workload(queries=[(0, 1, 0, 1)]))
 
 
 class TestWorkloadFiles:
