@@ -389,12 +389,16 @@ def _config_flags(cfg: dict[str, str], parser: argparse.ArgumentParser) -> list[
     return out
 
 
-def _config_path(command: str, argv: list[str]) -> str | None:
-    """The ``--config`` file ``argv`` names, with abbreviations resolved as ``command``'s parser resolves them."""
-    parser = _subparsers(build_parser())[command]
-    for action in parser._actions:
-        action.required = False  # a required flag may come from the config
-    return parser.parse_known_args(argv)[0].config
+def _config_path(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The ``--config`` file ``argv`` names, with abbreviations resolved as the command's ``parser`` resolves them."""
+    required = [action for action in parser._actions if action.required]
+    try:
+        for action in required:
+            action.required = False  # a required flag may come from the config
+        return parser.parse_known_args(argv)[0].config
+    finally:
+        for action in required:
+            action.required = True
 
 
 def main(argv=None) -> int:
@@ -404,7 +408,7 @@ def main(argv=None) -> int:
     try:
         # config values become flags ahead of the command's own, so explicit flags win
         # (sweep reads its config itself)
-        config = _config_path(argv[0], argv[1:]) if argv and argv[0] in commands and argv[0] != "sweep" else None
+        config = _config_path(commands[argv[0]], argv[1:]) if argv and argv[0] in commands and argv[0] != "sweep" else None
         if config:
             argv = [argv[0], *_config_flags(load_config(config), commands[argv[0]]), *argv[1:]]
         args = parser.parse_args(argv)

@@ -140,19 +140,16 @@ def discretize(points, bounds, rows: int, cols: int) -> tuple[FrequencyMatrix, i
         return FrequencyMatrix.zeros(rows, cols), 0
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of x,y pairs")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite")
 
-    x = pts[:, 0]
-    y = pts[:, 1]
+    x, y = pts.T
     inside = (x >= x_min) & (x < x_max) & (y >= y_min) & (y < y_max)
-    xi = x[inside]
-    yi = y[inside]
-    r = np.minimum((xi - x_min) * (rows / (x_max - x_min)), rows - 1).astype(np.int64)
-    c = np.minimum((yi - y_min) * (cols / (y_max - y_min)), cols - 1).astype(np.int64)
-    flat = np.bincount(r * cols + c, minlength=rows * cols)
-    matrix = FrequencyMatrix(flat.reshape(rows, cols))
-    return matrix, int(pts.shape[0] - xi.shape[0])
+    if not inside.all():
+        if not np.isfinite(pts[~inside]).all():  # nan and inf are never inside
+            raise ValueError("point coordinates must be finite")
+        x, y = x[inside], y[inside]
+    r = np.minimum((x - x_min) * (rows / (x_max - x_min)), rows - 1).astype(np.int64)
+    c = np.minimum((y - y_min) * (cols / (y_max - y_min)), cols - 1).astype(np.int64)
+    return FrequencyMatrix(np.bincount(r * cols + c, minlength=rows * cols).reshape(rows, cols)), len(pts) - len(x)
 
 
 def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> np.ndarray:
@@ -170,18 +167,23 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     center = rng.uniform(0.0, [rows, cols])
-    pts = center + rng.normal(0.0, sigma, size=(n, 2))
-    hi = np.array([rows, cols], dtype=np.float64)
-    bad = np.flatnonzero(np.any((pts < 0.0) | (pts >= hi), axis=1))
+    pts = rng.standard_normal((n, 2)) * sigma + center  # center + rng.normal(0.0, sigma), bit for bit
+    bad = np.flatnonzero(_outside(pts, rows, cols))
     for _ in range(100):
         if not len(bad):
             break
-        redrawn = center + rng.normal(0.0, sigma, size=(len(bad), 2))
-        pts[bad] = redrawn
-        bad = bad[np.any((redrawn < 0.0) | (redrawn >= hi), axis=1)]
-    # inside the far edge also as ``save_points`` prints it, to ten significant digits
-    np.clip(pts, 0.0, hi * (1.0 - 1e-9), out=pts)
+        pts[bad] = redrawn = rng.standard_normal((len(bad), 2)) * sigma + center
+        bad = bad[_outside(redrawn, rows, cols)]
+    # inside the far edge also as ``save_points`` prints it, to ten significant digits; only stragglers lie below 0
+    np.minimum(pts, np.array([rows, cols]) * (1.0 - 1e-9), out=pts)
+    pts[bad] = np.maximum(pts[bad], 0.0)
     return pts
+
+
+def _outside(pts, rows: int, cols: int) -> np.ndarray:
+    """Which of the ``(k, 2)`` points lie outside [0, rows) x [0, cols), tested a column at a time."""
+    x, y = pts.T
+    return (x < 0.0) | (x >= rows) | (y < 0.0) | (y >= cols)
 
 
 def generate_gaussian(n: int, sigma: float, rows: int, cols: int, seed: int) -> FrequencyMatrix:

@@ -8,7 +8,7 @@ from itertools import islice
 import numpy as np
 
 from .grid import loadtxt, write_rows
-from .kernels import CoverageError, leaf_owner
+from .kernels import CoverageError, LeafPaint, leaf_owner
 from .privacy import BudgetLedger, require_positive
 
 __all__ = ["CoverageError", "PrivateHistogram"]
@@ -40,7 +40,7 @@ class PrivateHistogram:
     def audited(cls, shape, bounds, ncounts, eps_total, ledger) -> "PrivateHistogram":
         """A new release, once its leaves tile the grid and no ledger path spends more than ``eps_total``.
 
-        It keeps its audit's leaf paint for ``take_owner``; copies and loaded releases start without one.
+        It keeps its audit's block paint for ``take_owner``; copies and loaded releases start without one.
         """
         hist = cls(shape, bounds, ncounts, eps_total, ledger)
         hist._owner = hist.validate_cover()
@@ -50,11 +50,11 @@ class PrivateHistogram:
     def __len__(self) -> int:
         return self.bounds.shape[0]
 
-    def validate_cover(self) -> np.ndarray:
-        """The ``(N + 1, M + 1)`` leaf paint of ``kernels.leaf_owner``; CoverageError unless the leaves tile the grid."""
+    def validate_cover(self) -> LeafPaint:
+        """The block paint of ``kernels.leaf_owner``, on the leaves' own edges; CoverageError unless the leaves tile the grid."""
         return leaf_owner(self.bounds, self.shape)
 
-    def take_owner(self) -> np.ndarray | None:
+    def take_owner(self) -> LeafPaint | None:
         """The leaf paint ``audited`` kept, once: the paint is dropped, so later calls return None."""
         owner, self._owner = self._owner, None
         return owner

@@ -12,7 +12,10 @@ resampling loop follow them. The package replaced each with array passes
 that must give the same bits; these are the references they are checked
 against. A node's noise variance is kept as a ``noise_var`` attribute of
 its ``Node``. The grid baselines' cell layout (``grid_cells``) is the
-same kind of reference.
+same kind of reference, and so are the answering kernel that paints
+every cell (``cell_leaf_owner``, ``cell_answer_workload``) and the
+dataset helpers that allocate their temporaries
+(``sample_gaussian_points_allocating``, ``discretize_allocating``).
 
 The two-mode htf walk is the reference of htf's one walk: it prunes a
 prebuilt tree, or splits the nodes it keeps through a splitter object,
@@ -37,7 +40,7 @@ import numpy as np
 
 from dphist import kernels, tree
 from dphist.baselines import enforce_hierarchical_consistency, exponential_mechanism_probs
-from dphist.grid import FrequencyMatrix
+from dphist.grid import FrequencyMatrix, require_inside
 from dphist.histogram import PrivateHistogram
 from dphist.htf import (
     HEIGHT,
@@ -518,6 +521,92 @@ def sample_gaussian_points_all_rows(n: int, sigma: float, rows: int, cols: int, 
         pts[bad] = center + rng.normal(0.0, sigma, size=(int(bad.sum()), 2))
     np.clip(pts, 0.0, hi * (1.0 - 1e-9), out=pts)
     return pts
+
+
+# ---------------------------------------------------------------------------
+# the cell-level answering kernel and the allocating dataset helpers
+
+
+def cell_leaf_owner(bounds, shape) -> np.ndarray:
+    """``kernels.leaf_owner`` painting every cell: an ``(N + 1, M + 1)`` array whose last row and column are 0."""
+    rows, cols = shape
+    r0, r1, c0, c1 = require_inside(bounds, rows, cols, "leaf", kernels.CoverageError)
+    cells = int(((r1 - r0) * (c1 - c0)).sum())
+    if cells != rows * cols:
+        raise kernels.CoverageError(f"leaves hold {cells} cells of the {rows}x{cols} grid")
+    dtype = np.int32 if len(r0) < 2**31 else np.int64
+    ids = np.arange(1, len(r0) + 1, dtype=dtype)
+    owner = np.zeros((rows + 1, cols + 1), dtype=dtype)
+    flat = owner.reshape(-1)
+    r0, r1 = r0 * (cols + 1), r1 * (cols + 1)
+    np.add.at(flat, r0 + c0, ids)
+    np.subtract.at(flat, r0 + c1, ids)
+    np.subtract.at(flat, r1 + c0, ids)
+    np.add.at(flat, r1 + c1, ids)
+    np.cumsum(owner, axis=0, dtype=dtype, out=owner)
+    np.cumsum(owner, axis=1, dtype=dtype, out=owner)
+    if not owner[:rows, :cols].all():
+        raise kernels.CoverageError(f"leaves overlap and leave cells of the {rows}x{cols} grid uncovered")
+    return owner
+
+
+def cell_answer_workload(bounds, ncounts, queries, shape) -> np.ndarray:
+    """``kernels.answer_workload`` from two ``(N + 1, M + 1)`` suffix-sum tables of the ``hi`` and ``lo`` cell densities."""
+    ncounts = np.asarray(ncounts, dtype=np.float64).reshape(-1)
+    mass = float(np.abs(ncounts).sum())
+    if not math.isfinite(mass):
+        raise ValueError("leaf counts must be finite")
+    owner = cell_leaf_owner(bounds, shape)
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 4)
+    density = ncounts / ((bounds[:, 1] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 2]))
+    k = 50 - math.ceil(math.log2(mass + 1.0))
+    hi = np.ldexp(np.rint(np.ldexp(density, k)), -k)
+    r0, r1, c0, c1 = np.asarray(queries, dtype=np.int64).reshape(-1, 4).T
+    out = np.zeros(r0.shape[0], dtype=np.float64)
+    table = np.empty(owner.shape, dtype=np.float64)
+    for part in (hi, density - hi):
+        np.take(np.concatenate(([0.0], part)), owner, out=table, mode="clip")
+        backward = table[::-1, ::-1]
+        np.cumsum(backward, axis=0, out=backward)
+        np.cumsum(backward, axis=1, out=backward)
+        out += table[r0, c0] - table[r1, c0] - table[r0, c1] + table[r1, c1]
+    return out
+
+
+def sample_gaussian_points_allocating(n: int, sigma: float, rows: int, cols: int, rng) -> np.ndarray:
+    """``grid.sample_gaussian_points`` drawing through ``rng.normal`` and testing rows on whole-array temporaries."""
+    require_positive("sigma", sigma)
+    center = rng.uniform(0.0, [rows, cols])
+    pts = center + rng.normal(0.0, sigma, size=(n, 2))
+    hi = np.array([rows, cols], dtype=np.float64)
+    bad = np.flatnonzero(np.any((pts < 0.0) | (pts >= hi), axis=1))
+    for _ in range(100):
+        if not len(bad):
+            break
+        redrawn = center + rng.normal(0.0, sigma, size=(len(bad), 2))
+        pts[bad] = redrawn
+        bad = bad[np.any((redrawn < 0.0) | (redrawn >= hi), axis=1)]
+    np.clip(pts, 0.0, hi * (1.0 - 1e-9), out=pts)
+    return pts
+
+
+def discretize_allocating(points, bounds, rows: int, cols: int) -> tuple[FrequencyMatrix, int]:
+    """``grid.discretize`` checking every point for finiteness and gathering the inside points into new arrays."""
+    x_min, x_max, y_min, y_max = (float(b) for b in bounds)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        return FrequencyMatrix.zeros(rows, cols), 0
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite")
+    x = pts[:, 0]
+    y = pts[:, 1]
+    inside = (x >= x_min) & (x < x_max) & (y >= y_min) & (y < y_max)
+    xi = x[inside]
+    yi = y[inside]
+    r = np.minimum((xi - x_min) * (rows / (x_max - x_min)), rows - 1).astype(np.int64)
+    c = np.minimum((yi - y_min) * (cols / (y_max - y_min)), cols - 1).astype(np.int64)
+    flat = np.bincount(r * cols + c, minlength=rows * cols)
+    return FrequencyMatrix(flat.reshape(rows, cols)), int(pts.shape[0] - xi.shape[0])
 
 
 # ---------------------------------------------------------------------------

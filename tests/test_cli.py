@@ -239,6 +239,42 @@ class TestRelease:
         assert code == 0
         assert PrivateHistogram.load(out).eps_total == pytest.approx(0.6)
 
+    def test_main_builds_one_parser(self, tmp_path, matrix_file, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"matrix={matrix_file}\n")
+        assert run(["release", "--config", cfg, "--out", tmp_path / "hist.txt"]) == 0
+        assert built == [1]
+
+    def test_required_flag_from_config_then_missing_exits_2(self, tmp_path, matrix_file, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"matrix={matrix_file}\n")
+        assert run(["release", "--config", cfg, "--out", tmp_path / "a.txt"]) == 0
+        assert PrivateHistogram.load(tmp_path / "a.txt").shape == (32, 32)
+        capsys.readouterr()
+        assert run(["release", "--out", tmp_path / "b.txt"]) == 2
+        assert "--matrix" in capsys.readouterr().err
+        assert not (tmp_path / "b.txt").exists()
+
+    @pytest.mark.parametrize("argv", [["--config", "r.cfg"], ["--c", "5"]], ids=["found", "ambiguous"])
+    def test_config_lookup_leaves_required_flags_required(self, argv):
+        parser = cli.build_parser()
+        release = cli._subparsers(parser)["release"]
+        try:
+            cli._config_path(release, argv)
+        except ValueError:
+            pass  # --c could be --config or --c0
+        assert [a.dest for a in release._actions if a.required] == ["matrix"]
+        with pytest.raises(ValueError, match="--matrix"):
+            parser.parse_args(["release"])
+
 
 class TestEvaluate:
     def test_report_rows_match_query_count(self, tmp_path, matrix_file):

@@ -19,7 +19,13 @@ from dphist.grid import (
     write_rows,
 )
 
-from oracles import naive_region_sum, prefix_table, sample_gaussian_points_all_rows
+from oracles import (
+    discretize_allocating,
+    naive_region_sum,
+    prefix_table,
+    sample_gaussian_points_all_rows,
+    sample_gaussian_points_allocating,
+)
 
 # Worked-example grid: 3x3 cells grouped into four partitions holding
 # 0, 12, 4 and 2 points.
@@ -191,7 +197,7 @@ class TestGaussianGenerator:
 
 
 class CentredRng:
-    """A generator whose ``uniform`` returns a fixed cluster centre; ``normal`` draws from a seeded generator."""
+    """A generator whose ``uniform`` returns a fixed cluster centre; the normal draws come from a seeded generator."""
 
     def __init__(self, centre, seed):
         self.centre = np.asarray(centre, dtype=np.float64)
@@ -202,6 +208,9 @@ class CentredRng:
 
     def normal(self, loc, scale, size):
         return self.rng.normal(loc, scale, size=size)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
 
 
 def near(extent):
@@ -237,6 +246,64 @@ class TestResamplingAgainstAllRowLoop:
             got = sample_gaussian_points(n, sigma, rows, cols, np.random.default_rng(seed))
             expected = sample_gaussian_points_all_rows(n, sigma, rows, cols, np.random.default_rng(seed))
             assert got.tobytes() == expected.tobytes()
+
+
+class TestInPlaceAgainstAllocating:
+    """The in-place sampler and binner against their allocating forms: the same points, generator state and matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sampled_points_and_generator_state_are_identical(self, data):
+        rows = data.draw(st.integers(1, 40))
+        cols = data.draw(st.integers(1, 40))
+        centre = (data.draw(near(rows)), data.draw(near(cols)))
+        n = data.draw(st.integers(0, 2000))
+        sigma = data.draw(st.sampled_from([0.1, 1.0, 5.0, 50.0, 1e3, 1e4]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got_rng, expected_rng = CentredRng(centre, seed), CentredRng(centre, seed)
+        got = sample_gaussian_points(n, sigma, rows, cols, got_rng)
+        expected = sample_gaussian_points_allocating(n, sigma, rows, cols, expected_rng)
+        assert got.tobytes() == expected.tobytes()
+        assert got_rng.rng.bit_generator.state == expected_rng.rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_datasets_are_identical(self, seed):
+        # n=0, a 1x1 grid at sigma 1e4 (every point a straggler, clamped), thin and wide grids
+        for n, sigma, rows, cols in ((0, 3.0, 8, 8), (500, 1e4, 1, 1), (5000, 40.0, 64, 32),
+                                     (2000, 2.0, 1, 50), (2000, 9.0, 30, 1), (3000, 200.0, 64, 64)):
+            got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_gaussian_points(n, sigma, rows, cols, got_rng)
+            expected = sample_gaussian_points_allocating(n, sigma, rows, cols, expected_rng)
+            assert got.tobytes() == expected.tobytes()
+            assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+            for bounds in ((0, rows, 0, cols), (0.25, rows - 0.25, -2.0, cols * 0.7)):
+                matrix, rejected = discretize(got, bounds, rows, cols)
+                reference, reference_rejected = discretize_allocating(expected, bounds, rows, cols)
+                assert rejected == reference_rejected
+                assert np.array_equal(matrix.counts, reference.counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-3.0, 12.0), st.floats(-3.0, 12.0)), max_size=60),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from([(0.0, 9.0, 0.0, 9.0), (0.5, 7.25, -1.0, 11.0), (2.0, 3.0, 2.0, 3.0)]),
+    )
+    def test_binned_matrices_are_identical(self, points, rows, cols, bounds):
+        pts = np.array(points, dtype=np.float64).reshape(-1, 2)
+        matrix, rejected = discretize(pts, bounds, rows, cols)
+        reference, reference_rejected = discretize_allocating(pts, bounds, rows, cols)
+        assert rejected == reference_rejected
+        assert np.array_equal(matrix.counts, reference.counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_non_finite_points_raise_as_before(self, bad, where):
+        pts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        pts[1, where] = bad
+        for binner in (discretize, discretize_allocating):
+            with pytest.raises(ValueError, match="point coordinates must be finite"):
+                binner(pts, (0, 4, 0, 4), 4, 4)
 
 
 def reference_points_text(pts):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dphist import kernels
 
-from oracles import objective_scan, objective_value
+from oracles import cell_answer_workload, cell_leaf_owner, objective_scan, objective_value
 
 
 def random_case(seed):
@@ -162,28 +162,123 @@ class TestAnswerWorkloadExact:
         assert_exact_within(got, leaves, ncounts, queries, 1e-12)
 
 
+def expand_to_cells(paint, shape):
+    """The ``(N + 1, M + 1)`` cell paint that a block paint stands for: each cell reads its block's owner."""
+    owner, row_edges, col_edges = paint
+    rows = np.repeat(np.arange(len(row_edges)), np.diff(row_edges, append=shape[0] + 1))
+    cols = np.repeat(np.arange(len(col_edges)), np.diff(col_edges, append=shape[1] + 1))
+    return owner[np.ix_(rows, cols)]
+
+
+def raises_coverage_error(paint, bounds, shape):
+    try:
+        paint(bounds, shape)
+    except kernels.CoverageError:
+        return True
+    return False
+
+
+def release_like_counts(n, seed):
+    """Integer counts with Laplace noise of a scale between 0.01 and 1e6, as the releases carry."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 1000, n) + rng.laplace(0.0, 10.0 ** rng.integers(-2, 7), n)
+
+
+def every_query(shape):
+    rows, cols = shape
+    return np.array(
+        [(r0, r1, c0, c1) for r0 in range(rows) for r1 in range(r0 + 1, rows + 1)
+         for c0 in range(cols) for c1 in range(c0 + 1, cols + 1)],
+        dtype=np.int64,
+    )
+
+
 class TestLeafOwner:
     def test_paints_each_cell_with_its_leaf(self):
         bounds = np.array([(0, 1, 0, 3), (1, 3, 0, 2), (1, 3, 2, 3)])
-        owner = kernels.leaf_owner(bounds, (3, 3))
-        assert owner.tolist() == [[1, 1, 1, 0], [2, 2, 3, 0], [2, 2, 3, 0], [0, 0, 0, 0]]
+        paint = kernels.leaf_owner(bounds, (3, 3))
+        assert paint.row_edges.tolist() == [0, 1, 3]
+        assert paint.col_edges.tolist() == [0, 2, 3]
+        assert paint.owner.tolist() == [[1, 1, 0], [2, 3, 0], [0, 0, 0]]
+        cells = [[1, 1, 1, 0], [2, 2, 3, 0], [2, 2, 3, 0], [0, 0, 0, 0]]
+        assert expand_to_cells(paint, (3, 3)).tolist() == cells
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiled_grids())
+    def test_block_paint_expands_to_the_cell_paint(self, case):
+        shape, leaves, _, _ = case
+        bounds = np.array(leaves, dtype=np.int64)
+        paint = kernels.leaf_owner(bounds, shape)
+        assert paint.row_edges.tolist() == sorted({0, shape[0], *bounds[:, :2].ravel().tolist()})
+        assert paint.col_edges.tolist() == sorted({0, shape[1], *bounds[:, 2:].ravel().tolist()})
+        assert paint.owner.shape == (len(paint.row_edges), len(paint.col_edges))
+        assert np.array_equal(expand_to_cells(paint, shape), cell_leaf_owner(bounds, shape))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiled_grids(), st.integers(0, 2**32 - 1))
+    def test_answers_equal_the_cell_kernel(self, case, seed):
+        # the hi parts are exact in both kernels; only the lo tables round, in another order.
+        # With counts near the smallest floats an answer whose hi part is 0 can differ in its
+        # last bit (test_matches_rational_oracle bounds both); with counts like these none does
+        shape, leaves, _, queries = case
+        bounds, queries = np.array(leaves, dtype=np.int64), np.array(queries, dtype=np.int64)
+        ncounts = release_like_counts(len(leaves), seed)
+        got = kernels.answer_workload(bounds, ncounts, queries, shape)
+        assert got.tobytes() == cell_answer_workload(bounds, ncounts, queries, shape).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape, leaves",
+        [
+            ((1, 1), [(0, 1, 0, 1)]),
+            ((1, 7), [(0, 1, 0, 2), (0, 1, 2, 3), (0, 1, 3, 7)]),
+            ((6, 1), [(0, 4, 0, 1), (4, 5, 0, 1), (5, 6, 0, 1)]),
+            ((5, 7), [(0, 5, 0, 7)]),
+            ((5, 7), [(r, r + 1, c, c + 1) for r in range(5) for c in range(7)]),
+        ],
+        ids=["1x1", "1xM", "Nx1", "one-leaf", "singular"],
+    )
+    def test_edge_grids_against_the_cell_kernel(self, shape, leaves):
+        bounds = np.array(leaves, dtype=np.int64)
+        paint = kernels.leaf_owner(bounds, shape)
+        assert np.array_equal(expand_to_cells(paint, shape), cell_leaf_owner(bounds, shape))
+        queries = every_query(shape)
+        for seed in range(5):
+            ncounts = release_like_counts(len(leaves), seed)
+            got = kernels.answer_workload(bounds, ncounts, queries, shape, owner=paint)
+            assert got.tobytes() == cell_answer_workload(bounds, ncounts, queries, shape).tobytes()
 
     @pytest.mark.parametrize(
         "bounds",
         [
             [(0, 2, 0, 2), (0, 1, 0, 1)],  # overlap
-            [(0, 1, 0, 2)],  # gap
+            [(0, 1, 0, 2)],  # gap: the cells do not add up to the grid's
             [(0, 1, 0, 2), (0, 1, 0, 2)],  # overlap and gap with the right cell total
             [(0, 3, 0, 2)],  # outside the grid
             [(0, 2, 0, 2), (1, 1, 0, 2)],  # empty leaf
+            [(1, 2, 0, 2), (1, 2, 0, 2)],  # row 0 uncovered, with the right cell total
+            [(0, 2, 0, 1), (0, 2, 0, 1)],  # column M - 1 uncovered, with the right cell total
         ],
-        ids=["overlap", "gap", "overlap-and-gap", "outside", "empty"],
+        ids=["overlap", "gap", "overlap-and-gap", "outside", "empty", "misses-row-0", "misses-col-M"],
     )
     def test_rejects_leaves_that_do_not_tile(self, bounds):
         with pytest.raises(kernels.CoverageError):
             kernels.leaf_owner(np.array(bounds), (2, 2))
         with pytest.raises(kernels.CoverageError):
             kernels.answer_workload(np.array(bounds), np.ones(len(bounds)), np.array([(0, 1, 0, 1)]), (2, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiled_grids(), st.data())
+    def test_rejects_what_the_cell_paint_rejects(self, case, data):
+        shape, leaves, _, _ = case
+        bounds = np.array(leaves, dtype=np.int64)
+        leaf = data.draw(st.integers(0, len(leaves) - 1))
+        if data.draw(st.booleans()):  # move one bound of one leaf by one
+            bounds[leaf, data.draw(st.integers(0, 3))] += data.draw(st.sampled_from([-1, 1]))
+        else:  # or put a copy of another leaf in its place
+            bounds[leaf] = bounds[data.draw(st.integers(0, len(leaves) - 1))]
+        assert raises_coverage_error(kernels.leaf_owner, bounds, shape) == raises_coverage_error(
+            cell_leaf_owner, bounds, shape
+        )
 
     def test_given_paint_answers_as_a_fresh_one(self):
         bounds = np.array([(0, 1, 0, 3), (1, 3, 0, 2), (1, 3, 2, 3)])
@@ -192,11 +287,31 @@ class TestLeafOwner:
         got = kernels.answer_workload(bounds, [3.0, -1.5, 7.25], queries, (3, 3), owner=owner)
         assert got.tobytes() == kernels.answer_workload(bounds, [3.0, -1.5, 7.25], queries, (3, 3)).tobytes()
 
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (5, 5), (16,)])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3), (3, 4), (9,)])
     def test_rejects_a_paint_of_another_shape(self, shape):
+        # (4, 4) is the shape of the cell paint; the block paint of these leaves is 3 x 3
         bounds = np.array([(0, 1, 0, 3), (1, 3, 0, 2), (1, 3, 2, 3)])
+        paint = kernels.leaf_owner(bounds, (3, 3))._replace(owner=np.ones(shape, np.int32))
         with pytest.raises(ValueError, match="leaf paint"):
-            kernels.answer_workload(bounds, np.ones(3), np.array([(0, 1, 0, 1)]), (3, 3), owner=np.ones(shape, np.int32))
+            kernels.answer_workload(bounds, np.ones(3), np.array([(0, 1, 0, 1)]), (3, 3), owner=paint)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            {"row_edges": [1, 2, 3]},
+            {"row_edges": [0, 1, 2]},
+            {"col_edges": [0, 4, 3]},
+            {"col_edges": [0, 0, 3]},
+            {"col_edges": []},
+        ],
+        ids=["rows-from-1", "rows-short-of-N", "cols-out-of-order", "cols-repeated", "no-cols"],
+    )
+    def test_rejects_paint_edges_that_do_not_span_the_grid(self, edges):
+        # as many edges as the owner array has rows and columns, all but the last case
+        bounds = np.array([(0, 1, 0, 3), (1, 3, 0, 2), (1, 3, 2, 3)])
+        paint = kernels.leaf_owner(bounds, (3, 3))._replace(**{k: np.array(v, dtype=np.int64) for k, v in edges.items()})
+        with pytest.raises(ValueError, match="leaf paint"):
+            kernels.answer_workload(bounds, np.ones(3), np.array([(0, 1, 0, 1)]), (3, 3), owner=paint)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_counts(self, bad):

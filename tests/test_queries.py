@@ -300,8 +300,10 @@ class TestKeptPaint:
 
     def test_validate_cover_returns_the_paint(self):
         hist = fig_histogram()
-        assert hist.validate_cover().tolist() == kernels.leaf_owner(hist.bounds, (3, 3)).tolist()
-        assert hist.validate_cover().shape == (4, 4)
+        paint, fresh = hist.validate_cover(), kernels.leaf_owner(hist.bounds, (3, 3))
+        assert [part.tolist() for part in paint] == [part.tolist() for part in fresh]
+        assert paint.row_edges.tolist() == [0, 1, 3] and paint.col_edges.tolist() == [0, 2, 3]
+        assert paint.owner.shape == (3, 3)  # blocks of the leaves' own edges, not (4, 4) cells
         assert hist.take_owner() is None  # only ``audited`` keeps a paint
 
     @pytest.mark.parametrize("bounds", [[(0, 2, 0, 2), (0, 1, 0, 1)], [(0, 1, 0, 2), (0, 1, 0, 2)]])
