@@ -211,7 +211,9 @@ def _sweep_row(task) -> tuple[str, str]:
         hist = build_release(matrix, settings, noise)
         report = queries.evaluate(hist, matrix, workload, smoothing=smoothing)
     except Exception as exc:  # noqa: BLE001 - sweep rows must not kill the run
-        return "nan", f"error:{type(exc).__name__}"
+        # one line of seven fields: no comma and no line break in the message
+        message = " ".join(str(exc).splitlines()).replace(",", ";")
+        return "nan", f"error:{type(exc).__name__}: {message}"
     return f"{report.mre:.6f}", "ok"
 
 

@@ -27,6 +27,16 @@ The release runs on a single total budget, in two passes:
    Draws are keyed by tree path, so pruning the full tree that
    ``build_partitioning`` grows releases the same leaves.
 
+The objective is exact. A cluster of n cells with sum S deviates from its
+mean by ``2·(S·n_< - n·S_<) / n`` in all, where n_< and S_< count and sum
+its cells c with ``c <= (S - 1) // n`` (those below the mean). The
+numerator is an int64 product, whatever the order of summation, for any
+matrix with ``(total + 1)·N·M <= 2^63``; a larger total is rejected. The
+nodes a level splits are disjoint, so their searches run together
+(``_quartering_search`` over a ``kernels.LevelObjective``): one array round
+for the centres and one for each of the ``search_iters`` pairs of quarter
+points, not ``2 * search_iters + 1`` calls per node.
+
 Draws are keyed by site, not by visiting order: ``(HEIGHT, 0, 0, 0)``
 for the height (the one single draw), ``(COUNT, code, 0, 0)`` and
 ``(PRUNE, code, 0, 0)`` for a node's counts and ``(SPLIT, code, e, 0)``
@@ -170,49 +180,50 @@ def get_split_point(
     budget ``eps_partition_level / (2 * search_iters + 1)`` and
     sensitivity-2 Laplace noise, so every split consumes one full level
     budget regardless of how early the interval collapses; the caller
-    charges that level budget.
+    charges that level budget. The level search of ``split_level`` on one
+    block.
     """
     require_positive("eps_partition_level", eps_partition_level)
     if search_iters < 1:
         raise ValueError("search_iters must be at least 1")
-    counts, whole = _as_counts(matrix)
-    bounds = whole if bounds is None else bounds
+    if not isinstance(matrix, FrequencyMatrix):
+        matrix = FrequencyMatrix(_as_counts(matrix)[0])
+    bounds = (0, matrix.rows, 0, matrix.cols) if bounds is None else bounds
     extent = _axis_extent(bounds, axis)
     if extent < 2:
         raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
-    return _quartering_search(counts, bounds, axis, _split_draws(noise, [path], eps_partition_level, search_iters)[0])
+    draws = _split_draws(noise, [path_code(path)], eps_partition_level, search_iters)
+    return int(_quartering_search(kernels.LevelObjective(matrix, [bounds], axis == "y"), draws)[0])
 
 
-def _split_draws(noise: NoiseSource, paths, level_budget: float, search_iters: int) -> np.ndarray:
-    """The ``(K, 2 * search_iters + 1)`` evaluation noise of the nodes at ``paths``: e at ``(SPLIT, code, e, 0)``."""
+def _split_draws(noise: NoiseSource, codes, level_budget: float, search_iters: int) -> np.ndarray:
+    """The ``(K, 2 * search_iters + 1)`` evaluation noise of the path ``codes``: e at ``(SPLIT, code, e, 0)``."""
     evals = 2 * search_iters + 1
-    codes = np.array([path_code(path) for path in paths], dtype=np.uint64)[:, None]
-    sites = site_counters(privacy.SPLIT, codes, np.arange(evals))
+    sites = site_counters(privacy.SPLIT, np.asarray(codes, dtype=np.uint64)[:, None], np.arange(evals))
     return noise.laplace_array(OBJECTIVE_SENSITIVITY / (level_budget / evals), sites).reshape(-1, evals)
 
 
-def _quartering_search(counts: np.ndarray, bounds, axis: str, draws: np.ndarray) -> int:
-    """``get_split_point``'s search on the block ``bounds`` of ``counts``, evaluation e perturbed by ``draws[e]``."""
-    noise = iter(draws.tolist())
+def _quartering_search(objective: kernels.LevelObjective, draws: np.ndarray) -> np.ndarray:
+    """The split index of every block of ``objective``, block i's evaluation e perturbed by ``draws[i, e]``.
 
-    def noisy_objective(k: int) -> float:
-        return kernels.objective_at(counts, *bounds, k, axis == "y") + next(noise)
-
-    lo, hi = 1, _axis_extent(bounds, axis)
-    k = lo + (hi - lo) // 2
-    center = noisy_objective(k)
-    for _ in range(len(draws) // 2):  # lo <= k <= hi throughout
+    The searches of all blocks run together: one objective call for the
+    centres, then one per round for both quarter points. A tie goes to
+    the centre, then to the lower quarter.
+    """
+    lo, hi = np.ones_like(objective.extent), objective.extent
+    k = lo + (hi - lo) // 2  # lo <= k <= hi throughout
+    center = objective(k)[:, 0] + draws[:, 0]
+    for e in range(1, draws.shape[1], 2):
         k1 = lo + (k - lo) // 2
         k2 = k + (hi - k) // 2
-        y1 = noisy_objective(k1)
-        y2 = noisy_objective(k2)
-        best = min(center, y1, y2)
-        if best == center:
-            lo, hi = k1, k2
-        elif best == y1:
-            k, hi, center = k1, k, y1
-        else:
-            lo, k, center = k, k2, y2
+        y1, y2 = (objective(np.stack([k1, k2], axis=1)) + draws[:, e:e + 2]).T
+        at = [(center <= y1) & (center <= y2), y1 <= y2]  # else the upper quarter
+        lo, hi, k, center = (
+            np.select(at, [k1, lo], k),
+            np.select(at, [k2, k], hi),
+            np.select(at, [k, k1], k2),
+            np.select(at, [center, y1], y2),
+        )
     return k
 
 
@@ -240,15 +251,22 @@ def estimate_height(
     return min(max(height, 1), tree.binary_height_cap(matrix.rows, matrix.cols))
 
 
-def split_level(nodes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger) -> list[Node]:
+def split_level(
+    nodes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger, codes=None
+) -> list[Node]:
     """Give each of ``nodes`` two children at a searched split index (``tree.bisect``); return those split.
 
-    The evaluations of every node an axis divides are drawn in one call.
+    ``codes`` are the nodes' path codes, when the caller has them. The
+    evaluations of every node an axis divides are drawn in one call, and
+    their searches run as one (``_quartering_search``).
     """
+    codes = [path_code(node.path) for node in nodes] if codes is None else np.asarray(codes).tolist()
+    code_of = dict(zip(nodes, codes))  # nodes hash by identity
 
     def cut(split: list[Node], axes: list[str]) -> list[int]:
-        draws = _split_draws(noise, [node.path for node in split], level_budget, search_iters)
-        return [_quartering_search(matrix.counts, n.bounds, axis, row) for n, axis, row in zip(split, axes, draws)]
+        draws = _split_draws(noise, [code_of[node] for node in split], level_budget, search_iters)
+        objective = kernels.LevelObjective(matrix, [node.bounds for node in split], [axis == "y" for axis in axes])
+        return _quartering_search(objective, draws).tolist()
 
     return tree.bisect(nodes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
 
@@ -321,8 +339,9 @@ def perturb_and_prune(
         tree.reserve([node for node, p in zip(nodes, pruned) if p], eps_partition_level, ledger)
         for node in compress(nodes, pruned):
             node.children = []
-        unsplit = [node for node, p in zip(nodes, pruned) if not p and node.is_leaf]
-        split_level(unsplit, matrix, eps_partition_level, search_iters, noise, ledger)
+        unsplit = ~pruned & np.array([node.is_leaf for node in nodes])
+        kept = list(compress(nodes, unsplit))
+        split_level(kept, matrix, eps_partition_level, search_iters, noise, ledger, codes[unsplit])
         # pruned, or neither axis divides it: re-perturbed with the data budget left on its path
         ends = np.array([node.is_leaf for node in nodes]) & (height > 0)
         topup = ends & (remain[height] > 1e-12)

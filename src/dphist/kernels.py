@@ -4,6 +4,20 @@ Two inner loops dominate runtime on large grids: evaluating the
 homogeneity objective for candidate split indices while the tree is
 built, and expanding released leaves against a query workload.
 
+The objective of a split is the summed absolute deviation of each of its
+two clusters from the cluster mean. For n cells of sum S that is
+``2·(S·n_< - n·S_<) / n``, n_< and S_< the count and sum of the cells at or
+below ``(S - 1) // n``: the cells below the mean S/n, whose deviations
+sum to those above it. The numerator is exact in int64 while
+``(total + 1)·N·M <= 2^63``, which ``LevelObjective`` checks, so a value
+does not depend on the order of any sum: it is the exact rational
+rounded once per cluster, and the two clusters added. ``objective_at``
+scores one split of one block. ``LevelObjective`` scores a whole tree
+level at once: it sorts every line across the split axis of every block
+in one buffer, and then each evaluation of the level costs one
+``searchsorted`` per line and a few passes over the lines, not a pass
+over every cell.
+
 Answering works on the leaves' own edges: 0, N (M) and every leaf's row
 (column) bounds cut the grid into R x C blocks, each leaf a union of them.
 ``leaf_owner`` paints each block with its leaf's index (an integer
@@ -44,6 +58,7 @@ from .grid import require_inside
 __all__ = [
     "CoverageError",
     "objective_at",
+    "LevelObjective",
     "LeafPaint",
     "leaf_owner",
     "answer_workload",
@@ -54,17 +69,15 @@ class CoverageError(RuntimeError):
     """Released leaves fail to tile the domain exactly."""
 
 
-def _objective_at_rows(counts, r0, r1, c0, c1, k):
-    u = r1 - r0
-    v = c1 - c0
-    top = counts[r0:r0 + k, c0:c1]
-    mu1 = top.sum() / (k * v)
-    dev = np.abs(top - mu1).sum()
-    if k < u:
-        bot = counts[r0 + k:r1, c0:c1]
-        mu2 = bot.sum() / ((u - k) * v)
-        dev += np.abs(bot - mu2).sum()
-    return float(dev)
+def _deviation(total, cells, below, below_sum):
+    """``2·(total·below - cells·below_sum) / cells``: a cluster's summed deviation from its mean; 0 when empty."""
+    return 2.0 * (total * below - cells * below_sum) / np.maximum(cells, 1)
+
+
+def _cluster(cells) -> float:
+    total, n = int(cells.sum()), cells.size
+    below = cells[cells <= (total - 1) // max(n, 1)]
+    return _deviation(total, n, below.size, int(below.sum()))
 
 
 def objective_at(counts, r0, r1, c0, c1, k, row_split):
@@ -74,11 +87,90 @@ def objective_at(counts, r0, r1, c0, c1, k, row_split):
     ``k`` rows (columns when ``row_split`` is false) and the remainder;
     the value is the summed absolute deviation of each cluster's cells
     from the cluster mean. ``k`` equal to the full extent scores the
-    undivided block.
+    undivided block. The one-block form of ``LevelObjective``, with the
+    same arithmetic.
     """
-    if row_split:
-        return _objective_at_rows(counts, r0, r1, c0, c1, k)
-    return _objective_at_rows(counts.T, c0, c1, r0, r1, k)
+    block = counts[r0:r1, c0:c1] if row_split else counts[r0:r1, c0:c1].T
+    return float(_cluster(block[:k]) + _cluster(block[k:]))
+
+
+class LevelObjective:
+    """``objective_at`` of every block of a tree level, at a split index per block and evaluation.
+
+    ``bounds`` is a ``(K, 4)`` array of disjoint blocks of ``matrix`` and
+    ``row_split`` says, per block, whether its split index counts rows (else
+    columns): its lines. Each block is copied once, its lines as contiguous
+    rows (a column split copies the transposed block), and each line is
+    sorted. Line ``i`` of the level then adds ``i·(max + 1)`` to its cells,
+    so that the whole level is one sorted key array, with one cumulative
+    sum of the sorted cells. A cluster's cells at or below a threshold are
+    then one ``searchsorted`` per line, whatever the width of the line.
+    """
+
+    def __init__(self, matrix, bounds, row_split):
+        counts, total = matrix.counts, matrix.total
+        rows, cols = counts.shape
+        if (total + 1) * rows * cols > 2**63:
+            raise ValueError(
+                f"a total of {total} on a {rows}x{cols} grid is past the exact split objective's "
+                f"int64 range: (total + 1)·N·M must not exceed 2^63"
+            )
+        r0, r1, c0, c1 = require_inside(bounds, rows, cols, "block {}")
+        row_split = np.broadcast_to(np.asarray(row_split, dtype=bool), r0.shape)
+        self.extent = np.where(row_split, r1 - r0, c1 - c0)
+        self.width = np.where(row_split, c1 - c0, r1 - r0)
+        self.start = np.concatenate(([0], np.cumsum(self.extent * self.width)))  # cells before block i
+        self.first = np.concatenate(([0], np.cumsum(self.extent)))  # lines before block i
+        widths = np.repeat(self.width, self.extent)
+        self.line_start = np.concatenate(([0], np.cumsum(widths)))  # cells before line i
+        # every cell and partial sum is at most the total
+        dtype = np.int32 if total < 2**31 else np.int64
+        cells = np.empty(int(self.start[-1]), dtype=dtype)
+        for i, (a, b, c, d, by_rows) in enumerate(zip(*(x.tolist() for x in (r0, r1, c0, c1, row_split)))):
+            block = cells[self.start[i]:self.start[i + 1]].reshape((b - a, d - c) if by_rows else (d - c, b - a))
+            if by_rows:
+                block[...] = counts[a:b, c:d]
+            else:  # a transposed view sorts several times slower than a contiguous copy, made 64 rows at a time
+                for j in range(a, b, 64):
+                    block[:, j - a:j - a + 64] = counts[j:min(j + 64, b), c:d].T
+            block.sort(axis=1)
+        self.prefix = np.zeros(len(cells) + 1, dtype=dtype)
+        np.cumsum(cells, out=self.prefix[1:])
+        self.line_prefix = self.prefix[self.line_start[:-1]].astype(np.int64)
+        stride = int(cells.take(self.line_start[1:] - 1).max(initial=0)) + 1  # a sorted line ends on its max
+        keys = np.int32 if dtype == np.int32 and len(widths) * stride <= 2**31 else np.int64
+        self.base = (np.arange(len(widths)) * stride).astype(keys)  # below line i's keys, above line i-1's
+        self.keys = cells.astype(keys, copy=False)
+        self.keys += np.repeat(self.base, widths)
+
+    def __call__(self, k) -> np.ndarray:
+        """The ``(K, E)`` objective values of block i split at ``k[i, e]``, each in ``[1, extent]``."""
+        k = np.asarray(k, dtype=np.int64).reshape(len(self.extent), -1)
+        if ((k < 1) | (k > self.extent[:, None])).any():
+            raise ValueError("split index outside [1, extent]")
+        evals, lines = k.shape[1], len(self.base)
+        # per block, evaluation and cluster (last axis): lines, cells, total, threshold
+        span = np.stack([k, self.extent[:, None] - k], axis=2)
+        n = span * self.width[:, None, None]
+        ends = np.concatenate([np.zeros_like(n[..., :1]), np.cumsum(n, axis=2)], axis=2)
+        total = np.diff(self.prefix.take(self.start[:-1, None, None] + ends).astype(np.int64), axis=2)
+        # a count c lies below its cluster's mean S/n exactly when c <= (S - 1) // n
+        threshold = (total - 1) // np.maximum(n, 1)
+        order = (1, 0, 2)  # evaluation-major: each evaluation's thresholds cover the level's lines in order
+        query = np.repeat(threshold.transpose(order).astype(self.keys.dtype).ravel(), span.transpose(order).ravel())
+        query = query.reshape(evals, lines)
+        query += self.base
+        pos = self.keys.searchsorted(query, side="right")
+        # per evaluation, the cumulative count and sum of the cells below each line's threshold
+        below = np.zeros((2, evals, lines + 1), dtype=np.int64)
+        np.subtract(pos, self.line_start[:-1], out=below[0, :, 1:])
+        np.subtract(self.prefix.take(pos), self.line_prefix, out=below[1, :, 1:])
+        np.cumsum(below, axis=2, out=below)
+        edges = np.concatenate([np.zeros_like(span[..., :1]), np.cumsum(span, axis=2)], axis=2)
+        edges += self.first[:-1, None, None] + (np.arange(evals) * (lines + 1))[None, :, None]
+        count, mass = np.diff(below.reshape(2, -1)[:, edges], axis=3)
+        value = _deviation(total, n, count, mass)
+        return value[..., 0] + value[..., 1]
 
 
 LeafPaint = namedtuple("LeafPaint", "owner row_edges col_edges")
@@ -150,7 +242,11 @@ def answer_workload(bounds, ncounts, queries, shape, owner=None):
     hi = np.ldexp(np.rint(np.ldexp(density, k)), -k)
     # corners (r0, r1) down the first axis and (c0, c1) across the second; at is the flat index of block (e, f)
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 4).T
-    i, j = np.searchsorted(row_edges, queries[:2]), np.searchsorted(col_edges, queries[2:])
+    # the first edge at or above r is edge number (edges below r): an edge count, summed, then a take
+    i, j = (
+        np.bincount(edges[:-1] + 1, minlength=n + 1).cumsum().take(corners)
+        for edges, n, corners in ((row_edges, shape[0], queries[:2]), (col_edges, shape[1], queries[2:]))
+    )
     a, b = (row_edges[i] - queries[:2])[:, None], (col_edges[j] - queries[2:])[None, :]
     at = (i * paint.shape[1])[:, None] + j[None, :]
     h, w = np.diff(row_edges, append=shape[0])[:, None], np.diff(col_edges, append=shape[1])  # 0 past the grid

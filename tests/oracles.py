@@ -2,9 +2,14 @@
 
 The objective oracles deliberately avoid the package's kernels: plain
 python loops and naive summations only, so they stay independent of the
-code paths they check. The split selectors (the full objective scan,
-its exact argmin and the exhaustive noisy argmin) are the references the
-private quartering search is measured against; no release calls them.
+code paths they check. Exact rational values (``Fraction``) are the
+reference of the package's integer objective; the float form that sums
+each cell's distance from a float mean (``objective_at_float``) is the
+one the package computed before. The split selectors (the full objective
+scan, its exact argmin and the exhaustive noisy argmin) are the
+references the private quartering search is measured against; no release
+calls them. ``quartering_search`` is that search on one block at a time,
+the reference of ``htf``'s search over a whole level.
 
 The node-at-a-time forms of the quadtree, the kd-tree count release, the
 consistency smoothing, the ledger's path audit and the Gaussian sampler's
@@ -37,6 +42,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dphist import kernels, tree
 from dphist.baselines import enforce_hierarchical_consistency, exponential_mechanism_probs
@@ -152,7 +158,7 @@ def bisect_node(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, m
 
 
 def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, path=(), bounds=None) -> int:
-    """``htf.get_split_point`` drawing each evaluation on its own as it goes."""
+    """``htf.get_split_point`` drawing each evaluation on its own through the reference cipher, searching one block."""
     require_positive("eps_partition_level", eps_partition_level)
     counts = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
     bounds = (0, counts.shape[0], 0, counts.shape[1]) if bounds is None else bounds
@@ -162,21 +168,30 @@ def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, path=
         raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
     eps_eval = eps_partition_level / (2 * search_iters + 1)
     code = path_code(path)
-    evals = []
+    evals = range(2 * search_iters + 1)
+    draws = [laplace_draw(OBJECTIVE_SENSITIVITY, eps_eval, noise, SPLIT_SITE, code, e, 0) for e in evals]
+    return quartering_search(counts, bounds, axis, draws)
 
-    def noisy_objective(k: int) -> float:
-        draw = laplace_draw(OBJECTIVE_SENSITIVITY, eps_eval, noise, SPLIT_SITE, code, len(evals), 0)
-        evals.append(k)
+
+def quartering_search(counts, bounds, axis: str, draws) -> int:
+    """The quartering search of one block, one evaluation at a time, evaluation e perturbed by ``draws[e]``.
+
+    A tie goes to the centre, then to the lower quarter.
+    """
+
+    def noisy_objective(k: int, draw: float) -> float:
         return kernels.objective_at(counts, *bounds, k, axis == "y") + draw
 
-    lo, hi = 1, extent
+    noise = iter(list(draws))
+    r0, r1, c0, c1 = bounds
+    lo, hi = 1, r1 - r0 if axis == "y" else c1 - c0
     k = lo + (hi - lo) // 2
-    center = noisy_objective(k)
-    for _ in range(search_iters):
+    center = noisy_objective(k, next(noise))
+    for _ in range(len(draws) // 2):
         k1 = lo + (k - lo) // 2
         k2 = k + (hi - k) // 2
-        y1 = noisy_objective(k1)
-        y2 = noisy_objective(k2)
+        y1 = noisy_objective(k1, next(noise))
+        y2 = noisy_objective(k2, next(noise))
         best = min(center, y1, y2)
         if best == center:
             lo, hi = k1, k2
@@ -204,21 +219,26 @@ def objective_value(block, k, row_split=True) -> float:
     return cluster_deviation(first) + cluster_deviation(second)
 
 
-def objective_value_exact(block, k, row_split=True) -> Fraction:
-    """Objective in exact rational arithmetic (no float rounding)."""
-    rows = [list(r) for r in block]
+def cluster_deviation_exact(cells) -> Fraction:
+    """Summed absolute deviation of ``cells`` from their mean, in exact rational arithmetic; 0 when empty."""
+    if not cells:
+        return Fraction(0)
+    mu = Fraction(sum(cells), len(cells))
+    return sum((abs(Fraction(c) - mu) for c in cells), Fraction(0))
+
+
+def split_clusters(block, k, row_split=True) -> tuple[list[int], list[int]]:
+    """The cells of the two clusters split at index k, as Python ints."""
+    rows = [[int(c) for c in r] for r in block]
     if not row_split:
         rows = [list(col) for col in zip(*rows)]
+    return [c for row in rows[:k] for c in row], [c for row in rows[k:] for c in row]
 
-    def dev(cells):
-        if not cells:
-            return Fraction(0)
-        mu = Fraction(sum(cells), len(cells))
-        return sum((abs(Fraction(c) - mu) for c in cells), Fraction(0))
 
-    first = [c for row in rows[:k] for c in row]
-    second = [c for row in rows[k:] for c in row]
-    return dev(first) + dev(second)
+def objective_value_exact(block, k, row_split=True) -> Fraction:
+    """Objective in exact rational arithmetic (no float rounding)."""
+    first, second = split_clusters(block, k, row_split)
+    return cluster_deviation_exact(first) + cluster_deviation_exact(second)
 
 
 def objective_argmins_exact(block, row_split=True) -> list[int]:
@@ -227,6 +247,24 @@ def objective_argmins_exact(block, row_split=True) -> list[int]:
     values = [objective_value_exact(block, k, row_split) for k in range(1, len(rows))]
     best = min(values)
     return [k + 1 for k, v in enumerate(values) if v == best]
+
+
+def guillotine_tiling(draw, rows: int, cols: int, limit: int = 30) -> list[tuple[int, int, int, int]]:
+    """A random tiling of a rows x cols grid by recursive cuts, about ``limit`` tiles at most, drawn by Hypothesis."""
+    leaves, todo = [], [(0, rows, 0, cols)]
+    while todo:
+        r0, r1, c0, c1 = todo.pop()
+        axes = [axis for axis, extent in ((0, r1 - r0), (1, c1 - c0)) if extent > 1]
+        if axes and len(leaves) + len(todo) < limit and draw(st.booleans()):
+            if draw(st.sampled_from(axes)) == 0:
+                k = draw(st.integers(r0 + 1, r1 - 1))
+                todo += [(r0, k, c0, c1), (k, r1, c0, c1)]
+            else:
+                k = draw(st.integers(c0 + 1, c1 - 1))
+                todo += [(r0, r1, c0, k), (r0, r1, k, c1)]
+        else:
+            leaves.append((r0, r1, c0, c1))
+    return leaves
 
 
 def naive_region_sum(counts, row_lo, row_hi, col_lo, col_hi) -> int:
@@ -246,20 +284,33 @@ def prefix_table(counts) -> np.ndarray:
 
 
 def _objective_scan_rows(counts, r0, r1, c0, c1):
-    block = counts[r0:r1, c0:c1].astype(np.float64)
-    u, v = block.shape
-    row_tot = block.sum(axis=1)
-    prefix = np.cumsum(row_tot)
-    total = prefix[-1]
+    """Every split's objective in the package's exact form: each cluster of n cells with sum S adds
+    ``2·(S·n_< - n·S_<) / n``, n_< and S_< the count and sum of its cells c with ``c·n < S``."""
+    block = np.asarray(counts[r0:r1, c0:c1], dtype=np.int64)
+    u = block.shape[0]
     out = np.empty(u, dtype=np.float64)
     for k in range(1, u + 1):
-        mu1 = prefix[k - 1] / (k * v)
-        dev = np.abs(block[:k] - mu1).sum()
-        if k < u:
-            mu2 = (total - prefix[k - 1]) / ((u - k) * v)
-            dev += np.abs(block[k:] - mu2).sum()
+        dev = 0.0
+        for part in (block[:k], block[k:]):
+            n, total = part.size, int(part.sum())
+            if n:
+                below = part[part * n < total]
+                dev += 2.0 * (total * below.size - n * int(below.sum())) / n
         out[k - 1] = dev
     return out
+
+
+def objective_at_float(counts, r0, r1, c0, c1, k, row_split):
+    """The objective in floating point, each cluster's absolute deviations from its float mean summed by numpy."""
+    if not row_split:
+        return objective_at_float(counts.T, c0, c1, r0, r1, k, True)
+    u, v = r1 - r0, c1 - c0
+    top = counts[r0:r0 + k, c0:c1]
+    dev = np.abs(top - top.sum() / (k * v)).sum()
+    if k < u:
+        bot = counts[r0 + k:r1, c0:c1]
+        dev += np.abs(bot - bot.sum() / ((u - k) * v)).sum()
+    return float(dev)
 
 
 def objective_scan(counts, r0, r1, c0, c1, row_split):

@@ -406,7 +406,7 @@ class TestSweep:
         out = tmp_path / "table.csv"
         assert run(["sweep", "--config", cfg, "--out", out]) == 0
         rows = out.read_text().splitlines()[1:]
-        assert [row.split(",")[-1] for row in rows] == ["error:ValueError"] * 2
+        assert [row.split(",")[-1] for row in rows] == ["error:ValueError: height must be at least 1"] * 2
 
     def test_unknown_method_exits_2(self, tmp_path):
         cfg = self.write_config(tmp_path, methods="htf,wavelet")
@@ -440,8 +440,14 @@ class TestSweep:
         cfg = self.write_config(tmp_path, sigmas="-1,6", seeds="0")
         out = tmp_path / "table.csv"
         assert run(["sweep", "--config", cfg, "--out", out]) == 0
-        status = [row.split(",")[-1] for row in out.read_text().splitlines()[1:]]
-        assert status == ["error:ValueError"] * 3 + ["ok"] * 3
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert {len(row) for row in rows} == {7}  # the message's comma is not a field separator
+        error = "error:ValueError: sigma must be positive and finite; got -1.0"
+        assert [row[-1] for row in rows] == [error] * 3 + ["ok"] * 3
+
+    def test_error_message_keeps_the_row_one_line_of_seven_fields(self):
+        mre, status = cli._sweep_row((ValueError("bad, worse\nworst\r\nend"), None, None, None, None))
+        assert (mre, status) == ("nan", "error:ValueError: bad; worse worst end")
 
     def test_smooth_false_gives_the_rows_of_smooth_0(self, tmp_path):
         tables = {}

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dphist import baselines
+from dphist import baselines, kernels
 from dphist.grid import FrequencyMatrix
 from dphist.histogram import PrivateHistogram
 from dphist.htf import (
@@ -19,6 +19,7 @@ from dphist.htf import (
     SPLIT,
     HtfParams,
     UnsplittableAxisError,
+    _quartering_search,
     build_partitioning,
     estimate_height,
     get_split_point,
@@ -31,12 +32,14 @@ from dphist.privacy import BudgetLedger, NoiseSource
 from dphist.tree import PARTITION_RESERVED, Node
 
 from oracles import (
+    guillotine_tiling,
     noisy_split_baseline,
     objective_argmins_exact,
     objective_value,
     optimal_split_exact,
     perturb_and_prune_two_mode,
     preorder,
+    quartering_search,
     release_two_mode,
 )
 
@@ -211,6 +214,46 @@ class TestGetSplitPoint:
     def test_unsplittable_axis(self):
         with pytest.raises(UnsplittableAxisError):
             get_split_point(np.array([[1, 2]]), "y", 1.0, 3, zero_noise())
+
+
+@st.composite
+def search_cases(draw):
+    """Blocks of a random tiling with an axis of two or more cells, their counts, and the draws of their searches."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(2, 12))
+    blocks = [b for b in guillotine_tiling(draw, rows, cols, limit=12) if max(b[1] - b[0], b[3] - b[2]) >= 2]
+    assume(blocks)
+    top = draw(st.sampled_from([0, 1, 3, 20]))
+    counts = np.reshape(draw(st.lists(st.integers(0, top), min_size=rows * cols, max_size=rows * cols)), (rows, cols))
+    axes = [draw(st.sampled_from([a for a, n in (("y", r1 - r0), ("x", c1 - c0)) if n >= 2]))
+            for r0, r1, c0, c1 in blocks]
+    evals = 2 * draw(st.integers(1, 4)) + 1
+    scale = draw(st.sampled_from([0.0, 0.5, 5.0, 50.0]))  # 0: no noise, where every tie falls to the tie rule
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = np.round(rng.laplace(0.0, 1.0, size=(len(blocks), evals)) * scale, draw(st.sampled_from([0, 6])))
+    return counts, blocks, axes, draws
+
+
+class TestLevelSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases())
+    def test_matches_the_search_of_each_block(self, case):
+        counts, blocks, axes, draws = case
+        objective = kernels.LevelObjective(FrequencyMatrix(counts), blocks, [axis == "y" for axis in axes])
+        got = _quartering_search(objective, draws)
+        assert got.tolist() == [quartering_search(counts, *node) for node in zip(blocks, axes, draws.tolist())]
+
+    def test_ties_go_to_the_centre_then_the_lower_quarter(self):
+        flat = np.full((9, 2), 4)
+        assert get_split_point(flat, "y", 1.0, 3, zero_noise()) == 5  # every value 0: the centre stays
+        # rows read the same both ways: quarters 3 and 7 tie, below the centre 5
+        block = np.repeat([[9], [9], [9], [0], [0], [0], [0], [9], [9], [9]], 2, axis=1)
+        assert split_objective(block, 3, "y") == split_objective(block, 7, "y") < split_objective(block, 5, "y")
+        assert get_split_point(block, "y", 1.0, 1, zero_noise()) == 3
+        assert quartering_search(block, (0, 10, 0, 2), "y", [0.0] * 3) == 3
+
+    def test_total_past_the_int64_bound_is_rejected(self):
+        with pytest.raises(ValueError, match=r"2\^63"):
+            get_split_point(np.array([[2**61, 0], [0, 0]]), "y", 1.0, 3, zero_noise())
 
 
 class TestEstimateHeight:

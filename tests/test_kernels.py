@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphist import kernels
+from dphist.grid import FrequencyMatrix
 
-from oracles import cell_answer_workload, cell_leaf_owner, objective_scan, objective_value
+from oracles import (
+    cell_answer_workload,
+    cell_leaf_owner,
+    cluster_deviation_exact,
+    guillotine_tiling,
+    objective_at_float,
+    objective_scan,
+    objective_value,
+    split_clusters,
+)
 
 
 def random_case(seed):
@@ -42,6 +52,64 @@ class TestObjectiveKernels:
                 for k in range(1, extent + 1):
                     ref = objective_value(block, k, row_split)
                     assert kernels.objective_at(counts, r0, r1, c0, c1, k, row_split) == pytest.approx(ref)
+
+
+@st.composite
+def level_cases(draw):
+    """A tiled grid of all-zero, single-hot-cell or small counts; per block a split axis and split indices."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    blocks = guillotine_tiling(draw, rows, cols, limit=12)
+    kind = draw(st.sampled_from(["small", "zeros", "hot"]))
+    counts = np.zeros((rows, cols), dtype=np.int64)
+    if kind == "small":
+        cells = draw(st.lists(st.integers(0, 6), min_size=rows * cols, max_size=rows * cols))
+        counts[...] = np.reshape(cells, counts.shape)
+    elif kind == "hot":  # a total of 2**30 needs int64 keys, 2**40 int64 cells too
+        hot = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        counts[hot] = draw(st.sampled_from([1, 5, 2**30, 2**40]))
+    row_split = [draw(st.booleans()) for _ in blocks]
+    evals = draw(st.integers(1, 3))
+    # every index in [1, extent], the extent itself (an empty second cluster) included
+    k = [[draw(st.integers(1, r1 - r0 if by_rows else c1 - c0)) for _ in range(evals)]
+         for (r0, r1, c0, c1), by_rows in zip(blocks, row_split)]
+    return counts, blocks, row_split, k
+
+
+class TestLevelObjective:
+    @settings(max_examples=300, deadline=None)
+    @given(level_cases())
+    def test_matches_exact_deviation(self, case):
+        counts, blocks, row_split, k = case
+        got = kernels.LevelObjective(FrequencyMatrix(counts), blocks, row_split)(k)
+        assert got.shape == (len(blocks), len(k[0]))
+        for i, ((r0, r1, c0, c1), by_rows) in enumerate(zip(blocks, row_split)):
+            for e, split in enumerate(k[i]):
+                # each cluster's exact deviation, rounded once, then the two added
+                first, second = split_clusters(counts[r0:r1, c0:c1], split, by_rows)
+                want = float(cluster_deviation_exact(first)) + float(cluster_deviation_exact(second))
+                assert got[i, e] == want
+                assert kernels.objective_at(counts, r0, r1, c0, c1, split, by_rows) == want
+
+    def test_float_mean_form_agrees(self):
+        for seed in range(25):
+            counts, r0, r1, c0, c1 = random_case(seed)
+            for row_split in (True, False):
+                extent = (r1 - r0) if row_split else (c1 - c0)
+                objective = kernels.LevelObjective(FrequencyMatrix(counts), [(r0, r1, c0, c1)], row_split)
+                got = objective([range(1, extent + 1)])
+                want = [objective_at_float(counts, r0, r1, c0, c1, k, row_split) for k in range(1, extent + 1)]
+                assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_int64_bound(self):
+        # (total + 1)·N·M is 2^63 exactly: the last total the bound admits
+        edge = FrequencyMatrix([[2**62 - 1, 0]])
+        assert kernels.LevelObjective(edge, [(0, 1, 0, 2)], False)([[1, 2]]).tolist() == [[0.0, float(2**62 - 1)]]
+        with pytest.raises(ValueError, match=r"\(total \+ 1\)·N·M must not exceed 2\^63"):
+            kernels.LevelObjective(FrequencyMatrix([[2**62, 0]]), [(0, 1, 0, 2)], False)
+
+    def test_blocks_must_lie_inside(self):
+        with pytest.raises(ValueError, match="block 1"):
+            kernels.LevelObjective(FrequencyMatrix(np.ones((4, 4), dtype=np.int64)), [(0, 2, 0, 4), (2, 5, 0, 4)], True)
 
 
 class TestAnswerWorkload:
@@ -110,19 +178,7 @@ def tiled_grids(draw):
     """A random guillotine tiling of a random grid, with counts and queries."""
     rows = draw(st.integers(1, 12))
     cols = draw(st.integers(1, 12))
-    leaves, todo = [], [(0, rows, 0, cols)]
-    while todo:
-        r0, r1, c0, c1 = todo.pop()
-        axes = [axis for axis, extent in ((0, r1 - r0), (1, c1 - c0)) if extent > 1]
-        if axes and len(leaves) + len(todo) < 30 and draw(st.booleans()):
-            if draw(st.sampled_from(axes)) == 0:
-                k = draw(st.integers(r0 + 1, r1 - 1))
-                todo += [(r0, k, c0, c1), (k, r1, c0, c1)]
-            else:
-                k = draw(st.integers(c0 + 1, c1 - 1))
-                todo += [(r0, r1, c0, k), (r0, r1, k, c1)]
-        else:
-            leaves.append((r0, r1, c0, c1))
+    leaves = guillotine_tiling(draw, rows, cols)
     ncounts = draw(st.lists(COUNTS, min_size=len(leaves), max_size=len(leaves)))
     queries = []
     for _ in range(draw(st.integers(1, 12))):
