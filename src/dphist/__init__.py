@@ -26,18 +26,14 @@ from .grid import (
 from .histogram import CoverageError, PrivateHistogram
 from .htf import (
     HtfParams,
-    UnsplittableAxisError,
     estimate_height,
-    get_split_point,
     release,
-    split_objective,
 )
 from .privacy import (
     BudgetLedger,
     BudgetOverflowError,
     NoiseSource,
     geometric_level_budget,
-    laplace_sample,
 )
 from .queries import (
     EvalReport,

@@ -39,7 +39,6 @@ from .privacy import (
     LEVEL2,
     BudgetLedger,
     NoiseSource,
-    laplace_sample,
     path_code,
     require_positive,
     site_counters,
@@ -260,12 +259,12 @@ def build_kdtree(
         utilities = -np.abs(prefix - sums.sum() / 2.0)
         return exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
 
-    def median_cuts(nodes: list[Node], axes: list[str]) -> list[int]:
-        sites = site_counters(EM, [path_code(node.path) for node in nodes])
+    def median_cuts(nodes: list[Node], codes, axes: list[str]) -> list[int]:
+        sites = site_counters(EM, codes)
         return [i + 1 for i in exponential_mechanism_choices(list(map(median_probs, nodes, axes)), src, sites)]
 
-    def step(nodes: list[Node]) -> None:
-        tree.bisect(nodes, median_cuts, eps_struct_level, ledger, "em-split", matrix.region_sums)
+    def step(nodes: list[Node], codes: list[int]) -> None:
+        tree.bisect(nodes, codes, median_cuts, eps_struct_level, ledger, "em-split", matrix.region_sums)
 
     root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
     table = tree.flatten(root)
@@ -292,7 +291,7 @@ def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSo
     """One noisy total for the whole domain, assumed uniformly spread."""
     require_positive("eps_total", eps_total)
     ledger = BudgetLedger()
-    ncount = matrix.total + laplace_sample(1.0, eps_total, noise.substream("flat"), COUNT, path_code(()), 0, 0)
+    ncount = matrix.total + noise.substream("flat").laplace(1.0 / eps_total, COUNT, path_code(()), 0, 0)
     ledger.charge("total-count", eps_total, path=())
     bounds = [(0, matrix.rows, 0, matrix.cols)]
     return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, ledger)

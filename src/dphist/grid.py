@@ -3,8 +3,8 @@
 A dataset is discretized onto an N x M grid of non-negative cell counts
 (the frequency matrix). The matrix is immutable after construction and
 carries a 2D prefix-sum table so any rectangular sub-grid total is an
-O(1) lookup; a rectangle is the half-open integer bounds ``(row_lo,
-row_hi, col_lo, col_hi)``, one tuple or a ``(K, 4)`` array of them. Also
+O(1) lookup; ``region_sums`` takes a ``(K, 4)`` array of rectangles, each
+the half-open integer bounds ``(row_lo, row_hi, col_lo, col_hi)``. Also
 provides the seeded Gaussian-cluster generator used for synthetic
 experiments and the plain-text file formats consumed by the CLI. Every
 table of numbers is written by ``write_rows``: byte for byte as Python's
@@ -54,14 +54,21 @@ def require_inside(rects, rows: int, cols: int, what: str, error=ValueError) -> 
 
 
 class FrequencyMatrix:
-    """Immutable N x M grid of cell counts with O(1) rectangle sums."""
+    """Immutable N x M grid of whole, non-negative cell counts totalling below 2^63, with O(1) rectangle sums."""
 
     def __init__(self, counts):
         arr = np.asarray(counts)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("counts must be a non-empty 2D array")
-        if np.any(arr < 0):
+        # a float count must equal its integer part, which NaN never does
+        if arr.dtype.kind not in "biuf" or (arr.dtype.kind == "f" and not (arr == np.trunc(arr)).all()):
+            raise ValueError(f"cell counts must be whole numbers below 2^63, got {arr.dtype} counts")
+        if arr.min() < 0:
             raise ValueError("cell counts must be non-negative")
+        top = arr.max().item()
+        # the total is at most top·N·M: only a matrix that could reach 2^63 is summed exactly
+        if top * arr.size >= 2**63 and (top >= 2**63 or arr.astype(np.int64).sum(dtype=object) >= 2**63):
+            raise ValueError("cell counts must total below 2^63, the int64 bound of the matrix's prefix sums")
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.setflags(write=False)
         self._counts = arr
@@ -97,17 +104,6 @@ class FrequencyMatrix:
     @property
     def total(self) -> int:
         return int(self._prefix[-1, -1])
-
-    def region_sum(self, bounds) -> int:
-        """The total inside one half-open rectangle ``(row_lo, row_hi, col_lo, col_hi)``.
-
-        ``region_sums``' one-rectangle form, for tests and library callers.
-        """
-        r0, r1, c0, c1 = bounds
-        if not (0 <= r0 < r1 <= self.rows and 0 <= c0 < c1 <= self.cols):
-            raise ValueError(f"region {(r0, r1, c0, c1)} is empty or outside the {self.rows}x{self.cols} grid")
-        p = self._prefix
-        return int(p[r1, c1] - p[r0, c1] - p[r1, c0] + p[r0, c0])
 
     def region_sums(self, rects) -> np.ndarray:
         """Totals inside the ``(K, 4)`` half-open rectangles ``rects``, four prefix lookups each."""

@@ -35,14 +35,16 @@ matrix with ``(total + 1)·N·M <= 2^63``; a larger total is rejected. The
 nodes a level splits are disjoint, so their searches run together
 (``_quartering_search`` over a ``kernels.LevelObjective``): one array round
 for the centres and one for each of the ``search_iters`` pairs of quarter
-points, not ``2 * search_iters + 1`` calls per node.
+points, not ``2 * search_iters + 1`` calls per node. ``split_level`` is the
+one split search.
 
 Draws are keyed by site, not by visiting order: ``(HEIGHT, 0, 0, 0)``
-for the height (the one single draw), ``(COUNT, code, 0, 0)`` and
-``(PRUNE, code, 0, 0)`` for a node's counts and ``(SPLIT, code, e, 0)``
-for its split evaluation ``e``, where ``code`` is ``privacy.path_code`` of
-its path; a level's draws of each kind take one ``laplace_array`` call. A
-height above ``privacy.MAX_PATH_DEPTH`` (31) is rejected: no path code.
+for the height (the one single draw, ``NoiseSource.laplace``),
+``(COUNT, code, 0, 0)`` and ``(PRUNE, code, 0, 0)`` for a node's counts and
+``(SPLIT, code, e, 0)`` for its split evaluation ``e``, where ``code`` is
+its path's code (``tree.grow`` makes a child's from its parent's); a
+level's draws of each kind take one ``laplace_array`` call. A height above
+``privacy.MAX_PATH_DEPTH`` (31) is rejected: no path code.
 
 Every budget passes ``privacy.require_positive``, and ``release`` checks
 that a data budget is left. The ledger is the one budget record: rows
@@ -64,14 +66,11 @@ import numpy as np
 from . import kernels, privacy, tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, laplace_sample, path_code, require_positive, site_counters
+from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, path_code, require_positive, site_counters
 from .tree import Node
 
 __all__ = [
-    "UnsplittableAxisError",
     "HtfParams",
-    "split_objective",
-    "get_split_point",
     "estimate_height",
     "split_level",
     "build_partitioning",
@@ -87,10 +86,6 @@ SPLIT = "split"
 NODE_COUNT = "node-count"
 PRUNE_TOPUP = "prune-topup"
 WARN_NO_REMAIN = "warn-no-remaining-budget"
-
-
-class UnsplittableAxisError(ValueError):
-    """The requested axis has fewer than two cells to divide."""
 
 
 @dataclass(frozen=True)
@@ -131,69 +126,6 @@ class HtfParams:
             raise ValueError(f"height_override must be in [1, {MAX_PATH_DEPTH}], got {self.height_override!r}")
         if math.isnan(self.stop_count):
             raise ValueError("stop_count must not be NaN")
-
-
-def _axis_extent(bounds, axis: str) -> int:
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    r0, r1, c0, c1 = bounds
-    return r1 - r0 if axis == "y" else c1 - c0
-
-
-def _as_counts(matrix) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    arr = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2D count array")
-    return arr, (0, arr.shape[0], 0, arr.shape[1])
-
-
-def split_objective(matrix, k: int, axis: str) -> float:
-    """Homogeneity objective for dividing the block at index ``k``.
-
-    A "y" split groups the first ``k`` rows against the rest; "x" groups
-    columns. ``k`` equal to the extent scores the undivided block (the
-    empty second cluster contributes nothing).
-    """
-    counts, bounds = _as_counts(matrix)
-    extent = _axis_extent(bounds, axis)
-    if not (1 <= k <= extent):
-        raise ValueError(f"split index {k} outside [1, {extent}]")
-    return kernels.objective_at(counts, *bounds, k, axis == "y")
-
-
-def get_split_point(
-    matrix,
-    axis: str,
-    eps_partition_level: float,
-    search_iters: int,
-    noise: NoiseSource,
-    *,
-    path: tuple[int, ...] = (),
-    bounds: tuple[int, int, int, int] | None = None,
-) -> int:
-    """Quartering search for a near-optimal split index of one block, its evaluations drawn in one call.
-
-    Starts at the midpoint of the candidate range, then repeatedly
-    evaluates the two inner quarter points and recenters on the noisy
-    minimum, like a binary search over a unimodal objective. Exactly
-    ``2 * search_iters + 1`` noisy evaluations are performed, each with
-    budget ``eps_partition_level / (2 * search_iters + 1)`` and
-    sensitivity-2 Laplace noise, so every split consumes one full level
-    budget regardless of how early the interval collapses; the caller
-    charges that level budget. The level search of ``split_level`` on one
-    block.
-    """
-    require_positive("eps_partition_level", eps_partition_level)
-    if search_iters < 1:
-        raise ValueError("search_iters must be at least 1")
-    if not isinstance(matrix, FrequencyMatrix):
-        matrix = FrequencyMatrix(_as_counts(matrix)[0])
-    bounds = (0, matrix.rows, 0, matrix.cols) if bounds is None else bounds
-    extent = _axis_extent(bounds, axis)
-    if extent < 2:
-        raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
-    draws = _split_draws(noise, [path_code(path)], eps_partition_level, search_iters)
-    return int(_quartering_search(kernels.LevelObjective(matrix, [bounds], axis == "y"), draws)[0])
 
 
 def _split_draws(noise: NoiseSource, codes, level_budget: float, search_iters: int) -> np.ndarray:
@@ -244,7 +176,7 @@ def estimate_height(
     """
     for name, value in (("eps_height", eps_height), ("eps_total", eps_total), ("height_constant", height_constant)):
         require_positive(name, value)
-    noisy_total = matrix.total + laplace_sample(1.0, eps_height, noise, privacy.HEIGHT, 0, 0, 0)
+    noisy_total = matrix.total + noise.laplace(1.0 / eps_height, privacy.HEIGHT, 0, 0, 0)
     ledger.charge(HEIGHT, eps_height, path=(), level=0)
     value = max(noisy_total, 1.0) * eps_total / height_constant
     height = int(math.floor(math.log2(value))) if value >= 1.0 else 0
@@ -252,23 +184,20 @@ def estimate_height(
 
 
 def split_level(
-    nodes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger, codes=None
+    nodes, codes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger
 ) -> list[Node]:
-    """Give each of ``nodes`` two children at a searched split index (``tree.bisect``); return those split.
+    """Split each of ``nodes``, of path codes ``codes``, at a searched index (``tree.bisect``); return those split.
 
-    ``codes`` are the nodes' path codes, when the caller has them. The
-    evaluations of every node an axis divides are drawn in one call, and
-    their searches run as one (``_quartering_search``).
+    The evaluations of every node an axis divides are drawn in one call,
+    and their searches run as one (``_quartering_search``).
     """
-    codes = [path_code(node.path) for node in nodes] if codes is None else np.asarray(codes).tolist()
-    code_of = dict(zip(nodes, codes))  # nodes hash by identity
 
-    def cut(split: list[Node], axes: list[str]) -> list[int]:
-        draws = _split_draws(noise, [code_of[node] for node in split], level_budget, search_iters)
+    def cut(split: list[Node], codes, axes: list[str]) -> list[int]:
+        draws = _split_draws(noise, codes, level_budget, search_iters)
         objective = kernels.LevelObjective(matrix, [node.bounds for node in split], [axis == "y" for axis in axes])
         return _quartering_search(objective, draws).tolist()
 
-    return tree.bisect(nodes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
+    return tree.bisect(nodes, codes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
 
 
 def build_partitioning(
@@ -287,8 +216,8 @@ def build_partitioning(
     if height < 1:
         raise ValueError("height must be at least 1")
 
-    def step(nodes: list[Node]) -> None:
-        split_level(nodes, matrix, eps_partition_level, search_iters, noise, ledger)
+    def step(nodes: list[Node], codes: list[int]) -> None:
+        split_level(nodes, codes, matrix, eps_partition_level, search_iters, noise, ledger)
 
     return tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
 
@@ -326,10 +255,10 @@ def perturb_and_prune(
     remain = eps_data - np.cumsum(budgets[::-1])[::-1]
     leaves = []
 
-    def step(nodes: list[Node]) -> None:
+    def step(nodes: list[Node], codes: list[int]) -> None:
         height = np.array([node.height for node in nodes])
         paths = [node.path for node in nodes]
-        codes = np.array([path_code(path) for path in paths], dtype=np.uint64)
+        codes = np.array(codes, dtype=np.uint64)
         eps = budgets[height]
         ledger.charge_many(NODE_COUNT, eps, paths=paths, levels=height)
         count = np.array([node.count for node in nodes], dtype=np.int64)
@@ -341,7 +270,7 @@ def perturb_and_prune(
             node.children = []
         unsplit = ~pruned & np.array([node.is_leaf for node in nodes])
         kept = list(compress(nodes, unsplit))
-        split_level(kept, matrix, eps_partition_level, search_iters, noise, ledger, codes[unsplit])
+        split_level(kept, codes[unsplit], matrix, eps_partition_level, search_iters, noise, ledger)
         # pruned, or neither axis divides it: re-perturbed with the data budget left on its path
         ends = np.array([node.is_leaf for node in nodes]) & (height > 0)
         topup = ends & (remain[height] > 1e-12)
@@ -401,7 +330,7 @@ def release(
     # The root is split before its stop test. An unsplittable root (a 1x1
     # grid) reserves every split level and enters the walk as a height-0 leaf.
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-    if not split_level([root], matrix, level_budget, params.search_iters, noise, ledger):
+    if not split_level([root], [path_code(root.path)], matrix, level_budget, params.search_iters, noise, ledger):
         root.height = 0
     leaves = perturb_and_prune(
         root, matrix, eps_data, level_budget, params.search_iters, params.stop_count, params.stop_cells, noise, ledger

@@ -12,7 +12,9 @@ random numbers: as easy as 1, 2, 3" (SC'11). Every release draw is a pure
 function of three things: the seed, the substream key (a ``NoiseSource``'s
 stream prefix, such as ``"ug"``) and a four-word site counter
 ``(label, w1, w2, w3)``. ``label`` comes from the fixed table below; a tree
-node enters as ``path_code(path)``. The draw is the first output word of
+node enters as the code of its path, ``path_code``, which the tree walks
+compute only for a root: a child's code is its parent's ``code << 2 | i``.
+The draw is the first output word of
 Philox4x64-10 for that counter, under the two-word key that each
 ``NoiseSource`` derives once from ``SeedSequence(seed, spawn_key)``, by the
 one cipher ``philox_array`` on a ``(K, 4)`` array of counters. The word's
@@ -57,7 +59,6 @@ __all__ = [
     "site_counters",
     "philox_array",
     "NoiseSource",
-    "laplace_sample",
     "geometric_level_budget",
     "BudgetLedger",
 ]
@@ -274,16 +275,6 @@ class NoiseSource:
         np.log(u, out=u)
         u *= sign
         return u
-
-
-def laplace_sample(sensitivity: float, eps: float, src: NoiseSource, *site: int) -> float:
-    """One draw from Laplace(0, sensitivity / eps) at ``site`` of ``src``.
-
-    Raises on a bad budget or sensitivity rather than silently skipping noise.
-    """
-    require_positive("sensitivity", sensitivity)
-    require_positive("eps", eps)
-    return src.laplace(sensitivity / eps, *site)
 
 
 def geometric_level_budget(level: int, height: int, eps: float, fanout: int = 2) -> float:

@@ -2,19 +2,21 @@
 
 Each of them cuts the grid into rectangles, cuts those again down to
 height 0, and gives every node a Laplace count keyed by its tree path (the
-child indices from the root). htf and the kd-tree grow ``Node``s one depth
-at a time (``grow``): a ``Node`` carries its integer bounds ``(row_lo,
-row_hi, col_lo, col_hi)``, as the histogram does, with its height, path,
-true count and noisy count; ``bisect`` is their one binary split step,
-which cuts a level's nodes and counts their halves, and ``reserve`` the
-one charge of split levels a node leaves unsplit. No walk recurses, so the
-depth of a tree never meets the interpreter's recursion limit.
+child indices from the root) as its code: ``privacy.path_code`` at the
+root, then ``code << 2 | i`` for child i, made from its parent's. htf and
+the kd-tree grow ``Node``s one depth at a time (``grow``, which hands each
+step a depth's nodes and codes): a ``Node`` carries its integer bounds
+``(row_lo, row_hi, col_lo, col_hi)``, as the histogram does, with its
+height, path, true count and noisy count; ``bisect`` is their one binary
+split step, and ``reserve`` the one charge of split levels a node leaves
+unsplit. No walk recurses, so tree depth never meets the recursion limit.
 
-The count release works on a ``NodeTable``, the tree as arrays in
-preorder: the kd-tree ``flatten``s its grown nodes once, and the quadtree,
-which is complete, is laid out level by level (``complete``) without a
+The kd-tree and quadtree release their counts on a ``NodeTable``, the tree
+as arrays in preorder: the kd-tree ``flatten``s its grown nodes once, and
+the complete quadtree is laid out level by level (``complete``) without a
 ``Node``. ``perturb`` draws every node count in one call and charges them
-in one bulk ledger charge.
+in one bulk ledger charge. htf draws its counts a level at a time as it
+grows (``htf.perturb_and_prune``), and makes no table.
 """
 
 from __future__ import annotations
@@ -77,9 +79,8 @@ class NodeTable:
     Row i holds the node's ``(row_lo, row_hi, col_lo, col_hi)`` bounds,
     its ``height`` above the leaves and ``depth`` below the root, its
     number of ``children`` (0 for a leaf), its tree path (``paths``, and
-    ``codes`` as ``path_code``, which ``perturb`` computes when they are
-    not given) and its true ``count``. ``perturb`` fills ``ncount`` and
-    ``noise_var``.
+    its code, ``codes``) and its true ``count``. ``perturb`` fills
+    ``ncount`` and ``noise_var``.
     """
 
     bounds: np.ndarray
@@ -87,8 +88,8 @@ class NodeTable:
     depth: np.ndarray
     children: np.ndarray
     paths: list[tuple[int, ...]]
+    codes: np.ndarray | list[int]
     count: np.ndarray
-    codes: np.ndarray | None = None
     ncount: np.ndarray | None = None
     noise_var: np.ndarray | None = None
 
@@ -98,17 +99,18 @@ class NodeTable:
 
 
 def grow(root: Node, step, ledger: BudgetLedger) -> Node:
-    """Grow the tree under ``root`` a depth at a time: ``step(nodes)`` splits or keeps each node of a depth.
+    """Grow the tree under ``root`` a depth at a time: ``step(nodes, codes)`` splits or keeps each node of a depth.
 
-    ``nodes`` are in preorder. The ledger rows charged meanwhile are then
-    put back in preorder by one stable sort on their paths (a path sorts
-    before its extensions), each node's rows in the order they were
-    charged. Returns ``root``.
+    ``nodes`` are in preorder, and ``codes`` are their path codes. The
+    ledger rows charged meanwhile are then put back in preorder by one
+    stable sort on their paths (a path sorts before its extensions), each
+    node's rows in the order they were charged. Returns ``root``.
     """
     start = len(ledger.entries)
-    nodes = [root]
+    nodes, codes = [root], [path_code(root.path)]
     while nodes:
-        step(nodes)
+        step(nodes, codes)
+        codes = [code << 2 | i for node, code in zip(nodes, codes) for i in range(len(node.children))]
         nodes = [child for node in nodes for child in node.children]
     ledger.entries[start:] = sorted(ledger.entries[start:], key=lambda entry: entry[2])
     return root
@@ -127,23 +129,24 @@ def split_axis(bounds, height: int) -> str | None:
     return None
 
 
-def bisect(nodes, cut, eps: float, ledger: BudgetLedger, label: str, counts) -> list[Node]:
+def bisect(nodes, codes, cut, eps: float, ledger: BudgetLedger, label: str, counts) -> list[Node]:
     """Cut each of ``nodes`` above height 0 in two along its ``split_axis``, charged ``eps`` as ``label``; return them.
 
-    ``cut(split, axes)`` gives how many rows or columns of each node an axis
-    divides go first. The halves, one level down at paths ``+ (0,)`` and
-    ``+ (1,)``, count ``counts(bounds)`` in one call. A node neither axis
-    divides stays a leaf and ``reserve``s its levels.
+    ``codes`` are the nodes' path codes. ``cut(split, codes, axes)`` gives
+    how many rows or columns of each node an axis divides go first. The
+    halves, one level down at paths ``+ (0,)`` and ``+ (1,)``, count
+    ``counts(bounds)`` in one call. A node neither axis divides stays a leaf
+    and ``reserve``s its levels.
     """
-    nodes = [node for node in nodes if node.height > 0]
-    axes = [split_axis(node.bounds, node.height) for node in nodes]
-    reserve([node for node, axis in zip(nodes, axes) if axis is None], eps, ledger)
-    split, axes = [node for node, axis in zip(nodes, axes) if axis], [axis for axis in axes if axis]
+    axes = [split_axis(node.bounds, node.height) if node.height > 0 else None for node in nodes]
+    reserve([node for node, axis in zip(nodes, axes) if axis is None], eps, ledger)  # a height-0 node owes none
+    at = [i for i, axis in enumerate(axes) if axis]
+    split, codes, axes = [nodes[i] for i in at], [codes[i] for i in at], [axes[i] for i in at]
     if not split:
         return split
     ledger.charge_many(label, np.full(len(split), eps), paths=[n.path for n in split], levels=[n.height for n in split])
     halves = []
-    for node, axis, k in zip(split, axes, cut(split, axes)):
+    for node, axis, k in zip(split, axes, cut(split, codes, axes)):
         r0, r1, c0, c1 = node.bounds
         if axis == "y":
             halves.append(((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)))
@@ -164,20 +167,22 @@ def reserve(nodes, eps: float, ledger: BudgetLedger) -> None:
 
 
 def flatten(root: Node) -> NodeTable:
-    """The ``NodeTable`` of the tree under ``root``, read in one preorder walk."""
-    nodes, depth = [], []
-    stack = [(root, 0)]
+    """The ``NodeTable`` of the tree under ``root``, read in one preorder walk; its codes are Python ints."""
+    nodes, depth, codes = [], [], []
+    stack = [(root, 0, path_code(root.path))]
     while stack:
-        node, d = stack.pop()
+        node, d, code = stack.pop()
         nodes.append(node)
         depth.append(d)
-        stack.extend((child, d + 1) for child in reversed(node.children))
+        codes.append(code)
+        stack.extend((node.children[i], d + 1, code << 2 | i) for i in reversed(range(len(node.children))))
     return NodeTable(
         bounds=np.array([node.bounds for node in nodes], dtype=np.int64),
         height=np.array([node.height for node in nodes], dtype=np.int64),
         depth=np.array(depth, dtype=np.int64),
         children=np.array([len(node.children) for node in nodes], dtype=np.int64),
         paths=[node.path for node in nodes],
+        codes=codes,
         count=np.array([node.count for node in nodes], dtype=np.int64),
     )
 
@@ -231,14 +236,13 @@ def perturb(table: NodeTable, budgets: list[float], noise: NoiseSource, ledger: 
 
     A leaf above height 0 also takes the unspent budgets of the heights
     below it, so every root-to-leaf path is charged ``sum(budgets)``. The
-    node at ``path`` draws at site ``(COUNT, path_code(path), 0, 0)``, all
+    node of path code ``code`` draws at site ``(COUNT, code, 0, 0)``, all
     nodes in one ``laplace_array`` call, and the charges go to the ledger
     in preorder.
     """
     up_to = np.array(list(accumulate(budgets)))  # up_to[h] = budgets[0] + ... + budgets[h]
     eps = np.where(table.leaf, up_to[table.height], np.asarray(budgets)[table.height])
-    codes = table.codes if table.codes is not None else [path_code(path) for path in table.paths]
-    draws = noise.laplace_array(1.0 / eps, site_counters(COUNT, codes))
+    draws = noise.laplace_array(1.0 / eps, site_counters(COUNT, table.codes))
     table.ncount = table.count + draws
     table.noise_var = 2.0 / (eps * eps)
     ledger.charge_many(label, eps, paths=table.paths, levels=table.height)

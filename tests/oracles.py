@@ -56,7 +56,6 @@ from dphist.htf import (
     SPLIT,
     WARN_NO_REMAIN,
     HtfParams,
-    UnsplittableAxisError,
     estimate_height,
 )
 from dphist.privacy import (
@@ -117,7 +116,7 @@ def laplace(noise: NoiseSource, scale: float, *site: int) -> float:
 
 
 def laplace_draw(sensitivity: float, eps: float, noise: NoiseSource, *site: int) -> float:
-    """``privacy.laplace_sample`` through the reference cipher."""
+    """Laplace(0, ``sensitivity / eps``) at ``site`` through the reference cipher, once both pass ``require_positive``."""
     require_positive("sensitivity", sensitivity)
     require_positive("eps", eps)
     return laplace(noise, sensitivity / eps, *site)
@@ -151,21 +150,21 @@ def grow_nodes(root: Node, split) -> Node:
 def bisect_node(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, matrix) -> bool:
     """``tree.bisect`` of the one ``node``, ``cut(node, axis)`` giving its index; True if split."""
 
-    def cuts(nodes, axes):
+    def cuts(nodes, codes, axes):
         return [cut(nodes[0], axes[0])]
 
-    return bool(tree.bisect([node], cuts, eps, ledger, label, matrix.region_sums))
+    return bool(tree.bisect([node], [path_code(node.path)], cuts, eps, ledger, label, matrix.region_sums))
 
 
 def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, path=(), bounds=None) -> int:
-    """``htf.get_split_point`` drawing each evaluation on its own through the reference cipher, searching one block."""
+    """The split index ``htf.split_level`` searches for one block, each evaluation drawn on its own through the reference cipher."""
     require_positive("eps_partition_level", eps_partition_level)
     counts = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
     bounds = (0, counts.shape[0], 0, counts.shape[1]) if bounds is None else bounds
     r0, r1, c0, c1 = bounds
     extent = r1 - r0 if axis == "y" else c1 - c0
     if extent < 2:
-        raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
+        raise ValueError(f"cannot split axis {axis} of extent {extent}")
     eps_eval = eps_partition_level / (2 * search_iters + 1)
     code = path_code(path)
     evals = range(2 * search_iters + 1)
@@ -324,7 +323,7 @@ def _scan(matrix, axis: str) -> np.ndarray:
     counts = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
     extent = counts.shape[0] if axis == "y" else counts.shape[1]
     if extent < 2:
-        raise UnsplittableAxisError(f"cannot split axis {axis} of extent {extent}")
+        raise ValueError(f"cannot split axis {axis} of extent {extent}")
     return objective_scan(counts, 0, counts.shape[0], 0, counts.shape[1], axis == "y")[: extent - 1]
 
 
@@ -474,7 +473,8 @@ def quadtree_nodes(matrix, eps_total, height, noise, *, alloc="geometric", smoot
         rm = r0 + (r1 - r0) // 2
         cm = c0 + (c1 - c0) // 2
         quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
-        node.children = [Node(b, node.height - 1, node.path + (i,), matrix.region_sum(b)) for i, b in enumerate(quads)]
+        counts = matrix.region_sums(quads).tolist()
+        node.children = [Node(b, node.height - 1, node.path + (i,), n) for i, (b, n) in enumerate(zip(quads, counts))]
 
     root = grow_nodes(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
     budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)

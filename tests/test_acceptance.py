@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from dphist import kernels
 from dphist.baselines import (
     build_flat_uniform,
     build_quadtree,
@@ -21,7 +22,6 @@ from dphist.htf import (
     build_partitioning,
     estimate_height,
     release,
-    split_objective,
 )
 from dphist.privacy import CELL, BudgetLedger, NoiseSource, geometric_level_budget, site_counters
 from dphist.tree import Node
@@ -74,7 +74,7 @@ def test_criterion_1_sensitivity_bound():
 
 
 def test_criterion_2_worked_example():
-    values = [split_objective(B1, k, "y") for k in (1, 2, 3)]
+    values = [kernels.objective_at(B1, 0, 3, 0, 2, k, True) for k in (1, 2, 3)]
     assert values == [0.0, 6.0, 8.0]
 
     matrix = FrequencyMatrix(FIG_GRID)
@@ -166,7 +166,7 @@ def test_criterion_5_zero_noise_oracles():
         block = rng.integers(0, 12, size=(8, 8))
         for axis, row_split in (("y", True), ("x", False)):
             got = optimal_split_exact(block, axis)
-            values = [split_objective(block, k, axis) for k in range(1, 8)]
+            values = [kernels.objective_at(block, 0, 8, 0, 8, k, row_split) for k in range(1, 8)]
             assert got == int(np.argmin(values)) + 1
             exact = objective_argmins_exact(block.tolist(), row_split)
             if len(exact) == 1 and got != exact[0]:

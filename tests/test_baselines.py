@@ -49,7 +49,7 @@ class TestUniformGrid:
         # grid granularity clamps to 16, so any cell-aligned query is exact
         query = (2, 9, 3, 14)
         got = answer_workload(hist, Workload([query]))[0]
-        assert got == pytest.approx(matrix.region_sum(query), abs=1e-3)
+        assert got == pytest.approx(matrix.region_sums([query])[0], abs=1e-3)
 
     def test_single_cell_degenerate_equals_flat(self):
         matrix = random_matrix(3, shape=(8, 8), high=2)  # tiny total -> m = 1
@@ -215,7 +215,7 @@ class TestFlatUniform:
         hist = build_flat_uniform(matrix, 1e6, NoiseSource(1))
         empty_corner = (8, 16, 8, 16)
         assert answer_workload(hist, Workload([empty_corner]))[0] > 1000
-        assert matrix.region_sum(empty_corner) == 0
+        assert matrix.region_sums([empty_corner])[0] == 0
 
 
 def reference_cells(r0, r1, c0, c1, mr, mc):
@@ -295,7 +295,7 @@ class TestGridReleaseProperties:
             m1 = min(max(10, int(math.ceil(math.sqrt(matrix.total * eps / c0) / 4))), rows, cols)
             expected = []
             for cell in reference_cells(0, rows, 0, cols, m1, m1):
-                n = matrix.region_sum(tuple(cell))
+                n = matrix.region_sums([tuple(cell)])[0]
                 m2 = int(math.ceil(math.sqrt(n * eps2 / (c0 / 2.0)))) if n > 0 else 1
                 m2 = max(1, min(m2, cell[1] - cell[0], cell[3] - cell[2]))
                 expected += reference_cells(*cell, m2, m2)

@@ -145,6 +145,16 @@ class TestRelease:
         assert "height must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_matrix_past_int64_exits_2(self, tmp_path, capsys, method):
+        # four cells of 2^62: an int64 total wraps to 0, which the header states
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text("2 2 0\n" + f"{2**62} {2**62}\n" * 2)
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--matrix", matrix, "--method", method, "--eps-total", 0.5, "--out", out]) == 2
+        assert "2^63" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_matrix_exits_3(self, tmp_path):
         code = run(["release", "--matrix", tmp_path / "nope.txt", "--out", tmp_path / "h.txt"])
         assert code == 3

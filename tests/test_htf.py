@@ -18,15 +18,12 @@ from dphist.htf import (
     PRUNE_TOPUP,
     SPLIT,
     HtfParams,
-    UnsplittableAxisError,
     _quartering_search,
     build_partitioning,
     estimate_height,
-    get_split_point,
     perturb_and_prune,
     release,
     split_level,
-    split_objective,
 )
 from dphist.privacy import BudgetLedger, NoiseSource
 from dphist.tree import PARTITION_RESERVED, Node
@@ -53,6 +50,22 @@ def zero_noise():
     return NoiseSource(0, zero_noise=True)
 
 
+def split_objective(block, k, axis):
+    """``kernels.objective_at`` of the whole ``block`` split after ``k`` rows ("y") or columns ("x")."""
+    return kernels.objective_at(np.asarray(block), 0, len(block), 0, len(block[0]), k, axis == "y")
+
+
+def searched_split(block, axis, level_budget, search_iters, noise):
+    """The split index ``split_level`` searches for a one-node level on ``block``, cut along ``axis``.
+
+    The node's height picks the axis: rows at an even height, columns at an odd one.
+    """
+    root = Node((0, len(block), 0, len(block[0])), 2 if axis == "y" else 1)
+    split_level([root], [1], FrequencyMatrix(block), level_budget, search_iters, noise, BudgetLedger())
+    r0, r1, c0, c1 = root.children[0].bounds
+    return r1 - r0 if axis == "y" else c1 - c0
+
+
 class TestSplitObjective:
     def test_worked_example_values(self):
         assert split_objective(B1, 1, "y") == 0.0
@@ -75,10 +88,11 @@ class TestSplitObjective:
             )
 
     def test_index_out_of_range(self):
+        objective = kernels.LevelObjective(FrequencyMatrix(B1), [(0, 3, 0, 2)], True)
         with pytest.raises(ValueError):
-            split_objective(B1, 0, "y")
+            objective([0])
         with pytest.raises(ValueError):
-            split_objective(B1, 4, "y")
+            objective([4])
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(5)
@@ -143,7 +157,7 @@ class TestOptimalSplitExact:
                     assert got in exact
 
     def test_unsplittable(self):
-        with pytest.raises(UnsplittableAxisError):
+        with pytest.raises(ValueError):
             optimal_split_exact(np.array([[1, 2, 3]]), "y")
 
 
@@ -200,7 +214,7 @@ class TestGetSplitPoint:
             block = np.vstack(
                 [np.full((boundary, 6), 1), np.full((16 - boundary, 6), 9)]
             )
-            got = get_split_point(block, "y", 1.0, 8, zero_noise())
+            got = searched_split(block, "y", 1.0, 8, zero_noise())
             assert got == optimal_split_exact(block, "y") == boundary
 
     def test_returned_index_always_splittable(self):
@@ -208,12 +222,8 @@ class TestGetSplitPoint:
         for trial in range(50):
             u = int(rng.integers(2, 40))
             block = rng.integers(0, 20, size=(u, 3))
-            k = get_split_point(block, "y", 1e-3, 3, NoiseSource(trial))
+            k = searched_split(block, "y", 1e-3, 3, NoiseSource(trial))
             assert 1 <= k <= u - 1
-
-    def test_unsplittable_axis(self):
-        with pytest.raises(UnsplittableAxisError):
-            get_split_point(np.array([[1, 2]]), "y", 1.0, 3, zero_noise())
 
 
 @st.composite
@@ -244,16 +254,16 @@ class TestLevelSearch:
 
     def test_ties_go_to_the_centre_then_the_lower_quarter(self):
         flat = np.full((9, 2), 4)
-        assert get_split_point(flat, "y", 1.0, 3, zero_noise()) == 5  # every value 0: the centre stays
+        assert searched_split(flat, "y", 1.0, 3, zero_noise()) == 5  # every value 0: the centre stays
         # rows read the same both ways: quarters 3 and 7 tie, below the centre 5
         block = np.repeat([[9], [9], [9], [0], [0], [0], [0], [9], [9], [9]], 2, axis=1)
         assert split_objective(block, 3, "y") == split_objective(block, 7, "y") < split_objective(block, 5, "y")
-        assert get_split_point(block, "y", 1.0, 1, zero_noise()) == 3
+        assert searched_split(block, "y", 1.0, 1, zero_noise()) == 3
         assert quartering_search(block, (0, 10, 0, 2), "y", [0.0] * 3) == 3
 
     def test_total_past_the_int64_bound_is_rejected(self):
         with pytest.raises(ValueError, match=r"2\^63"):
-            get_split_point(np.array([[2**61, 0], [0, 0]]), "y", 1.0, 3, zero_noise())
+            searched_split(np.array([[2**61, 0], [0, 0]]), "y", 1.0, 3, zero_noise())
 
 
 class TestEstimateHeight:
@@ -344,7 +354,7 @@ class TestPerturbAndPrune:
     def split_root(matrix, height, noise, ledger):
         # as release starts the walk: the root split, or a height-0 leaf when it cannot be
         root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-        if not split_level([root], matrix, 5e-4, 3, noise, ledger):
+        if not split_level([root], [1], matrix, 5e-4, 3, noise, ledger):
             root.height = 0
         return root
 
@@ -365,7 +375,7 @@ class TestPerturbAndPrune:
         matrix = FrequencyMatrix(FIG_GRID)
         leaves = self.walk_fig_tree(zero_noise(), ledger)
         for region, ncount in leaves:
-            assert ncount == matrix.region_sum(region)
+            assert ncount == matrix.region_sums([region])[0]
 
     def test_single_node_tree_gets_full_data_budget(self):
         matrix = FrequencyMatrix(np.array([[9]]))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphist import baselines, privacy
-from dphist.grid import generate_gaussian
-from dphist.htf import HtfParams, release
+from dphist.grid import FrequencyMatrix, generate_gaussian
+from dphist.htf import HtfParams, estimate_height, release
 from dphist.privacy import (
     CELL,
     COUNT,
@@ -19,7 +19,6 @@ from dphist.privacy import (
     BudgetOverflowError,
     NoiseSource,
     geometric_level_budget,
-    laplace_sample,
     path_code,
     philox_array,
     require_positive,
@@ -46,8 +45,9 @@ class TestRequirePositive:
     def test_every_budget_entry_point_rejects(self, value):
         src = NoiseSource(0, zero_noise=True)
         for call in (
-            lambda: laplace_sample(1.0, value, src),
-            lambda: laplace_sample(value, 1.0, src),
+            lambda: estimate_height(FrequencyMatrix.zeros(2, 2), value, 1.0, src, ledger=BudgetLedger()),
+            lambda: baselines.build_flat_uniform(FrequencyMatrix.zeros(2, 2), value, src),
+            lambda: src.laplace(value, COUNT, 1, 0, 0),
             lambda: geometric_level_budget(0, 3, value),
             lambda: BudgetLedger().charge("x", value),
             lambda: BudgetLedger().charge_parallel("x", value, count=4),
@@ -57,25 +57,34 @@ class TestRequirePositive:
 
 
 class TestLaplaceSample:
+    # the two single draws: htf's noisy total and flat-uniform's, each checking its budget first
+    @staticmethod
+    def single_draws(eps, src):
+        matrix = FrequencyMatrix.zeros(2, 2)
+        return (
+            lambda: estimate_height(matrix, eps, 1.0, src, ledger=BudgetLedger()),
+            lambda: baselines.build_flat_uniform(matrix, eps, src),
+        )
+
     def test_rejects_bad_eps(self):
         src = NoiseSource(0)
-        with pytest.raises(ValueError):
-            laplace_sample(1.0, 0.0, src)
-        with pytest.raises(ValueError):
-            laplace_sample(1.0, -1.0, src)
+        for call in self.single_draws(0.0, src) + self.single_draws(-1.0, src):
+            with pytest.raises(ValueError):
+                call()
 
     def test_rejects_bad_eps_even_in_zero_noise(self):
         src = NoiseSource(0, zero_noise=True)
-        with pytest.raises(ValueError):
-            laplace_sample(1.0, 0.0, src)
+        for call in self.single_draws(0.0, src):
+            with pytest.raises(ValueError):
+                call()
 
     def test_zero_noise_mode(self):
         src = NoiseSource(0, zero_noise=True)
-        assert laplace_sample(2.0, 0.001, src, COUNT, 1, 0, 0) == 0.0
+        assert src.laplace(2.0 / 0.001, COUNT, 1, 0, 0) == 0.0
 
     def test_huge_eps_limit(self):
         src = NoiseSource(1)
-        draws = [laplace_sample(1.0, 1e12, src, COUNT, i, 0, 0) for i in range(100)]
+        draws = [src.laplace(1.0 / 1e12, COUNT, i, 0, 0) for i in range(100)]
         assert max(abs(d) for d in draws) < 1e-9
 
     def test_moments(self):
@@ -102,7 +111,7 @@ class TestLaplaceSample:
 
     def test_site_must_be_four_words(self):
         with pytest.raises(ValueError, match="four words"):
-            laplace_sample(1.0, 1.0, NoiseSource(0), COUNT, 1)
+            NoiseSource(0).laplace(1.0, COUNT, 1)
 
     @pytest.mark.parametrize("zero_noise", [False, True])
     @pytest.mark.parametrize("word", [1.5, -1, 2**64])

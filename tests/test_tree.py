@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dphist import baselines, tree
 from dphist.grid import FrequencyMatrix
 from dphist.htf import HtfParams, release
-from dphist.privacy import BudgetLedger, NoiseSource
+from dphist.privacy import BudgetLedger, NoiseSource, path_code
 from dphist.tree import Node
 
 from oracles import kdtree_nodes, preorder, quadtree_nodes
@@ -19,7 +19,7 @@ def cells(parts):
     return [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in parts]
 
 
-def middles(nodes, axes):
+def middles(nodes, codes, axes):
     return [(node.bounds[3] - node.bounds[2]) // 2 for node in nodes]
 
 
@@ -28,23 +28,26 @@ def binary_tree(height, ledger=None):
     root = Node((0, 1, 0, 2**height), height)
     ledger = BudgetLedger() if ledger is None else ledger
 
-    def step(nodes):
-        tree.bisect(nodes, middles, 1.0, ledger, "cut", cells)
+    def step(nodes, codes):
+        tree.bisect(nodes, codes, middles, 1.0, ledger, "cut", cells)
 
     return tree.grow(root, step, ledger)
 
 
 class TestWalks:
     def test_preorder_is_depth_first_left_to_right(self):
-        paths = tree.flatten(binary_tree(2)).paths
+        table = tree.flatten(binary_tree(2))
+        paths = table.paths
         assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+        assert table.codes == [path_code(p) for p in paths]
 
     def test_grow_reads_children_after_each_step(self):
         seen = []
 
-        def step(nodes):
+        def step(nodes, codes):
             seen.append([node.path for node in nodes])
-            tree.bisect(nodes, middles, 1.0, ledger, "cut", cells)
+            assert codes == [path_code(node.path) for node in nodes]
+            tree.bisect(nodes, codes, middles, 1.0, ledger, "cut", cells)
             for node in nodes:
                 if node.path == (0,):
                     node.children = []
@@ -71,24 +74,24 @@ class TestWalks:
 
     def test_bisect_children(self):
         node = Node((2, 6, 1, 4), 2, path=(1,))  # even height: rows
-        assert tree.bisect([node], lambda nodes, axes: [1], 0.01, BudgetLedger(), "cut", cells)
+        assert tree.bisect([node], [5], lambda nodes, codes, axes: [1], 0.01, BudgetLedger(), "cut", cells)
         assert [c.bounds for c in node.children] == [(2, 3, 1, 4), (3, 6, 1, 4)]
         assert [c.path for c in node.children] == [(1, 0), (1, 1)]
         assert [c.height for c in node.children] == [1, 1]
         assert [c.count for c in node.children] == [3, 9]
         assert node.left is node.children[0] and node.right is node.children[1]
         node = Node((2, 6, 1, 4), 3, path=(1,))  # odd height: columns
-        assert tree.bisect([node], lambda nodes, axes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
+        assert tree.bisect([node], [5], lambda nodes, codes, axes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
         assert [c.bounds for c in node.children] == [(2, 6, 1, 3), (2, 6, 3, 4)]
 
     def test_bisect_cuts_on_the_split_axis_or_reserves_the_unsplit_levels(self):
         ledger = BudgetLedger()
         node = Node((0, 1, 0, 6), 4, path=(1,))  # one row: even height falls back to columns
-        assert tree.bisect([node], lambda nodes, axes: [2 if axes[0] == "x" else None], 0.01, ledger, "cut", cells)
+        assert tree.bisect([node], [5], lambda nodes, codes, axes: [2 if axes[0] == "x" else None], 0.01, ledger, "cut", cells)
         assert [c.bounds for c in node.children] == [(0, 1, 0, 2), (0, 1, 2, 6)]
         assert [c.count for c in node.children] == [2, 4]
         leaf = Node((3, 4, 5, 6), 3, path=(0,))
-        assert not tree.bisect([leaf], None, 0.01, ledger, "cut", cells)
+        assert not tree.bisect([leaf], [4], None, 0.01, ledger, "cut", cells)
         assert leaf.is_leaf
         assert [(e[0], e[1], e[2]) for e in ledger.entries] == [("cut", 4, (1,)), (tree.PARTITION_RESERVED, 3, (0,))]
         assert [e[3] for e in ledger.entries] == [0.01, pytest.approx(0.03)]
