@@ -14,8 +14,8 @@ in preorder, and ``tree.perturb``, which draws every node count in one
 call. The quadtree is laid out as one bounds array per level and creates
 no ``tree.Node``; the kd-tree grows its full tree a level at a time
 (``tree.grow``) through the binary split step htf also uses,
-``tree.bisect``, drawing a level's exponential-mechanism uniforms in one
-call, and is flattened once grown. They optionally run a consistency
+``tree.bisect``, scoring and drawing a level's exponential-mechanism
+medians at once, and perturbs the table it grows. They optionally run a consistency
 smoothing pass that re-estimates node counts
 so every parent equals the sum of its children (a linear,
 noise-independent transform that never increases leaf variance), one
@@ -200,26 +200,27 @@ def build_quadtree(
 
 
 def exponential_mechanism_probs(utilities, eps: float, sensitivity: float = 1.0) -> np.ndarray:
-    """Selection probabilities proportional to exp(eps * u / (2 * sensitivity))."""
+    """Selection probabilities proportional to exp(eps * u / (2 * sensitivity)) in each row; a NaN pad stays NaN."""
     require_positive("eps", eps)
     require_positive("sensitivity", sensitivity)
     u = np.asarray(utilities, dtype=np.float64)
     scores = eps * u / (2.0 * sensitivity)
-    scores -= scores.max()
+    scores -= np.nanmax(scores, axis=-1, keepdims=True)
     weights = np.exp(scores)
-    return weights / weights.sum()
+    return weights / np.nansum(weights, axis=-1, keepdims=True)
 
 
 def exponential_mechanism_choices(probs, noise: NoiseSource, counters) -> list[int]:
-    """A draw from each categorical ``probs[i]`` by inverse CDF on the uniform at row i of ``counters``, all in one call.
+    """A draw from each row of ``probs`` by inverse CDF on the uniform at row i of ``counters``, all in one call.
 
-    Zero-noise mode takes each argmax (the smallest index on ties).
+    Zero-noise mode takes each argmax (the smallest index on ties); no draw lands on a row's NaN padding.
     """
+    probs = np.atleast_2d(probs)
     if noise.zero_noise:
-        return [int(np.argmax(p)) for p in probs]
-    cdfs = [np.cumsum(p) for p in probs]
-    u = noise.uniform_array(counters).tolist()
-    return [min(int(np.searchsorted(cdf, x * cdf[-1], side="right")), len(cdf) - 1) for cdf, x in zip(cdfs, u)]
+        return np.nanargmax(probs, axis=1).tolist()
+    cdf = np.nancumsum(probs, axis=1)  # a padded row's sums run as its 1-D ones
+    below = (cdf <= noise.uniform_array(counters)[:, None] * cdf[:, -1:]).sum(axis=1)  # searchsorted, side="right"
+    return np.minimum(below, np.count_nonzero(~np.isnan(probs), axis=1) - 1).tolist()
 
 
 def build_kdtree(
@@ -252,22 +253,21 @@ def build_kdtree(
     eps_counts = (1.0 - structure_fraction) * eps_total
     src = noise.substream("kdtree")
 
-    def median_probs(node: Node, axis: str) -> np.ndarray:
-        r0, r1, c0, c1 = node.bounds
-        sums = matrix.counts[r0:r1, c0:c1].sum(axis=1 if axis == "y" else 0)
-        prefix = np.cumsum(sums)[:-1]  # candidate k = 1 .. extent-1
-        utilities = -np.abs(prefix - sums.sum() / 2.0)
-        return exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-
-    def median_cuts(nodes: list[Node], codes, axes: list[str]) -> list[int]:
-        sites = site_counters(EM, codes)
-        return [i + 1 for i in exponential_mechanism_choices(list(map(median_probs, nodes, axes)), src, sites)]
+    def median_cuts(bounds: np.ndarray, rows: np.ndarray, codes) -> np.ndarray:
+        extent = np.where(rows, bounds[:, 1] - bounds[:, 0], bounds[:, 3] - bounds[:, 2])
+        lines, owner, i, j = _grid_cells(bounds, np.where(rows, extent, 1), np.where(rows, 1, extent))
+        prefix = np.zeros((len(bounds), extent.max()), dtype=np.int64)  # each node's line sums, zero-padded
+        prefix[owner, i + j] = matrix.region_sums(lines)
+        prefix = np.cumsum(prefix, axis=1)  # candidate k = 1 .. extent-1 puts the first k lines first
+        utilities = -np.abs(prefix[:, :-1] - prefix[:, -1:] / 2.0)
+        utilities[np.arange(extent.max() - 1) >= extent[:, None] - 1] = np.nan
+        probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
+        return np.add(exponential_mechanism_choices(probs, src, site_counters(EM, codes)), 1)
 
     def step(nodes: list[Node], codes: list[int]) -> None:
         tree.bisect(nodes, codes, median_cuts, eps_struct_level, ledger, "em-split", matrix.region_sums)
 
-    root = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
-    table = tree.flatten(root)
+    table = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
     budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
     tree.perturb(table, budgets, src, ledger, "node-count")
     if smooth and tree.is_complete(table):

@@ -159,8 +159,11 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _parse_list(text: str, cast):
-    return [cast(part) for part in text.split(",") if part.strip()]
+def _parse_list(sweep: dict[str, str], key: str, cast) -> list:
+    values = [cast(part) for part in sweep[key].split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"sweep config key {key!r} lists no value")
+    return values
 
 
 # a sweep config's own keys and their defaults: the axes, the dataset, the
@@ -221,14 +224,16 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     sweep = {key: cfg.pop(key, default) for key, default in SWEEP_KEYS.items()}
     heights = {m: {"height": cfg.pop(f"{m}_height")} for m in TREE_HEIGHTS if f"{m}_height" in cfg}
-    methods = _parse_list(sweep["methods"], str)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    methods = _parse_list(sweep, "methods", str)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r} in sweep config")
-    eps_values = _parse_list(sweep["eps"], float)
-    sizes = [s if s == "random" else float(s) for s in _parse_list(sweep["sizes"], str)]
-    seeds = _parse_list(sweep["seeds"], int)
-    sigmas = _parse_list(sweep["sigmas"], float)
+    eps_values = _parse_list(sweep, "eps", float)
+    sizes = [s if s == "random" else float(s) for s in _parse_list(sweep, "sizes", str)]
+    seeds = _parse_list(sweep, "seeds", int)
+    sigmas = _parse_list(sweep, "sigmas", float)
     n, grid_size, count = int(sweep["n"]), int(sweep["grid"]), int(sweep["queries"])
     smoothing = float(sweep["smoothing"])
     for key in cfg:

@@ -192,10 +192,9 @@ def split_level(
     and their searches run as one (``_quartering_search``).
     """
 
-    def cut(split: list[Node], codes, axes: list[str]) -> list[int]:
+    def cut(bounds: np.ndarray, rows: np.ndarray, codes) -> np.ndarray:
         draws = _split_draws(noise, codes, level_budget, search_iters)
-        objective = kernels.LevelObjective(matrix, [node.bounds for node in split], [axis == "y" for axis in axes])
-        return _quartering_search(objective, draws).tolist()
+        return _quartering_search(kernels.LevelObjective(matrix, bounds, rows), draws)
 
     return tree.bisect(nodes, codes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
 
@@ -219,7 +218,9 @@ def build_partitioning(
     def step(nodes: list[Node], codes: list[int]) -> None:
         split_level(nodes, codes, matrix, eps_partition_level, search_iters, noise, ledger)
 
-    return tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
+    root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
+    tree.grow(root, step, ledger)
+    return root
 
 
 def perturb_and_prune(
@@ -246,14 +247,13 @@ def perturb_and_prune(
     one that neither axis divides is pruned the same way. Height-0 nodes
     are released with their level-budget count as-is, so a height-0
     root, an unsplittable grid, takes the whole of ``eps_data``. The
-    leaves come out in preorder.
+    leaves are read from the table ``tree.grow`` returns, in preorder.
     """
     require_positive("eps_data", eps_data)
     # the geometric share of a single level is eps_data only up to rounding
     budgets = np.array(tree.level_budgets(eps_data, root.height) if root.height else [eps_data])
     # remain[h] = eps_data - (budgets[root.height] + ... + budgets[h]), the spent part added from the root down
     remain = eps_data - np.cumsum(budgets[::-1])[::-1]
-    leaves = []
 
     def step(nodes: list[Node], codes: list[int]) -> None:
         height = np.array([node.height for node in nodes])
@@ -281,11 +281,9 @@ def perturb_and_prune(
         ncount[topup] = count[topup] + noise.laplace_array(1.0 / eps_topup, site_counters(privacy.PRUNE, codes[topup]))
         for node, value in zip(nodes, ncount.tolist()):
             node.ncount = value
-        leaves.extend(node for node in nodes if node.is_leaf)
 
-    tree.grow(root, step, ledger)
-    leaves.sort(key=lambda node: node.path)
-    return [(node.bounds, node.ncount) for node in leaves]
+    table = tree.grow(root, step, ledger)
+    return list(zip(map(tuple, table.bounds[table.leaf].tolist()), table.ncount[table.leaf].tolist()))
 
 
 def release(

@@ -11,12 +11,12 @@ height, path, true count and noisy count; ``bisect`` is their one binary
 split step, and ``reserve`` the one charge of split levels a node leaves
 unsplit. No walk recurses, so tree depth never meets the recursion limit.
 
-The kd-tree and quadtree release their counts on a ``NodeTable``, the tree
-as arrays in preorder: the kd-tree ``flatten``s its grown nodes once, and
-the complete quadtree is laid out level by level (``complete``) without a
-``Node``. ``perturb`` draws every node count in one call and charges them
-in one bulk ledger charge. htf draws its counts a level at a time as it
-grows (``htf.perturb_and_prune``), and makes no table.
+Every tree ends as a ``NodeTable``, the tree as arrays in preorder: ``grow``
+returns the table of the nodes it grew, which the kd-tree perturbs and htf
+reads its leaves from, and the complete quadtree is laid out level by level
+(``complete``) without a ``Node``. ``perturb`` draws every node count in one
+call and charges them in one bulk ledger charge. htf draws its counts a
+level at a time as it grows (``htf.perturb_and_prune``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "split_axis",
     "bisect",
     "reserve",
-    "flatten",
     "complete",
     "level_budgets",
     "perturb",
@@ -79,8 +78,8 @@ class NodeTable:
     Row i holds the node's ``(row_lo, row_hi, col_lo, col_hi)`` bounds,
     its ``height`` above the leaves and ``depth`` below the root, its
     number of ``children`` (0 for a leaf), its tree path (``paths``, and
-    its code, ``codes``) and its true ``count``. ``perturb`` fills
-    ``ncount`` and ``noise_var``.
+    its code, ``codes``) and its true ``count``. ``grow`` reads ``ncount``
+    off its nodes; ``perturb`` fills ``ncount`` and ``noise_var``.
     """
 
     bounds: np.ndarray
@@ -98,22 +97,35 @@ class NodeTable:
         return self.children == 0
 
 
-def grow(root: Node, step, ledger: BudgetLedger) -> Node:
+def grow(root: Node, step, ledger: BudgetLedger) -> NodeTable:
     """Grow the tree under ``root`` a depth at a time: ``step(nodes, codes)`` splits or keeps each node of a depth.
 
-    ``nodes`` are in preorder, and ``codes`` are their path codes. The
-    ledger rows charged meanwhile are then put back in preorder by one
-    stable sort on their paths (a path sorts before its extensions), each
-    node's rows in the order they were charged. Returns ``root``.
+    ``nodes`` are in preorder, and ``codes`` are their path codes. Returns
+    the ``NodeTable`` of every node handed to ``step``, its ``ncount`` read
+    off the nodes; it and the ledger rows charged meanwhile are put in
+    preorder by one stable sort on their paths (a path sorts before its
+    extensions), each node's rows in the order they were charged.
     """
     start = len(ledger.entries)
+    grown = []  # (node, code) of every node handed to step
     nodes, codes = [root], [path_code(root.path)]
     while nodes:
         step(nodes, codes)
+        grown += zip(nodes, codes)
         codes = [code << 2 | i for node, code in zip(nodes, codes) for i in range(len(node.children))]
         nodes = [child for node in nodes for child in node.children]
     ledger.entries[start:] = sorted(ledger.entries[start:], key=lambda entry: entry[2])
-    return root
+    nodes, codes = zip(*sorted(grown, key=lambda item: item[0].path))
+    return NodeTable(
+        bounds=np.array([node.bounds for node in nodes], dtype=np.int64),
+        height=np.array([node.height for node in nodes], dtype=np.int64),
+        depth=np.array([len(node.path) for node in nodes], dtype=np.int64) - len(root.path),
+        children=np.array([len(node.children) for node in nodes], dtype=np.int64),
+        paths=[node.path for node in nodes],
+        codes=list(codes),
+        count=np.array([node.count for node in nodes], dtype=np.int64),
+        ncount=np.array([node.ncount for node in nodes], dtype=np.float64),
+    )
 
 
 def split_axis(bounds, height: int) -> str | None:
@@ -132,8 +144,9 @@ def split_axis(bounds, height: int) -> str | None:
 def bisect(nodes, codes, cut, eps: float, ledger: BudgetLedger, label: str, counts) -> list[Node]:
     """Cut each of ``nodes`` above height 0 in two along its ``split_axis``, charged ``eps`` as ``label``; return them.
 
-    ``codes`` are the nodes' path codes. ``cut(split, codes, axes)`` gives
-    how many rows or columns of each node an axis divides go first. The
+    ``codes`` are the nodes' path codes. ``cut(bounds, rows, codes)`` gives
+    how many rows or columns go first in each node an axis divides, from
+    their ``(K, 4)`` bounds, whether each cuts rows, and their codes. The
     halves, one level down at paths ``+ (0,)`` and ``+ (1,)``, count
     ``counts(bounds)`` in one call. A node neither axis divides stays a leaf
     and ``reserve``s its levels.
@@ -141,20 +154,17 @@ def bisect(nodes, codes, cut, eps: float, ledger: BudgetLedger, label: str, coun
     axes = [split_axis(node.bounds, node.height) if node.height > 0 else None for node in nodes]
     reserve([node for node, axis in zip(nodes, axes) if axis is None], eps, ledger)  # a height-0 node owes none
     at = [i for i, axis in enumerate(axes) if axis]
-    split, codes, axes = [nodes[i] for i in at], [codes[i] for i in at], [axes[i] for i in at]
+    split, codes, rows = [nodes[i] for i in at], [codes[i] for i in at], np.array([axes[i] == "y" for i in at])
     if not split:
         return split
     ledger.charge_many(label, np.full(len(split), eps), paths=[n.path for n in split], levels=[n.height for n in split])
-    halves = []
-    for node, axis, k in zip(split, axes, cut(split, codes, axes)):
-        r0, r1, c0, c1 = node.bounds
-        if axis == "y":
-            halves.append(((r0, r0 + k, c0, c1), (r0 + k, r1, c0, c1)))
-        else:
-            halves.append(((r0, r1, c0, c0 + k), (r0, r1, c0 + k, c1)))
-    sums = iter(np.asarray(counts([bounds for pair in halves for bounds in pair])).tolist())
-    for node, pair in zip(split, halves):
-        node.children = [Node(bounds, node.height - 1, node.path + (i,), next(sums)) for i, bounds in enumerate(pair)]
+    bounds = np.array([node.bounds for node in split], dtype=np.int64)
+    ix, lo = np.arange(len(split)), np.where(rows, 0, 2)  # lo: the bounds column of each cut axis's low edge
+    halves = np.stack([bounds, bounds], axis=1)  # each node's first and second half
+    halves[ix, 0, lo + 1] = halves[ix, 1, lo] = bounds[ix, lo] + np.asarray(cut(bounds, rows, codes), dtype=np.int64)
+    sums = np.asarray(counts(halves.reshape(-1, 4))).reshape(-1, 2).tolist()
+    for node, pair, pair_sums in zip(split, halves.tolist(), sums):
+        node.children = [Node(tuple(b), node.height - 1, node.path + (i,), n) for i, (b, n) in enumerate(zip(pair, pair_sums))]
     return split
 
 
@@ -164,27 +174,6 @@ def reserve(nodes, eps: float, ledger: BudgetLedger) -> None:
     owed = [(node, levels) for node, levels in owed if levels > 0]
     paths, levels = [node.path for node, _ in owed], [node.height for node, _ in owed]
     ledger.charge_many(PARTITION_RESERVED, [eps * n for _, n in owed], paths=paths, levels=levels)
-
-
-def flatten(root: Node) -> NodeTable:
-    """The ``NodeTable`` of the tree under ``root``, read in one preorder walk; its codes are Python ints."""
-    nodes, depth, codes = [], [], []
-    stack = [(root, 0, path_code(root.path))]
-    while stack:
-        node, d, code = stack.pop()
-        nodes.append(node)
-        depth.append(d)
-        codes.append(code)
-        stack.extend((node.children[i], d + 1, code << 2 | i) for i in reversed(range(len(node.children))))
-    return NodeTable(
-        bounds=np.array([node.bounds for node in nodes], dtype=np.int64),
-        height=np.array([node.height for node in nodes], dtype=np.int64),
-        depth=np.array(depth, dtype=np.int64),
-        children=np.array([len(node.children) for node in nodes], dtype=np.int64),
-        paths=[node.path for node in nodes],
-        codes=codes,
-        count=np.array([node.count for node in nodes], dtype=np.int64),
-    )
 
 
 def complete(levels: list[np.ndarray], fanout: int, height: int, count) -> NodeTable:

@@ -11,16 +11,19 @@ references the private quartering search is measured against; no release
 calls them. ``quartering_search`` is that search on one block at a time,
 the reference of ``htf``'s search over a whole level.
 
-The node-at-a-time forms of the quadtree, the kd-tree count release, the
-consistency smoothing, the ledger's path audit and the Gaussian sampler's
-resampling loop follow them. The package replaced each with array passes
-that must give the same bits; these are the references they are checked
-against. A node's noise variance is kept as a ``noise_var`` attribute of
-its ``Node``. The grid baselines' cell layout (``grid_cells``) is the
-same kind of reference, and so are the answering kernel that paints
-every cell (``cell_leaf_owner``, ``cell_answer_workload``) and the
-dataset helpers that allocate their temporaries
-(``sample_gaussian_points_allocating``, ``discretize_allocating``).
+The node-at-a-time forms of the quadtree, the kd-tree (each node's
+median drawn on its own), the consistency smoothing, the ledger's path
+audit and the Gaussian sampler's resampling loop follow them. The
+package replaced each with array passes that must give the same bits;
+these are the references they are checked against. A node's noise
+variance is kept as a ``noise_var`` attribute of its ``Node``. The grid
+baselines' cell layout (``grid_cells``) is the same kind of reference,
+and so are the answering kernel that paints every cell
+(``cell_leaf_owner``, ``cell_answer_workload``) and the dataset helpers
+that allocate their temporaries (``sample_gaussian_points_allocating``,
+``discretize_allocating``), and the preorder walk that reads a
+hand-built ``Node`` tree into a table (``flatten_nodes``), where
+``tree.grow`` sorts the nodes it grew.
 
 The two-mode htf walk is the reference of htf's one walk: it prunes a
 prebuilt tree, or splits the nodes it keeps through a splitter object,
@@ -139,6 +142,27 @@ def preorder(root: Node):
         stack.extend(reversed(node.children))
 
 
+def flatten_nodes(root: Node) -> tree.NodeTable:
+    """The ``NodeTable`` of a hand-built ``Node`` tree, read in one preorder walk; its codes are Python ints."""
+    nodes, depth, codes = [], [], []
+    stack = [(root, 0, path_code(root.path))]
+    while stack:
+        node, d, code = stack.pop()
+        nodes.append(node)
+        depth.append(d)
+        codes.append(code)
+        stack.extend((node.children[i], d + 1, code << 2 | i) for i in reversed(range(len(node.children))))
+    return tree.NodeTable(
+        bounds=np.array([node.bounds for node in nodes], dtype=np.int64),
+        height=np.array([node.height for node in nodes], dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+        children=np.array([len(node.children) for node in nodes], dtype=np.int64),
+        paths=[node.path for node in nodes],
+        codes=codes,
+        count=np.array([node.count for node in nodes], dtype=np.int64),
+    )
+
+
 def grow_nodes(root: Node, split) -> Node:
     """Call ``split(node)`` on every node above height 0 in preorder, top-down, and return ``root``."""
     for node in preorder(root):
@@ -150,8 +174,8 @@ def grow_nodes(root: Node, split) -> Node:
 def bisect_node(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, matrix) -> bool:
     """``tree.bisect`` of the one ``node``, ``cut(node, axis)`` giving its index; True if split."""
 
-    def cuts(nodes, codes, axes):
-        return [cut(nodes[0], axes[0])]
+    def cuts(bounds, rows, codes):
+        return [cut(node, "y" if rows[0] else "x")]
 
     return bool(tree.bisect([node], [path_code(node.path)], cuts, eps, ledger, label, matrix.region_sums))
 
@@ -438,10 +462,11 @@ def smooth_dict(root: Node) -> Node:
 def smooth_nodes(root: Node, noise_var: float) -> Node:
     """Run the package's ``enforce_hierarchical_consistency`` on a hand-built ``Node`` tree, in place.
 
-    The tree is flattened, every node given its ``ncount`` and the
-    variance ``noise_var``, and the smoothed counts written back.
+    The tree is read into a table (``flatten_nodes``), every node given its
+    ``ncount`` and the variance ``noise_var``, and the smoothed counts
+    written back.
     """
-    table = tree.flatten(root)
+    table = flatten_nodes(root)
     nodes = list(preorder(root))
     table.ncount = np.array([node.ncount for node in nodes], dtype=np.float64)
     table.noise_var = np.full(len(nodes), float(noise_var))

@@ -422,6 +422,22 @@ class TestSweep:
         cfg = self.write_config(tmp_path, methods="htf,wavelet")
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "t.csv"]) == 2
 
+    @pytest.mark.parametrize("key", ["methods", "eps", "sizes", "seeds", "sigmas"])
+    def test_empty_axis_exits_2_naming_it(self, tmp_path, capsys, key):
+        cfg = self.write_config(tmp_path, **{key: ""})
+        out = tmp_path / "t.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert f"sweep config key {key!r} lists no value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_1_exits_2(self, tmp_path, capsys, jobs):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "t.csv"
+        assert run(["sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_jobs_write_the_bytes_of_one(self, tmp_path):
         cfg = self.write_config(tmp_path, methods="htf,ug,quadtree", sigmas="6,10", sizes="random,0.05")
         tables = []

@@ -12,31 +12,31 @@ from dphist.htf import HtfParams, release
 from dphist.privacy import BudgetLedger, NoiseSource, path_code
 from dphist.tree import Node
 
-from oracles import kdtree_nodes, preorder, quadtree_nodes
+from oracles import flatten_nodes, kdtree_nodes, preorder, quadtree_nodes
 
 
 def cells(parts):
     return [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in parts]
 
 
-def middles(nodes, codes, axes):
-    return [(node.bounds[3] - node.bounds[2]) // 2 for node in nodes]
+def middles(bounds, rows, codes):
+    return (bounds[:, 3] - bounds[:, 2]) // 2
 
 
 def binary_tree(height, ledger=None):
-    # one row: every split falls to the columns, cut at the middle
+    # one row: every split falls to the columns, cut at the middle; the root and the table grow makes of it
     root = Node((0, 1, 0, 2**height), height)
     ledger = BudgetLedger() if ledger is None else ledger
 
     def step(nodes, codes):
         tree.bisect(nodes, codes, middles, 1.0, ledger, "cut", cells)
 
-    return tree.grow(root, step, ledger)
+    return root, tree.grow(root, step, ledger)
 
 
 class TestWalks:
     def test_preorder_is_depth_first_left_to_right(self):
-        table = tree.flatten(binary_tree(2))
+        _, table = binary_tree(2)
         paths = table.paths
         assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
         assert table.codes == [path_code(p) for p in paths]
@@ -53,41 +53,44 @@ class TestWalks:
                     node.children = []
 
         ledger = BudgetLedger()
-        root = tree.grow(Node((0, 1, 0, 8), 3), step, ledger)
+        table = tree.grow(Node((0, 1, 0, 8), 3), step, ledger)
         assert seen == [[()], [(0,), (1,)], [(1, 0), (1, 1)], [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
-        assert tree.flatten(root).paths == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
+        assert table.paths == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
 
     def test_grow_puts_the_ledger_rows_back_in_preorder(self):
         ledger = BudgetLedger()
         ledger.note("before", path=(1,))
-        root = binary_tree(3, ledger)
+        root, table = binary_tree(3, ledger)
+        assert table.paths == [n.path for n in preorder(root)]
         assert [e[2] for e in ledger.entries] == [(1,)] + [n.path for n in preorder(root) if n.height > 0]
 
     def test_deep_tree_needs_no_recursion(self):
         # a chain far deeper than the interpreter's recursion limit
-        root = node = Node((0, 1, 0, 1), 5000)
-        for _ in range(5000):
-            node.children = [Node(node.bounds, node.height - 1, node.path + (0,))]
-            node = node.children[0]
-        assert len(tree.flatten(root).paths) == 5001
-        assert tree.is_complete(tree.flatten(root))
+        def step(nodes, codes):
+            [node] = nodes
+            if node.height > 0:
+                node.children = [Node(node.bounds, node.height - 1, node.path + (0,))]
+
+        table = tree.grow(Node((0, 1, 0, 1), 5000), step, BudgetLedger())
+        assert len(table.paths) == 5001
+        assert tree.is_complete(table)
 
     def test_bisect_children(self):
         node = Node((2, 6, 1, 4), 2, path=(1,))  # even height: rows
-        assert tree.bisect([node], [5], lambda nodes, codes, axes: [1], 0.01, BudgetLedger(), "cut", cells)
+        assert tree.bisect([node], [5], lambda bounds, rows, codes: [1], 0.01, BudgetLedger(), "cut", cells)
         assert [c.bounds for c in node.children] == [(2, 3, 1, 4), (3, 6, 1, 4)]
         assert [c.path for c in node.children] == [(1, 0), (1, 1)]
         assert [c.height for c in node.children] == [1, 1]
         assert [c.count for c in node.children] == [3, 9]
         assert node.left is node.children[0] and node.right is node.children[1]
         node = Node((2, 6, 1, 4), 3, path=(1,))  # odd height: columns
-        assert tree.bisect([node], [5], lambda nodes, codes, axes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
+        assert tree.bisect([node], [5], lambda bounds, rows, codes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
         assert [c.bounds for c in node.children] == [(2, 6, 1, 3), (2, 6, 3, 4)]
 
     def test_bisect_cuts_on_the_split_axis_or_reserves_the_unsplit_levels(self):
         ledger = BudgetLedger()
         node = Node((0, 1, 0, 6), 4, path=(1,))  # one row: even height falls back to columns
-        assert tree.bisect([node], [5], lambda nodes, codes, axes: [2 if axes[0] == "x" else None], 0.01, ledger, "cut", cells)
+        assert tree.bisect([node], [5], lambda bounds, rows, codes: [None if rows[0] else 2], 0.01, ledger, "cut", cells)
         assert [c.bounds for c in node.children] == [(0, 1, 0, 2), (0, 1, 2, 6)]
         assert [c.count for c in node.children] == [2, 4]
         leaf = Node((3, 4, 5, 6), 3, path=(0,))
@@ -104,17 +107,16 @@ class TestWalks:
         assert tree.split_axis((0, 1, 0, 1), 2) is None
 
     def test_is_complete(self):
-        assert tree.is_complete(tree.flatten(binary_tree(3)))
-        assert not tree.is_complete(tree.flatten(Node((0, 1, 0, 1), 0)))
-        root = binary_tree(3)
+        assert tree.is_complete(binary_tree(3)[1])
+        assert not tree.is_complete(flatten_nodes(Node((0, 1, 0, 1), 0)))
+        root, _ = binary_tree(3)
         root.children[1].children = []
-        assert not tree.is_complete(tree.flatten(root))
+        assert not tree.is_complete(flatten_nodes(root))
 
     def test_perturb_charges_each_node_its_height_budget(self):
-        root = binary_tree(2)
+        _, table = binary_tree(2)
         ledger = BudgetLedger()
         budgets = tree.level_budgets(0.3, 2, "uniform")
-        table = tree.flatten(root)
         tree.perturb(table, budgets, NoiseSource(0, zero_noise=True), ledger, "node-count")
         assert [(e[2], e[3]) for e in ledger.entries] == [(path, 0.3 / 3) for path in table.paths]
         nodes = zip(table.ncount.tolist(), table.count.tolist(), table.noise_var.tolist())
@@ -220,7 +222,7 @@ class TestLeavesAboveHeightZero:
 
 @st.composite
 def grids_for_trees(draw):
-    """Non-square grids, grids one cell wide, heights past either tree's cap, both allocations, smoothing on and off."""
+    """Non-square grids, grids one cell wide, heights past either tree's cap, both allocations, smoothing on and off, noise on and off."""
     shape = draw(
         st.one_of(
             st.tuples(st.just(1), st.integers(1, 40)),
@@ -231,7 +233,7 @@ def grids_for_trees(draw):
     counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, draw(st.integers(1, 200)), shape)
     height = draw(st.integers(1, 14))
     options = {"alloc": draw(st.sampled_from(["uniform", "geometric"])), "smooth": draw(st.booleans())}
-    return FrequencyMatrix(counts), height, options, draw(st.integers(0, 2**31 - 1))
+    return FrequencyMatrix(counts), height, options, draw(st.integers(0, 2**31 - 1)), draw(st.booleans())
 
 
 def release_bytes(hist) -> tuple[bytes, bytes]:
@@ -245,13 +247,13 @@ class TestArrayTreesAgainstNodeOracles:
     @settings(max_examples=150, deadline=None)
     @given(grids_for_trees(), st.sampled_from(["quadtree", "kdtree"]))
     def test_release_and_ledger_bytes_equal(self, case, method):
-        matrix, height, options, seed = case
+        matrix, height, options, seed, zero_noise = case
         build, oracle = {
             "quadtree": (baselines.build_quadtree, quadtree_nodes),
             "kdtree": (baselines.build_kdtree, kdtree_nodes),
         }[method]
-        got = build(matrix, 0.3, height, NoiseSource(seed), **options)
-        expected = oracle(matrix, 0.3, height, NoiseSource(seed), **options)
+        got = build(matrix, 0.3, height, NoiseSource(seed, zero_noise=zero_noise), **options)
+        expected = oracle(matrix, 0.3, height, NoiseSource(seed, zero_noise=zero_noise), **options)
         assert got.bounds.tolist() == expected.bounds.tolist()
         assert got.ncounts.tobytes() == expected.ncounts.tobytes()
         assert got.ledger.entries == expected.ledger.entries
