@@ -39,7 +39,6 @@ from .privacy import (
     LEVEL2,
     BudgetLedger,
     NoiseSource,
-    path_code,
     require_positive,
     site_counters,
 )
@@ -264,8 +263,8 @@ def build_kdtree(
         probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
         return np.add(exponential_mechanism_choices(probs, src, site_counters(EM, codes)), 1)
 
-    def step(nodes: list[Node], codes: list[int]) -> None:
-        tree.bisect(nodes, codes, median_cuts, eps_struct_level, ledger, "em-split", matrix.region_sums)
+    def step(nodes: list[Node]) -> None:
+        tree.bisect(nodes, median_cuts, eps_struct_level, ledger, "em-split", matrix.region_sums)
 
     table = tree.grow(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), step, ledger)
     budgets = tree.level_budgets(eps_counts, height, alloc, fanout=2)
@@ -291,8 +290,8 @@ def build_flat_uniform(matrix: FrequencyMatrix, eps_total: float, noise: NoiseSo
     """One noisy total for the whole domain, assumed uniformly spread."""
     require_positive("eps_total", eps_total)
     ledger = BudgetLedger()
-    ncount = matrix.total + noise.substream("flat").laplace(1.0 / eps_total, COUNT, path_code(()), 0, 0)
-    ledger.charge("total-count", eps_total, path=())
+    ncount = matrix.total + noise.substream("flat").laplace(1.0 / eps_total, COUNT, 1, 0, 0)  # the root's path code
+    ledger.charge("total-count", eps_total)
     bounds = [(0, matrix.rows, 0, matrix.cols)]
     return PrivateHistogram.audited(matrix.shape, bounds, [ncount], eps_total, ledger)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, grid, htf, queries
 from .histogram import CoverageError, PrivateHistogram
-from .privacy import BudgetOverflowError, NoiseSource
+from .privacy import BudgetOverflowError, NoiseSource, require_positive
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -236,6 +236,11 @@ def cmd_sweep(args) -> int:
     sigmas = _parse_list(sweep, "sigmas", float)
     n, grid_size, count = int(sweep["n"]), int(sweep["grid"]), int(sweep["queries"])
     smoothing = float(sweep["smoothing"])
+    # settings every row shares fail the sweep, not each of its rows
+    for key, value, least in (("n", n, 0), ("grid", grid_size, 1), ("queries", count, 0)):
+        if value < least:
+            raise ValueError(f"sweep config key {key!r} must be at least {least}, got {value}")
+    require_positive("sweep config key 'smoothing'", smoothing)
     for key in cfg:
         if key.replace("-", "_") in ROW_OPTIONS:
             raise ValueError(f"sweep config key {key!r}: each row sets it")

@@ -42,7 +42,7 @@ Draws are keyed by site, not by visiting order: ``(HEIGHT, 0, 0, 0)``
 for the height (the one single draw, ``NoiseSource.laplace``),
 ``(COUNT, code, 0, 0)`` and ``(PRUNE, code, 0, 0)`` for a node's counts and
 ``(SPLIT, code, e, 0)`` for its split evaluation ``e``, where ``code`` is
-its path's code (``tree.grow`` makes a child's from its parent's); a
+its path's code (``Node.code``, which also keys its ledger rows); a
 level's draws of each kind take one ``laplace_array`` call. A height above
 ``privacy.MAX_PATH_DEPTH`` (31) is rejected: no path code.
 
@@ -66,7 +66,7 @@ import numpy as np
 from . import kernels, privacy, tree
 from .grid import FrequencyMatrix
 from .histogram import PrivateHistogram
-from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, path_code, require_positive, site_counters
+from .privacy import MAX_PATH_DEPTH, BudgetLedger, NoiseSource, require_positive, site_counters
 from .tree import Node
 
 __all__ = [
@@ -85,7 +85,6 @@ HEIGHT = "height"
 SPLIT = "split"
 NODE_COUNT = "node-count"
 PRUNE_TOPUP = "prune-topup"
-WARN_NO_REMAIN = "warn-no-remaining-budget"
 
 
 @dataclass(frozen=True)
@@ -177,16 +176,14 @@ def estimate_height(
     for name, value in (("eps_height", eps_height), ("eps_total", eps_total), ("height_constant", height_constant)):
         require_positive(name, value)
     noisy_total = matrix.total + noise.laplace(1.0 / eps_height, privacy.HEIGHT, 0, 0, 0)
-    ledger.charge(HEIGHT, eps_height, path=(), level=0)
+    ledger.charge(HEIGHT, eps_height)
     value = max(noisy_total, 1.0) * eps_total / height_constant
     height = int(math.floor(math.log2(value))) if value >= 1.0 else 0
     return min(max(height, 1), tree.binary_height_cap(matrix.rows, matrix.cols))
 
 
-def split_level(
-    nodes, codes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger
-) -> list[Node]:
-    """Split each of ``nodes``, of path codes ``codes``, at a searched index (``tree.bisect``); return those split.
+def split_level(nodes, matrix: FrequencyMatrix, level_budget: float, search_iters: int, noise, ledger) -> list[Node]:
+    """Split each of ``nodes`` at a searched index (``tree.bisect``); return those split.
 
     The evaluations of every node an axis divides are drawn in one call,
     and their searches run as one (``_quartering_search``).
@@ -196,7 +193,7 @@ def split_level(
         draws = _split_draws(noise, codes, level_budget, search_iters)
         return _quartering_search(kernels.LevelObjective(matrix, bounds, rows), draws)
 
-    return tree.bisect(nodes, codes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
+    return tree.bisect(nodes, cut, level_budget, ledger, SPLIT, matrix.region_sums)
 
 
 def build_partitioning(
@@ -215,8 +212,8 @@ def build_partitioning(
     if height < 1:
         raise ValueError("height must be at least 1")
 
-    def step(nodes: list[Node], codes: list[int]) -> None:
-        split_level(nodes, codes, matrix, eps_partition_level, search_iters, noise, ledger)
+    def step(nodes: list[Node]) -> None:
+        split_level(nodes, matrix, eps_partition_level, search_iters, noise, ledger)
 
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
     tree.grow(root, step, ledger)
@@ -255,29 +252,24 @@ def perturb_and_prune(
     # remain[h] = eps_data - (budgets[root.height] + ... + budgets[h]), the spent part added from the root down
     remain = eps_data - np.cumsum(budgets[::-1])[::-1]
 
-    def step(nodes: list[Node], codes: list[int]) -> None:
+    def step(nodes: list[Node]) -> None:
         height = np.array([node.height for node in nodes])
-        paths = [node.path for node in nodes]
-        codes = np.array(codes, dtype=np.uint64)
+        codes = np.array([node.code for node in nodes], dtype=np.uint64)
         eps = budgets[height]
-        ledger.charge_many(NODE_COUNT, eps, paths=paths, levels=height)
+        ledger.charge_many(NODE_COUNT, eps, codes=codes, levels=height)
         count = np.array([node.count for node in nodes], dtype=np.int64)
         ncount = count + noise.laplace_array(1.0 / eps, site_counters(privacy.COUNT, codes))
         r0, r1, c0, c1 = np.array([node.bounds for node in nodes], dtype=np.int64).T
         pruned = (height > 0) & ((ncount <= stop_count) | ((r1 - r0) * (c1 - c0) < stop_cells))
-        tree.reserve([node for node, p in zip(nodes, pruned) if p], eps_partition_level, ledger)
+        tree.reserve(list(compress(nodes, pruned)), eps_partition_level, ledger)
         for node in compress(nodes, pruned):
             node.children = []
         unsplit = ~pruned & np.array([node.is_leaf for node in nodes])
-        kept = list(compress(nodes, unsplit))
-        split_level(kept, codes[unsplit], matrix, eps_partition_level, search_iters, noise, ledger)
+        split_level(list(compress(nodes, unsplit)), matrix, eps_partition_level, search_iters, noise, ledger)
         # pruned, or neither axis divides it: re-perturbed with the data budget left on its path
-        ends = np.array([node.is_leaf for node in nodes]) & (height > 0)
-        topup = ends & (remain[height] > 1e-12)
-        for node in compress(nodes, ends & ~topup):
-            ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
+        topup = np.array([node.is_leaf for node in nodes]) & (height > 0)
         eps_topup = remain[height[topup]]
-        ledger.charge_many(PRUNE_TOPUP, eps_topup, paths=list(compress(paths, topup)), levels=height[topup])
+        ledger.charge_many(PRUNE_TOPUP, eps_topup, codes=codes[topup], levels=height[topup])
         ncount[topup] = count[topup] + noise.laplace_array(1.0 / eps_topup, site_counters(privacy.PRUNE, codes[topup]))
         for node, value in zip(nodes, ncount.tolist()):
             node.ncount = value
@@ -301,7 +293,7 @@ def release(
     if params.height_override is not None:
         height = params.height_override
         # The height budget is committed by the configuration either way.
-        ledger.charge(HEIGHT, params.eps_height, path=(), level=0)
+        ledger.charge(HEIGHT, params.eps_height)
     else:
         height = estimate_height(
             matrix,
@@ -328,7 +320,7 @@ def release(
     # The root is split before its stop test. An unsplittable root (a 1x1
     # grid) reserves every split level and enters the walk as a height-0 leaf.
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-    if not split_level([root], [path_code(root.path)], matrix, level_budget, params.search_iters, noise, ledger):
+    if not split_level([root], matrix, level_budget, params.search_iters, noise, ledger):
         root.height = 0
     leaves = perturb_and_prune(
         root, matrix, eps_data, level_budget, params.search_iters, params.stop_count, params.stop_cells, noise, ledger

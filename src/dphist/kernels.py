@@ -11,12 +11,12 @@ below ``(S - 1) // n``: the cells below the mean S/n, whose deviations
 sum to those above it. The numerator is exact in int64 while
 ``(total + 1)·N·M <= 2^63``, which ``LevelObjective`` checks, so a value
 does not depend on the order of any sum: it is the exact rational
-rounded once per cluster, and the two clusters added. ``objective_at``
-scores one split of one block. ``LevelObjective`` scores a whole tree
-level at once: it sorts every line across the split axis of every block
-in one buffer, and then each evaluation of the level costs one
-``searchsorted`` per line and a few passes over the lines, not a pass
-over every cell.
+rounded once per cluster, and the two clusters added. ``LevelObjective``
+scores a whole tree level at once: it sorts every line across the split
+axis of every block in one buffer, and then each evaluation of the level
+costs one ``searchsorted`` per line and a few passes over the lines, not
+a pass over every cell. ``objective_at`` is its call on one split of one
+block.
 
 Answering works on the leaves' own edges: 0, N (M) and every leaf's row
 (column) bounds cut the grid into R x C blocks, each leaf a union of them.
@@ -53,7 +53,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .grid import require_inside
+from .grid import FrequencyMatrix, require_inside
 
 __all__ = [
     "CoverageError",
@@ -74,24 +74,12 @@ def _deviation(total, cells, below, below_sum):
     return 2.0 * (total * below - cells * below_sum) / np.maximum(cells, 1)
 
 
-def _cluster(cells) -> float:
-    total, n = int(cells.sum()), cells.size
-    below = cells[cells <= (total - 1) // max(n, 1)]
-    return _deviation(total, n, below.size, int(below.sum()))
-
-
 def objective_at(counts, r0, r1, c0, c1, k, row_split):
-    """Homogeneity objective for one candidate split of a sub-grid.
+    """``LevelObjective`` of the one block ``counts[r0:r1, c0:c1]`` cut after ``k`` rows (columns unless ``row_split``).
 
-    The sub-grid ``counts[r0:r1, c0:c1]`` is cut into a first cluster of
-    ``k`` rows (columns when ``row_split`` is false) and the remainder;
-    the value is the summed absolute deviation of each cluster's cells
-    from the cluster mean. ``k`` equal to the full extent scores the
-    undivided block. The one-block form of ``LevelObjective``, with the
-    same arithmetic.
+    The summed absolute deviation of each cluster's cells from its mean; ``k`` equal to the extent scores the block whole.
     """
-    block = counts[r0:r1, c0:c1] if row_split else counts[r0:r1, c0:c1].T
-    return float(_cluster(block[:k]) + _cluster(block[k:]))
+    return float(LevelObjective(FrequencyMatrix(counts), [(r0, r1, c0, c1)], row_split)([[k]])[0, 0])
 
 
 class LevelObjective:

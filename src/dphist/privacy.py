@@ -3,19 +3,19 @@
 Keyed Laplace noise, the geometric per-level allocation, and a consumption
 ledger that audits sequential composition along every root-to-leaf path
 while treating disjoint siblings as parallel; the ledger is a release's one
-budget record. Every budget and sensitivity passes one check,
-``require_positive`` (above 0 and finite, so not NaN), and ``assert_valid``
-fails closed on NaN.
+budget record, each row keyed by its path's code. Every budget and
+sensitivity passes one check, ``require_positive`` (above 0 and finite, so
+not NaN), and ``assert_valid`` allows a path over its budget by at most a
+share ``EPS_TOL`` of it and fails closed on NaN.
 
 Noise is counter-based, after Salmon, Moraes, Dror and Shaw, "Parallel
 random numbers: as easy as 1, 2, 3" (SC'11). Every release draw is a pure
 function of three things: the seed, the substream key (a ``NoiseSource``'s
 stream prefix, such as ``"ug"``) and a four-word site counter
 ``(label, w1, w2, w3)``. ``label`` comes from the fixed table below; a tree
-node enters as the code of its path, ``path_code``, which the tree walks
-compute only for a root: a child's code is its parent's ``code << 2 | i``.
-The draw is the first output word of
-Philox4x64-10 for that counter, under the two-word key that each
+node enters as the code of its path, ``path_code``: 1 at the root, and a
+child's code is its parent's ``code << 2 | i``. The draw is the first
+output word of Philox4x64-10 for that counter, under the two-word key that each
 ``NoiseSource`` derives once from ``SeedSequence(seed, spawn_key)``, by the
 one cipher ``philox_array`` on a ``(K, 4)`` array of counters. The word's
 top 53 bits become a uniform in (0, 1) (``uniform_array``), and the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -294,92 +293,111 @@ def geometric_level_budget(level: int, height: int, eps: float, fanout: int = 2)
     return (b ** ((height - level) / 3.0)) * eps * (ratio - 1.0) / (b ** ((height + 1) / 3.0) - 1.0)
 
 
-@dataclass
+def _by_code(codes, root, child) -> dict:
+    """Each code c of ``codes`` and of their prefixes mapped to ``child(value of c >> 2, c)``, made once.
+
+    Code 1, the root, maps to ``root`` and None to None. Raises ValueError for a number that is no path code.
+    """
+    out = {None: None, 1: root}
+    for code in codes:
+        todo = []
+        while code not in out:
+            if code < 4:
+                raise ValueError(f"{todo[0] if todo else code} is not a path code")
+            todo.append(code)
+            code >>= 2
+        value = out[code]
+        for prefix in reversed(todo):
+            value = out[prefix] = child(value, prefix)
+    return out
+
+
+def _path_texts(codes) -> dict:
+    """The ``0/1/1`` text of each path code of ``codes``: its child indices from the root, ``""`` at the root."""
+    return _by_code(codes, "", lambda text, code: f"{text}/{code & 3}" if text else str(code & 3))
+
+
 class BudgetLedger:
-    """Ordered log of every budget charge, keyed by tree path.
+    """Ordered log of every budget charge, keyed by the code of its tree path (``path_code``).
 
     A charge at path ``p`` is sequential with charges at any prefix or
-    extension of ``p`` and parallel with charges on disjoint paths.
-    Grouped charges (``charge_parallel``) record one budget amount spent
-    independently on ``count`` disjoint sites, e.g. flat grid cells.
+    extension of ``p`` and parallel with charges on disjoint paths. Grouped
+    charges (``charge_parallel``) record one budget amount spent on each of
+    ``count`` disjoint sites, e.g. flat grid cells. ``rows`` holds each as
+    ``(label, level, code, eps, sites)``, the code None for a group;
+    ``entries``, and the ``entries=`` the ledger is built from, hold a path's tuple.
     """
 
-    entries: list[tuple[str, int, tuple[int, ...] | None, float, int]] = field(default_factory=list)
+    def __init__(self, entries=()):
+        self.rows = [(label, level, None if path is None else path_code(path), eps, sites) for label, level, path, eps, sites in entries]
 
-    def charge(self, label: str, eps: float, *, path: tuple[int, ...] = (), level: int = 0) -> None:
-        require_positive("charge", eps)
-        self.entries.append((label, level, tuple(path), float(eps), 1))
+    @property
+    def entries(self) -> list[tuple[str, int, tuple[int, ...] | None, float, int]]:
+        """Every row in charge order, its path a tuple of child indices (None for a group)."""
+        paths = _by_code((row[2] for row in self.rows), (), lambda path, code: (*path, code & 3))
+        return [(label, level, paths[code], eps, sites) for label, level, code, eps, sites in self.rows]
 
-    def charge_many(self, label: str, eps, *, paths, levels) -> None:
-        """``charge`` ``eps[i]`` at ``paths[i]`` and ``levels[i]`` for every i in turn, checking the ``eps`` array once."""
+    def charge(self, label: str, eps: float, *, code: int = 1, level: int = 0) -> None:
+        """Charge ``eps`` as ``label`` at the path of code ``code`` (the root's by default), at tree ``level``."""
+        self.charge_many(label, [eps], codes=[code], levels=[level])
+
+    def charge_many(self, label: str, eps, *, codes, levels) -> None:
+        """``charge`` ``eps[i]`` at ``codes[i]`` and ``levels[i]`` for every i in turn, checking the ``eps`` array once."""
         eps = np.asarray(eps, dtype=np.float64).reshape(-1)
         levels = np.asarray(levels).reshape(-1)
-        if not len(eps) == len(levels) == len(paths):
-            raise ValueError(f"{len(eps)} charges with {len(paths)} paths and {len(levels)} levels")
+        codes = np.asarray(codes, dtype=np.uint64).reshape(-1)
+        if not len(eps) == len(levels) == len(codes):
+            raise ValueError(f"{len(eps)} charges with {len(codes)} codes and {len(levels)} levels")
         ok = (eps > 0.0) & (eps < math.inf)
         if not ok.all():
             require_positive("charge", float(eps[ok.argmin()]))
-        self.entries.extend(zip(repeat(label), levels.tolist(), map(tuple, paths), eps.tolist(), repeat(1)))
+        self.rows.extend(zip(repeat(label), levels.tolist(), codes.tolist(), eps.tolist(), repeat(1)))
 
     def charge_parallel(self, label: str, eps: float, *, count: int, level: int = 0) -> None:
         require_positive("charge", eps)
         if count < 1:
             raise ValueError("site count must be positive")
-        self.entries.append((label, level, None, float(eps), int(count)))
-
-    def note(self, label: str, *, path: tuple[int, ...] = (), level: int = 0) -> None:
-        """Zero-cost marker entry (warnings, audit breadcrumbs)."""
-        self.entries.append((label, level, tuple(path), 0.0, 1))
+        self.rows.append((label, level, None, float(eps), int(count)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def total_by_label(self, label: str) -> float:
-        return sum(e[3] for e in self.entries if e[0] == label)
+        return sum(row[3] for row in self.rows if row[0] == label)
 
-    def chain_totals(self) -> dict[tuple[int, ...], float]:
-        """Budget consumed along each maximal charged path, in the order the paths were first charged.
+    def chain_totals(self) -> dict[int, float]:
+        """Budget consumed along each maximal charged path, by path code, in the order the paths were first charged.
 
         The total for a path includes every charge at its prefixes plus
         every parallel group (a record's cell lies in exactly one site
         of each group), added from the root down with the groups first.
+        A ledger of groups alone has the root's path.
         """
-        per_path: dict[tuple[int, ...], float] = {}
+        per_code: dict[int, float] = {}
         parallel = 0.0
-        for _, _, path, eps, _ in self.entries:
-            if path is None:
+        for _, _, code, eps, _ in self.rows:
+            if code is None:
                 parallel += eps
             else:
-                per_path[path] = per_path.get(path, 0.0) + eps
-        if not per_path:
-            return {(): parallel}
-        # the total at every prefix of a charged path, each found from its parent's once
-        prefix_total = {(): parallel + per_path.get((), 0.0)}
-        for path in per_path:
-            todo = []
-            while path not in prefix_total:
-                todo.append(path)
-                path = path[:-1]
-            total = prefix_total[path]
-            for prefix in reversed(todo):
-                total += per_path.get(prefix, 0.0)
-                prefix_total[prefix] = total
-        inner = {prefix[:-1] for prefix in prefix_total if prefix}
-        return {path: prefix_total[path] for path in per_path if path not in inner}
+                per_code[code] = per_code.get(code, 0.0) + eps
+        # the total at every prefix of a charged path, each made from its parent's once
+        totals = _by_code(per_code, parallel + per_code.get(1, 0.0), lambda total, code: total + per_code.get(code, 0.0))
+        inner = {code >> 2 for code in totals if code}
+        return {code: totals[code] for code in per_code or [1] if code not in inner}
 
-    def assert_valid(self, eps_total: float, tol: float = EPS_TOL) -> None:
-        """Raise BudgetOverflowError if any path exceeds ``eps_total``; a NaN total or ``eps_total`` counts as over."""
-        eps_total = float(eps_total)
-        for path, total in self.chain_totals().items():
-            if not total <= eps_total + tol:
+    def assert_valid(self, eps_total: float) -> None:
+        """Raise BudgetOverflowError if a path exceeds ``eps_total`` by more than its ``EPS_TOL`` share; NaN is over."""
+        bound = float(eps_total) * (1.0 + EPS_TOL)
+        for code, total in self.chain_totals().items():
+            if not total <= bound:
                 raise BudgetOverflowError(
-                    f"path {'/'.join(map(str, path)) or '<root>'} charged {total!r} > eps_total {eps_total!r}"
+                    f"path {_path_texts([code])[code] or '<root>'} charged {total!r} > eps_total {float(eps_total)!r}"
                 )
 
     def save(self, path) -> None:
-        """Delimiter-separated audit log: label,level,path,eps,sites, each eps as its ``repr``."""
+        """Delimiter-separated audit log: label,level,path,eps,sites, a path as ``0/1/1`` (a group's ``*``), eps its ``repr``."""
+        texts = {**_path_texts(row[2] for row in self.rows), None: "*"}
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("label,level,path,eps,sites\n")
-            for label, level, node_path, eps, sites in self.entries:
-                loc = "*" if node_path is None else "/".join(map(str, node_path))
-                fh.write(f"{label},{level},{loc},{float(eps)!r},{sites}\n")
+            for label, level, code, eps, sites in self.rows:
+                fh.write(f"{label},{level},{texts[code]},{float(eps)!r},{sites}\n")

@@ -57,7 +57,6 @@ from dphist.htf import (
     OBJECTIVE_SENSITIVITY,
     PRUNE_TOPUP,
     SPLIT,
-    WARN_NO_REMAIN,
     HtfParams,
     estimate_height,
 )
@@ -133,6 +132,15 @@ def choice(noise: NoiseSource, probs, *site: int) -> int:
     return min(int(np.searchsorted(cdf, uniform(noise, *site) * cdf[-1], side="right")), len(cdf) - 1)
 
 
+def path_of(code: int) -> tuple[int, ...]:
+    """The tree path of a path code, its child indices from the root: ``path_code`` undone two bits at a time."""
+    path = []
+    while code > 1:
+        path.append(code & 3)
+        code >>= 2
+    return tuple(reversed(path))
+
+
 def preorder(root: Node):
     """Every node top-down, children left to right; a node's children are read after it is yielded."""
     stack = [root]
@@ -144,21 +152,19 @@ def preorder(root: Node):
 
 def flatten_nodes(root: Node) -> tree.NodeTable:
     """The ``NodeTable`` of a hand-built ``Node`` tree, read in one preorder walk; its codes are Python ints."""
-    nodes, depth, codes = [], [], []
-    stack = [(root, 0, path_code(root.path))]
+    nodes, depth = [], []
+    stack = [(root, 0)]
     while stack:
-        node, d, code = stack.pop()
+        node, d = stack.pop()
         nodes.append(node)
         depth.append(d)
-        codes.append(code)
-        stack.extend((node.children[i], d + 1, code << 2 | i) for i in reversed(range(len(node.children))))
+        stack.extend((child, d + 1) for child in reversed(node.children))
     return tree.NodeTable(
         bounds=np.array([node.bounds for node in nodes], dtype=np.int64),
         height=np.array([node.height for node in nodes], dtype=np.int64),
         depth=np.array(depth, dtype=np.int64),
         children=np.array([len(node.children) for node in nodes], dtype=np.int64),
-        paths=[node.path for node in nodes],
-        codes=codes,
+        codes=[node.code for node in nodes],
         count=np.array([node.count for node in nodes], dtype=np.int64),
     )
 
@@ -177,10 +183,10 @@ def bisect_node(node: Node, cut, eps: float, ledger: BudgetLedger, label: str, m
     def cuts(bounds, rows, codes):
         return [cut(node, "y" if rows[0] else "x")]
 
-    return bool(tree.bisect([node], [path_code(node.path)], cuts, eps, ledger, label, matrix.region_sums))
+    return bool(tree.bisect([node], cuts, eps, ledger, label, matrix.region_sums))
 
 
-def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, path=(), bounds=None) -> int:
+def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, code=1, bounds=None) -> int:
     """The split index ``htf.split_level`` searches for one block, each evaluation drawn on its own through the reference cipher."""
     require_positive("eps_partition_level", eps_partition_level)
     counts = matrix.counts if isinstance(matrix, FrequencyMatrix) else np.ascontiguousarray(matrix, dtype=np.int64)
@@ -190,7 +196,6 @@ def split_point(matrix, axis, eps_partition_level, search_iters, noise, *, path=
     if extent < 2:
         raise ValueError(f"cannot split axis {axis} of extent {extent}")
     eps_eval = eps_partition_level / (2 * search_iters + 1)
-    code = path_code(path)
     evals = range(2 * search_iters + 1)
     draws = [laplace_draw(OBJECTIVE_SENSITIVITY, eps_eval, noise, SPLIT_SITE, code, e, 0) for e in evals]
     return quartering_search(counts, bounds, axis, draws)
@@ -383,7 +388,7 @@ def noisy_split_baseline(
         draw = laplace_draw(OBJECTIVE_SENSITIVITY, eps_eval, src, SPLIT_SITE, code, i, 0)
         noisy[i] = scan[i] + draw
         if ledger is not None:
-            ledger.charge(SPLIT, eps_eval, path=path, level=level)
+            ledger.charge(SPLIT, eps_eval, code=code, level=level)
     return int(np.argmin(noisy)) + 1
 
 
@@ -396,9 +401,9 @@ def perturb_nodes(root: Node, budgets, noise: NoiseSource, ledger: BudgetLedger,
     up_to = list(accumulate(budgets))  # up_to[h] = budgets[0] + ... + budgets[h]
     for node in preorder(root):
         node_eps = up_to[node.height] if node.is_leaf else budgets[node.height]
-        node.ncount = node.count + laplace(noise, 1.0 / node_eps, COUNT, path_code(node.path), 0, 0)
+        node.ncount = node.count + laplace(noise, 1.0 / node_eps, COUNT, node.code, 0, 0)
         node.noise_var = 2.0 / (node_eps * node_eps)
-        ledger.charge(label, node_eps, path=node.path, level=node.height)
+        ledger.charge(label, node_eps, code=node.code, level=node.height)
 
 
 def is_complete_nodes(root: Node) -> bool:
@@ -499,7 +504,7 @@ def quadtree_nodes(matrix, eps_total, height, noise, *, alloc="geometric", smoot
         cm = c0 + (c1 - c0) // 2
         quads = ((r0, rm, c0, cm), (r0, rm, cm, c1), (rm, r1, c0, cm), (rm, r1, cm, c1))
         counts = matrix.region_sums(quads).tolist()
-        node.children = [Node(b, node.height - 1, node.path + (i,), n) for i, (b, n) in enumerate(zip(quads, counts))]
+        node.children = [Node(b, node.height - 1, node.code << 2 | i, n) for i, (b, n) in enumerate(zip(quads, counts))]
 
     root = grow_nodes(Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total), split)
     budgets = tree.level_budgets(eps_total, height, alloc, fanout=4)
@@ -526,7 +531,7 @@ def kdtree_nodes(
         prefix = np.cumsum(sums)[:-1]
         utilities = -np.abs(prefix - sums.sum() / 2.0)
         probs = exponential_mechanism_probs(utilities, eps_struct_level, sensitivity=1.0)
-        return choice(src, probs, EM, path_code(node.path), 0, 0) + 1
+        return choice(src, probs, EM, node.code, 0, 0) + 1
 
     root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
     grow_nodes(root, lambda node: bisect_node(node, median_cut, eps_struct_level, ledger, "em-split", matrix))
@@ -704,7 +709,7 @@ class HtfSplitter:
 
     def cut(self, node: Node, axis: str) -> int:
         return split_point(
-            self.matrix, axis, self.level_budget, self.search_iters, self.noise, path=node.path, bounds=node.bounds
+            self.matrix, axis, self.level_budget, self.search_iters, self.noise, code=node.code, bounds=node.bounds
         )
 
     def make_root(self, height: int) -> Node:
@@ -728,8 +733,8 @@ def perturb_and_prune_two_mode(
     """
     require_positive("eps_data", eps_data)
     if root.is_leaf:
-        ledger.charge(NODE_COUNT, eps_data, path=root.path, level=0)
-        root.ncount = root.count + laplace_draw(1.0, eps_data, noise, COUNT, path_code(root.path), 0, 0)
+        ledger.charge(NODE_COUNT, eps_data, code=root.code, level=0)
+        root.ncount = root.count + laplace_draw(1.0, eps_data, noise, COUNT, root.code, 0, 0)
         return [(root.bounds, root.ncount)]
 
     budgets = tree.level_budgets(eps_data, height)
@@ -737,9 +742,8 @@ def perturb_and_prune_two_mode(
     leaves = []
     for node in preorder(root):
         level_eps = budgets[node.height]
-        ledger.charge(NODE_COUNT, level_eps, path=node.path, level=node.height)
-        code = path_code(node.path)
-        node.ncount = node.count + laplace_draw(1.0, level_eps, noise, COUNT, code, 0, 0)
+        ledger.charge(NODE_COUNT, level_eps, code=node.code, level=node.height)
+        node.ncount = node.count + laplace_draw(1.0, level_eps, noise, COUNT, node.code, 0, 0)
         if node.height == 0:
             leaves.append((node.bounds, node.ncount))
             continue
@@ -752,11 +756,8 @@ def perturb_and_prune_two_mode(
                 splitter.split(node)
         if stop or node.is_leaf:
             eps_remain = eps_data - spent[node.height]
-            if eps_remain > 1e-12:
-                ledger.charge(PRUNE_TOPUP, eps_remain, path=node.path, level=node.height)
-                node.ncount = node.count + laplace_draw(1.0, eps_remain, noise, PRUNE, code, 0, 0)
-            else:
-                ledger.note(WARN_NO_REMAIN, path=node.path, level=node.height)
+            ledger.charge(PRUNE_TOPUP, eps_remain, code=node.code, level=node.height)
+            node.ncount = node.count + laplace_draw(1.0, eps_remain, noise, PRUNE, node.code, 0, 0)
             node.children = []
             leaves.append((node.bounds, node.ncount))
     return leaves
@@ -767,7 +768,7 @@ def release_two_mode(matrix: FrequencyMatrix, params: HtfParams, noise: NoiseSou
     ledger = BudgetLedger()
     if params.height_override is not None:
         height = params.height_override
-        ledger.charge(HEIGHT, params.eps_height, path=(), level=0)
+        ledger.charge(HEIGHT, params.eps_height)
     else:
         height = estimate_height(
             matrix, params.eps_height, params.eps_total, noise, ledger=ledger, height_constant=params.height_constant

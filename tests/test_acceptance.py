@@ -349,6 +349,7 @@ def test_criterion_9_determinism(tmp_path):
 # sha256 of each method's .hist and ledger for test_release_bytes_are_pinned, recorded with numpy 2.4.6 on
 # x86-64 for the keyed Philox noise stream. A change that moves the noise stream must record new ones and say so;
 # a numpy whose np.log differs in the last bit also fails here, since every count is written bit for bit.
+# n=20,000, sigma 8 on 64x64 at eps 0.5:
 RELEASE_DIGESTS = {
     "htf": (
         "ebe729a8a83cc4ce50761ab70ddbbb4309ba77705cc4d39a345df410a4b39bc3",
@@ -379,19 +380,55 @@ RELEASE_DIGESTS = {
         "7988284261a4e6be7364f0a32ee6d430e6ad78468f8c0c624acf7bbe8861ba9b",
     ),
 }
+# and deep trees: n=100,000, sigma 20 on 256x256 at eps 0.1, where htf prunes and tops up nodes at depths down to 9,
+# the kd-tree has height 8 and the quadtree height 6
+DEEP_RELEASE_DIGESTS = {
+    "htf": (
+        "5b87321810c41fa89c43188febdbde669b90225a969e20f25b0eb62417ec948a",
+        "456cb6447328e1419fac210f88203f7d5f9d2c3508fba8c0ef9de5f5d48d2b5e",
+    ),
+    "ug": (
+        "660457acbb985e6d2fb48c3f4ab3d5a8cedaf4e22ba230f045ab49b060cf4e04",
+        "5e377d7ef19536b548cbd4cd4ca078f1b2ef0d62a3bd6dad1730d2e4c7a2ad51",
+    ),
+    "ag": (
+        "95816fa5486f502d3ef102f6a76150c06d04cd44eed082c81355613526901a61",
+        "009d14fe15fe1f584a1629251a00d672e893d5d5dd25ff28d4d505ddba4a4b94",
+    ),
+    "quadtree": (
+        "1729b694c20e8f496b77c29526fbc67f70f8af5fae7184e968156d1c95693f42",
+        "d2cf91e5ec1720e020e1bb196e6500e01053e73053d160a67de3335cd77f1994",
+    ),
+    "kdtree": (
+        "5d85b617d53b8f5050d8147bcab9d9ccddad34f87dda1e60fb5675b4857c24da",
+        "8168449281d22ad1f67c6682820a3d59918be3c93e40ba722fd2e01d3647e8ab",
+    ),
+    "singular": (
+        "bc63a0bccbee38ff9eba08d29e3ddd27eabb643132e50e37b2b876b3fef6f7f9",
+        "d5481c73410860393aab7ad53d6a02a9d6323b65d719d8f5d3ccfa509a31e8dd",
+    ),
+    "uniform": (
+        "60c9fc9ecd21ea3b41343092bced899e31e8f05bcfc670371555d50ff165522d",
+        "837a1a8fbf66dab698f38197c6ca25a301b473adf7176fd660d5f52888c64f20",
+    ),
+}
 
 
 def test_release_bytes_are_pinned(tmp_path):
     # criterion 9 compares two runs of one commit; these digests compare every commit with the last recorded one
     mat = tmp_path / "matrix.txt"
-    save_matrix(generate_gaussian(20_000, 8.0, 64, 64, seed=1), mat)
-    digests = {}
-    for method in ("htf", "ug", "ag", "quadtree", "kdtree", "singular", "uniform"):
-        hist, ledger = tmp_path / f"{method}.hist", tmp_path / f"{method}.ledger.csv"
-        code = cli_main([
-            "release", "--matrix", str(mat), "--method", method, "--eps-total", "0.5",
-            "--seed", "1", "--out", str(hist), "--ledger-out", str(ledger),
-        ])
-        assert code == 0
-        digests[method] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (hist, ledger))
-    assert digests == RELEASE_DIGESTS
+    for data, eps, pinned in (
+        ((20_000, 8.0, 64, 64), "0.5", RELEASE_DIGESTS),
+        ((100_000, 20.0, 256, 256), "0.1", DEEP_RELEASE_DIGESTS),
+    ):
+        save_matrix(generate_gaussian(*data, seed=1), mat)
+        digests = {}
+        for method in ("htf", "ug", "ag", "quadtree", "kdtree", "singular", "uniform"):
+            hist, ledger = tmp_path / f"{method}.hist", tmp_path / f"{method}.ledger.csv"
+            code = cli_main([
+                "release", "--matrix", str(mat), "--method", method, "--eps-total", eps,
+                "--seed", "1", "--out", str(hist), "--ledger-out", str(ledger),
+            ])
+            assert code == 0
+            digests[method] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (hist, ledger))
+        assert digests == pinned

@@ -462,6 +462,16 @@ class TestSweep:
         assert len(calls["sample_gaussian_points"]) == 2 * 2  # sigmas x seeds
         assert len(calls["generate_workload"]) == 2 * 2  # sizes x seeds
 
+    @pytest.mark.parametrize("key, value", [("smoothing", "0"), ("n", "-1"), ("grid", "0"), ("queries", "-5")])
+    def test_setting_of_every_row_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, key, value):
+        built = []
+        monkeypatch.setattr(cli, "build_release", lambda *args: built.append(args))
+        cfg = self.write_config(tmp_path, **{key: value})
+        out = tmp_path / "table.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert f"sweep config key {key!r}" in capsys.readouterr().err
+        assert not out.exists() and not built
+
     def test_failed_dataset_fails_only_its_rows(self, tmp_path):
         cfg = self.write_config(tmp_path, sigmas="-1,6", seeds="0")
         out = tmp_path / "table.csv"

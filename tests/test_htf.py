@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dphist import baselines, kernels
-from dphist.grid import FrequencyMatrix
+from dphist.grid import FrequencyMatrix, generate_gaussian
 from dphist.histogram import PrivateHistogram
 from dphist.htf import (
     HEIGHT,
@@ -25,7 +25,7 @@ from dphist.htf import (
     release,
     split_level,
 )
-from dphist.privacy import BudgetLedger, NoiseSource
+from dphist.privacy import BudgetLedger, NoiseSource, path_code
 from dphist.tree import PARTITION_RESERVED, Node
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     objective_argmins_exact,
     objective_value,
     optimal_split_exact,
+    path_of,
     perturb_and_prune_two_mode,
     preorder,
     quartering_search,
@@ -61,7 +62,7 @@ def searched_split(block, axis, level_budget, search_iters, noise):
     The node's height picks the axis: rows at an even height, columns at an odd one.
     """
     root = Node((0, len(block), 0, len(block[0])), 2 if axis == "y" else 1)
-    split_level([root], [1], FrequencyMatrix(block), level_budget, search_iters, noise, BudgetLedger())
+    split_level([root], FrequencyMatrix(block), level_budget, search_iters, noise, BudgetLedger())
     r0, r1, c0, c1 = root.children[0].bounds
     return r1 - r0 if axis == "y" else c1 - c0
 
@@ -205,7 +206,7 @@ class TestGetSplitPoint:
         splits = [e for e in ledger.entries if e[0] == SPLIT]
         inner = [node for node in preorder(root) if not node.is_leaf]
         assert len(inner) == 7
-        assert [e[2] for e in splits] == [node.path for node in inner]
+        assert [path_code(e[2]) for e in splits] == [node.code for node in inner]
         assert all(e[3] == 7e-3 for e in splits)
 
     def test_zero_noise_finds_unimodal_minimum(self):
@@ -354,7 +355,7 @@ class TestPerturbAndPrune:
     def split_root(matrix, height, noise, ledger):
         # as release starts the walk: the root split, or a height-0 leaf when it cannot be
         root = Node((0, matrix.rows, 0, matrix.cols), height, count=matrix.total)
-        if not split_level([root], [1], matrix, 5e-4, 3, noise, ledger):
+        if not split_level([root], matrix, 5e-4, 3, noise, ledger):
             root.height = 0
         return root
 
@@ -406,13 +407,21 @@ class TestRelease:
         )
         hist = release(matrix, params, zero_noise())
         # the ledger is the budget record: on every path the structure takes 15 x 5e-4, the data the rest
-        paths = hist.ledger.chain_totals()
-        for leaf in paths:
+        for leaf in map(path_of, hist.ledger.chain_totals()):
             on_path = [e for e in hist.ledger.entries if e[2] == leaf[: len(e[2])]]
             structure = sum(e[3] for e in on_path if e[0] in (SPLIT, PARTITION_RESERVED))
             data = sum(e[3] for e in on_path if e[0] in (NODE_COUNT, PRUNE_TOPUP))
             assert structure == pytest.approx(0.0075)
             assert data == pytest.approx(0.0924)
+
+    def test_a_node_pruned_on_a_tiny_data_budget_is_topped_up(self):
+        params = HtfParams(
+            eps_total=1e-12, eps_height=1e-13, eps_partition_level=1e-14, height_override=6, stop_count=1e30
+        )
+        hist = release(generate_gaussian(20_000, 8.0, 64, 64, seed=1), params, NoiseSource(1))
+        assert [e[0] for e in hist.ledger.entries].count(PRUNE_TOPUP) == 1  # the root, pruned
+        totals = hist.ledger.chain_totals()
+        assert totals and all(total == pytest.approx(1e-12, rel=1e-9) for total in totals.values())
 
     def test_no_data_budget_raises_before_work(self):
         matrix = FrequencyMatrix.zeros(8, 8)

@@ -465,8 +465,8 @@ class TestBudgetLedger:
 
     def test_sequential_overflow_detected(self):
         ledger = BudgetLedger()
-        ledger.charge("a", 0.08, path=(0,))
-        ledger.charge("a", 0.08, path=(0,))
+        ledger.charge("a", 0.08, code=path_code((0,)))
+        ledger.charge("a", 0.08, code=path_code((0,)))
         with pytest.raises(BudgetOverflowError, match="0"):
             ledger.assert_valid(0.1)
 
@@ -480,7 +480,7 @@ class TestBudgetLedger:
 
     def test_nan_eps_total_is_an_overflow(self):
         ledger = BudgetLedger()
-        ledger.charge("a", 0.01, path=(0,))
+        ledger.charge("a", 0.01, code=path_code((0,)))
         with pytest.raises(BudgetOverflowError):
             ledger.assert_valid(math.nan)
         with pytest.raises(BudgetOverflowError):
@@ -488,31 +488,58 @@ class TestBudgetLedger:
 
     def test_siblings_are_parallel(self):
         ledger = BudgetLedger()
-        ledger.charge("a", 0.08, path=(0,))
-        ledger.charge("a", 0.08, path=(1,))
+        ledger.charge("a", 0.08, code=path_code((0,)))
+        ledger.charge("a", 0.08, code=path_code((1,)))
         ledger.assert_valid(0.1)
 
     def test_chain_totals_prefix_sums(self):
         ledger = BudgetLedger()
-        ledger.charge("root", 0.01, path=())
-        ledger.charge("mid", 0.02, path=(0,))
-        ledger.charge("leaf", 0.03, path=(0, 1))
-        ledger.charge("leaf", 0.05, path=(1,))
+        ledger.charge("root", 0.01, code=path_code(()))
+        ledger.charge("mid", 0.02, code=path_code((0,)))
+        ledger.charge("leaf", 0.03, code=path_code((0, 1)))
+        ledger.charge("leaf", 0.05, code=path_code((1,)))
         totals = ledger.chain_totals()
-        assert totals[(0, 1)] == pytest.approx(0.06)
-        assert totals[(1,)] == pytest.approx(0.06)
+        assert totals[path_code((0, 1))] == pytest.approx(0.06)
+        assert totals[path_code((1,))] == pytest.approx(0.06)
 
     def test_parallel_groups_count_once(self):
         ledger = BudgetLedger()
         ledger.charge_parallel("cells", 0.05, count=100)
         ledger.charge_parallel("subcells", 0.05, count=400)
         totals = ledger.chain_totals()
-        assert totals[()] == pytest.approx(0.1)
+        assert totals[path_code(())] == pytest.approx(0.1)
         ledger.assert_valid(0.1)
+
+    def test_tolerance_is_a_share_of_the_budget(self):
+        ledger = BudgetLedger()
+        ledger.charge("a", 5e-10)
+        with pytest.raises(BudgetOverflowError, match="<root> charged 5e-10"):
+            ledger.assert_valid(1e-12)  # 500 times its budget, though within 1e-9 of it
+        ledger.assert_valid(5e-10 / (1 + 0.5 * privacy.EPS_TOL))
+
+    def test_entries_round_trip_and_save_the_same_bytes(self, tmp_path):
+        matrix = generate_gaussian(20_000, 8.0, 64, 64, seed=1)
+        htf_hist = release(matrix, HtfParams(eps_total=0.5), NoiseSource(1))
+        for hist in (htf_hist, baselines.build_adaptive_grid(matrix, 0.5, NoiseSource(1))):  # ag adds parallel groups
+            copy = BudgetLedger(entries=hist.ledger.entries)
+            assert copy.entries == hist.ledger.entries
+            hist.ledger.save(tmp_path / "a.csv")
+            copy.save(tmp_path / "b.csv")
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_path_column_names_the_codes_child_indices(self, tmp_path):
+        # every child index at every depth a path code holds
+        paths = [tuple((i + j) % 4 for j in range(depth)) for depth in range(MAX_PATH_DEPTH + 1) for i in range(4)]
+        ledger = BudgetLedger()
+        ledger.charge_many("count", np.full(len(paths), 0.1), codes=[path_code(p) for p in paths], levels=np.zeros(len(paths), int))
+        ledger.save(tmp_path / "ledger.csv")
+        rows = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["/".join(map(str, path)) for path in paths]
+        assert [e[2] for e in ledger.entries] == paths
 
     def test_save_format(self, tmp_path):
         ledger = BudgetLedger()
-        ledger.charge("split-eval", 1e-4, path=(0, 1), level=3)
+        ledger.charge("split-eval", 1e-4, code=path_code((0, 1)), level=3)
         ledger.charge_parallel("cell", 0.1, count=16)
         path = tmp_path / "ledger.csv"
         ledger.save(path)
@@ -526,9 +553,9 @@ class TestChargeMany:
     def test_appends_one_charge_per_path_in_order(self):
         bulk, single = BudgetLedger(), BudgetLedger()
         paths, levels, eps = [(), (0,), (0, 1), (1,)], [2, 1, 0, 1], [0.1, 0.2, 0.3, 0.4]
-        bulk.charge_many("count", np.array(eps), paths=paths, levels=np.array(levels))
+        bulk.charge_many("count", np.array(eps), codes=[path_code(p) for p in paths], levels=np.array(levels))
         for path, level, e in zip(paths, levels, eps):
-            single.charge("count", e, path=path, level=level)
+            single.charge("count", e, code=path_code(path), level=level)
         assert bulk.entries == single.entries
         assert all(type(e[1]) is int and type(e[3]) is float for e in bulk.entries)
 
@@ -536,29 +563,40 @@ class TestChargeMany:
     def test_rejects_a_bad_eps_and_charges_nothing(self, value):
         ledger = BudgetLedger()
         with pytest.raises(ValueError, match=rf"^charge must be positive and finite, got {value!r}$"):
-            ledger.charge_many("count", [0.1, value, 0.2], paths=[(), (0,), (1,)], levels=[1, 0, 0])
+            ledger.charge_many("count", [0.1, value, 0.2], codes=[1, 4, 5], levels=[1, 0, 0])
         assert ledger.entries == []
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="2 charges with 1 paths"):
-            BudgetLedger().charge_many("count", [0.1, 0.2], paths=[()], levels=[0, 0])
+        with pytest.raises(ValueError, match="2 charges with 1 codes"):
+            BudgetLedger().charge_many("count", [0.1, 0.2], codes=[1], levels=[0, 0])
+
+
+tree_paths = st.lists(st.integers(0, 3), max_size=MAX_PATH_DEPTH).map(tuple)
 
 
 @st.composite
 def random_ledgers(draw):
-    """Charges, parallel groups and zero-cost notes at paths of up to five levels, many of them repeated."""
-    paths = draw(st.lists(st.lists(st.integers(0, 3), max_size=5).map(tuple), min_size=1, max_size=12))
+    """Charges, parallel groups and zero-cost rows at paths of up to five (or 31) levels, many of them repeated."""
+    short = st.lists(st.integers(0, 3), max_size=5).map(tuple)
+    paths = draw(st.lists(st.one_of(short, tree_paths), min_size=1, max_size=12))
     ledger = BudgetLedger()
     for _ in range(draw(st.integers(0, 60))):
-        kind = draw(st.sampled_from(["charge", "charge", "charge", "parallel", "note"]))
+        kind = draw(st.sampled_from(["charge", "charge", "charge", "parallel", "zero"]))
         eps = draw(st.floats(1e-6, 1.0))
         if kind == "parallel":
             ledger.charge_parallel("cells", eps, count=draw(st.integers(1, 9)))
-        elif kind == "note":
-            ledger.note("warn", path=draw(st.sampled_from(paths)))
+        elif kind == "zero":  # a zero-cost row, as a ledger file may hold
+            ledger = BudgetLedger(entries=[*ledger.entries, ("warn", 0, draw(st.sampled_from(paths)), 0.0, 1)])
         else:
-            ledger.charge("count", eps, path=draw(st.sampled_from(paths)), level=draw(st.integers(0, 5)))
+            ledger.charge("count", eps, code=path_code(draw(st.sampled_from(paths))), level=draw(st.integers(0, 5)))
     return ledger
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.lists(st.integers(0, 3), max_size=3).map(tuple), tree_paths), max_size=30))
+def test_codes_sorted_by_their_digits_are_paths_in_tuple_order(paths):
+    # the order tree.grow puts nodes and ledger rows in: a path before its extensions, siblings in child order
+    assert sorted(map(path_code, paths), key=bin) == list(map(path_code, sorted(paths)))
 
 
 class TestChainTotalsAgainstPrefixSlices:
@@ -567,12 +605,12 @@ class TestChainTotalsAgainstPrefixSlices:
     def test_same_paths_order_and_bits(self, ledger, fraction):
         expected = chain_totals_by_prefix_slices(ledger)
         got = ledger.chain_totals()
-        assert list(got) == list(expected)
+        assert list(got) == [path_code(path) for path in expected]
         assert [t.hex() for t in got.values()] == [t.hex() for t in expected.values()]
 
         # assert_valid names the first path over the budget, in that order
         eps_total = fraction * max(expected.values())
-        over = [path for path, total in expected.items() if not total <= eps_total + privacy.EPS_TOL]
+        over = [path for path, total in expected.items() if not total <= eps_total * (1 + privacy.EPS_TOL)]
         if not over:
             ledger.assert_valid(eps_total)
             return

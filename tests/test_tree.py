@@ -12,7 +12,7 @@ from dphist.htf import HtfParams, release
 from dphist.privacy import BudgetLedger, NoiseSource, path_code
 from dphist.tree import Node
 
-from oracles import flatten_nodes, kdtree_nodes, preorder, quadtree_nodes
+from oracles import flatten_nodes, kdtree_nodes, path_of, preorder, quadtree_nodes
 
 
 def cells(parts):
@@ -28,8 +28,8 @@ def binary_tree(height, ledger=None):
     root = Node((0, 1, 0, 2**height), height)
     ledger = BudgetLedger() if ledger is None else ledger
 
-    def step(nodes, codes):
-        tree.bisect(nodes, codes, middles, 1.0, ledger, "cut", cells)
+    def step(nodes):
+        tree.bisect(nodes, middles, 1.0, ledger, "cut", cells)
 
     return root, tree.grow(root, step, ledger)
 
@@ -37,64 +37,60 @@ def binary_tree(height, ledger=None):
 class TestWalks:
     def test_preorder_is_depth_first_left_to_right(self):
         _, table = binary_tree(2)
-        paths = table.paths
-        assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
-        assert table.codes == [path_code(p) for p in paths]
+        assert table.codes == [path_code(p) for p in [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]]
 
     def test_grow_reads_children_after_each_step(self):
         seen = []
 
-        def step(nodes, codes):
-            seen.append([node.path for node in nodes])
-            assert codes == [path_code(node.path) for node in nodes]
-            tree.bisect(nodes, codes, middles, 1.0, ledger, "cut", cells)
+        def step(nodes):
+            seen.append([path_of(node.code) for node in nodes])
+            tree.bisect(nodes, middles, 1.0, ledger, "cut", cells)
             for node in nodes:
-                if node.path == (0,):
+                if node.code == path_code((0,)):
                     node.children = []
 
         ledger = BudgetLedger()
         table = tree.grow(Node((0, 1, 0, 8), 3), step, ledger)
         assert seen == [[()], [(0,), (1,)], [(1, 0), (1, 1)], [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
-        assert table.paths == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
+        assert list(map(path_of, table.codes)) == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 1), (1, 1), (1, 1, 0), (1, 1, 1)]
 
     def test_grow_puts_the_ledger_rows_back_in_preorder(self):
-        ledger = BudgetLedger()
-        ledger.note("before", path=(1,))
+        ledger = BudgetLedger(entries=[("before", 0, (1,), 0.0, 1)])
         root, table = binary_tree(3, ledger)
-        assert table.paths == [n.path for n in preorder(root)]
-        assert [e[2] for e in ledger.entries] == [(1,)] + [n.path for n in preorder(root) if n.height > 0]
+        assert table.codes == [n.code for n in preorder(root)]
+        assert [path_code(e[2]) for e in ledger.entries] == [path_code((1,))] + [n.code for n in preorder(root) if n.height > 0]
 
     def test_deep_tree_needs_no_recursion(self):
         # a chain far deeper than the interpreter's recursion limit
-        def step(nodes, codes):
+        def step(nodes):
             [node] = nodes
             if node.height > 0:
-                node.children = [Node(node.bounds, node.height - 1, node.path + (0,))]
+                node.children = [Node(node.bounds, node.height - 1, node.code << 2)]
 
         table = tree.grow(Node((0, 1, 0, 1), 5000), step, BudgetLedger())
-        assert len(table.paths) == 5001
+        assert len(table.codes) == 5001
         assert tree.is_complete(table)
 
     def test_bisect_children(self):
-        node = Node((2, 6, 1, 4), 2, path=(1,))  # even height: rows
-        assert tree.bisect([node], [5], lambda bounds, rows, codes: [1], 0.01, BudgetLedger(), "cut", cells)
+        node = Node((2, 6, 1, 4), 2, code=path_code((1,)))  # even height: rows
+        assert tree.bisect([node], lambda bounds, rows, codes: [1], 0.01, BudgetLedger(), "cut", cells)
         assert [c.bounds for c in node.children] == [(2, 3, 1, 4), (3, 6, 1, 4)]
-        assert [c.path for c in node.children] == [(1, 0), (1, 1)]
+        assert [c.code for c in node.children] == [path_code((1, 0)), path_code((1, 1))]
         assert [c.height for c in node.children] == [1, 1]
         assert [c.count for c in node.children] == [3, 9]
         assert node.left is node.children[0] and node.right is node.children[1]
-        node = Node((2, 6, 1, 4), 3, path=(1,))  # odd height: columns
-        assert tree.bisect([node], [5], lambda bounds, rows, codes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
+        node = Node((2, 6, 1, 4), 3, code=path_code((1,)))  # odd height: columns
+        assert tree.bisect([node], lambda bounds, rows, codes: [2], 0.01, BudgetLedger(), "cut", lambda parts: [0] * len(parts))
         assert [c.bounds for c in node.children] == [(2, 6, 1, 3), (2, 6, 3, 4)]
 
     def test_bisect_cuts_on_the_split_axis_or_reserves_the_unsplit_levels(self):
         ledger = BudgetLedger()
-        node = Node((0, 1, 0, 6), 4, path=(1,))  # one row: even height falls back to columns
-        assert tree.bisect([node], [5], lambda bounds, rows, codes: [None if rows[0] else 2], 0.01, ledger, "cut", cells)
+        node = Node((0, 1, 0, 6), 4, code=path_code((1,)))  # one row: even height falls back to columns
+        assert tree.bisect([node], lambda bounds, rows, codes: [None if rows[0] else 2], 0.01, ledger, "cut", cells)
         assert [c.bounds for c in node.children] == [(0, 1, 0, 2), (0, 1, 2, 6)]
         assert [c.count for c in node.children] == [2, 4]
-        leaf = Node((3, 4, 5, 6), 3, path=(0,))
-        assert not tree.bisect([leaf], [4], None, 0.01, ledger, "cut", cells)
+        leaf = Node((3, 4, 5, 6), 3, code=path_code((0,)))
+        assert not tree.bisect([leaf], None, 0.01, ledger, "cut", cells)
         assert leaf.is_leaf
         assert [(e[0], e[1], e[2]) for e in ledger.entries] == [("cut", 4, (1,)), (tree.PARTITION_RESERVED, 3, (0,))]
         assert [e[3] for e in ledger.entries] == [0.01, pytest.approx(0.03)]
@@ -118,7 +114,7 @@ class TestWalks:
         ledger = BudgetLedger()
         budgets = tree.level_budgets(0.3, 2, "uniform")
         tree.perturb(table, budgets, NoiseSource(0, zero_noise=True), ledger, "node-count")
-        assert [(e[2], e[3]) for e in ledger.entries] == [(path, 0.3 / 3) for path in table.paths]
+        assert [(path_code(e[2]), e[3]) for e in ledger.entries] == [(code, 0.3 / 3) for code in table.codes]
         nodes = zip(table.ncount.tolist(), table.count.tolist(), table.noise_var.tolist())
         assert all(ncount == count and noise_var == pytest.approx(200.0) for ncount, count, noise_var in nodes)
 
