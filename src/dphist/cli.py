@@ -237,7 +237,7 @@ def cmd_sweep(args) -> int:
     n, grid_size, count = int(sweep["n"]), int(sweep["grid"]), int(sweep["queries"])
     smoothing = float(sweep["smoothing"])
     # settings every row shares fail the sweep, not each of its rows
-    for key, value, least in (("n", n, 0), ("grid", grid_size, 1), ("queries", count, 0)):
+    for key, value, least in (("n", n, 0), ("grid", grid_size, 1), ("queries", count, 1)):
         if value < least:
             raise ValueError(f"sweep config key {key!r} must be at least {least}, got {value}")
     require_positive("sweep config key 'smoothing'", smoothing)

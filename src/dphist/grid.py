@@ -9,7 +9,8 @@ provides the seeded Gaussian-cluster generator used for synthetic
 experiments and the plain-text file formats consumed by the CLI. Every
 table of numbers is written by ``write_rows``: byte for byte as Python's
 ``%`` writes it, from numpy arrays where that is proven exact and through
-``%`` itself, one value at a time, where it is not.
+``%`` itself, one value at a time, where it is not. ``load_matrix`` parses
+``save_matrix``'s own layout as arrays, and any other through ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import re
 import warnings
 
@@ -410,6 +412,10 @@ def load_points(path) -> np.ndarray:
     return read_rows(path, np.float64, 2, delimiter=",")
 
 
+_READ_BLOCK = 1 << 18  # bytes of whole matrix lines parsed at a time
+_MATRIX_HEADER = re.compile(rb"(\d+) (\d+) (\d+)\n")
+
+
 def save_matrix(matrix: FrequencyMatrix, path) -> None:
     """Snapshot export: header ``N M total`` then N rows of M integers."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -417,15 +423,58 @@ def save_matrix(matrix: FrequencyMatrix, path) -> None:
         write_rows(fh, matrix.counts, " ".join(["%d"] * matrix.cols) + "\n")
 
 
+def _read_counts(fh) -> tuple[np.ndarray, int] | None:
+    """The counts and header total of a file in ``save_matrix``'s own layout, parsed as arrays; None for any other.
+
+    That layout is the header ``N M total``, then N lines of M runs of 1-18 ASCII digits one space apart, each line
+    ended by ``\n``: ``np.loadtxt`` reads the same integers there. Each block of whole lines is scanned once for its
+    separators, and digit k is read from the tokens wider than k only. A block with more digits after each token's
+    first than tokens is None too: ``np.loadtxt`` is faster there than a pass per digit.
+    """
+    head = _MATRIX_HEADER.fullmatch(fh.readline())
+    if not head:
+        return None
+    rows, cols, total = (int(v) for v in head.groups())
+    if not 0 < rows * cols <= (os.fstat(fh.fileno()).st_size - fh.tell()) // 2:  # each token is 2 bytes or more
+        return None
+    counts = np.empty(rows * cols, np.int64)
+    done = 0
+    while lines := fh.readlines(_READ_BLOCK):
+        text = np.frombuffer(b"".join((b"\n", *lines)), np.uint8)  # a separator before the first token
+        ends = np.flatnonzero(text < ord("0"))
+        gaps, ends = np.diff(ends), ends[1:]  # each token's width plus one, and the separator after it
+        n = len(ends)
+        if not n or n % cols or done + n > len(counts) or ends[-1] != len(text) - 1 or len(text) > 3 * n + 1:
+            return None
+        separators = text.take(ends).reshape(-1, cols)
+        if (gaps.min() < 2 or gaps.max() > 19 or text.max() > ord("9")  # 18 digits are below 2^63
+                or (separators[:, -1] != ord("\n")).any() or (separators[:, :-1] != ord(" ")).any()):
+            return None
+        out = counts[done:done + n]
+        np.subtract(text.take(ends - 1), ord("0"), out=out)
+        wide = np.flatnonzero(gaps > 2)
+        for k in range(1, gaps.max() - 1):
+            out[wide] += np.multiply(text.take(ends[wide] - (k + 1)) - ord("0"), 10**k, dtype=np.int64)
+            wide = wide[gaps[wide] > k + 2]
+        done += n
+    return (counts.reshape(rows, cols), total) if done == len(counts) else None
+
+
 def load_matrix(path) -> FrequencyMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed matrix header")
-        rows, cols, total = (int(v) for v in header)
-        counts = loadtxt(fh, np.int64)
-    if counts.shape != (rows, cols):
-        raise ValueError(f"{path}: expected {rows}x{cols} matrix, got {counts.shape}")
+    """Read a matrix snapshot: ``save_matrix``'s own layout as arrays, any other through ``np.loadtxt``."""
+    with open(path, "rb") as fh:
+        read = _read_counts(fh)
+    if read:
+        counts, total = read
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise ValueError(f"{path}: malformed matrix header")
+            rows, cols, total = (int(v) for v in header)
+            counts = loadtxt(fh, np.int64)
+        if counts.shape != (rows, cols):
+            raise ValueError(f"{path}: expected {rows}x{cols} matrix, got {counts.shape}")
     matrix = FrequencyMatrix(counts)
     if matrix.total != total:
         raise ValueError(f"{path}: header total {total} != cell sum {matrix.total}")

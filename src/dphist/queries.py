@@ -134,18 +134,19 @@ def evaluate(
     workload: Workload,
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> EvalReport:
-    """Answer every query, compare to the exact counts, report the MRE."""
+    """Answer every query, compare to the exact counts, report the MRE; a workload of no queries has none."""
     if hist.shape != matrix.shape:
         raise ValueError(f"histogram shape {hist.shape} != matrix shape {matrix.shape}")
+    if not len(workload):
+        raise ValueError("the workload holds no queries: its mean relative error is undefined")
     answers = answer_workload(hist, workload)
     true = matrix.region_sums(workload.queries).astype(np.float64)
     rel = relative_error(true, answers, smoothing)
-    mre = float(rel.mean()) if len(rel) else 0.0
     return EvalReport(
         true=true,
         answers=answers,
         rel_errors=rel,
-        mre=mre,
+        mre=float(rel.mean()),
         smoothing=smoothing,
     )
 

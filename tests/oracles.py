@@ -21,9 +21,10 @@ baselines' cell layout (``grid_cells``) is the same kind of reference,
 and so are the answering kernel that paints every cell
 (``cell_leaf_owner``, ``cell_answer_workload``) and the dataset helpers
 that allocate their temporaries (``sample_gaussian_points_allocating``,
-``discretize_allocating``), and the preorder walk that reads a
-hand-built ``Node`` tree into a table (``flatten_nodes``), where
-``tree.grow`` sorts the nodes it grew.
+``discretize_allocating``), the matrix reader that parses every file
+with ``np.loadtxt`` (``load_matrix_loadtxt``), and the preorder walk
+that reads a hand-built ``Node`` tree into a table (``flatten_nodes``),
+where ``tree.grow`` sorts the nodes it grew.
 
 The two-mode htf walk is the reference of htf's one walk: it prunes a
 prebuilt tree, or splits the nodes it keeps through a splitter object,
@@ -49,7 +50,7 @@ from hypothesis import strategies as st
 
 from dphist import kernels, tree
 from dphist.baselines import enforce_hierarchical_consistency, exponential_mechanism_probs
-from dphist.grid import FrequencyMatrix, require_inside
+from dphist.grid import FrequencyMatrix, loadtxt, require_inside
 from dphist.histogram import PrivateHistogram
 from dphist.htf import (
     HEIGHT,
@@ -688,6 +689,30 @@ def discretize_allocating(points, bounds, rows: int, cols: int) -> tuple[Frequen
     c = np.minimum((yi - y_min) * (cols / (y_max - y_min)), cols - 1).astype(np.int64)
     flat = np.bincount(r * cols + c, minlength=rows * cols)
     return FrequencyMatrix(flat.reshape(rows, cols)), int(pts.shape[0] - xi.shape[0])
+
+
+def outcome(reader, path):
+    """What ``reader`` makes of ``path``: its result, or the type and message of the ValueError it raised."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def load_matrix_loadtxt(path) -> FrequencyMatrix:
+    """``grid.load_matrix`` reading every file through ``np.loadtxt``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 3:
+            raise ValueError(f"{path}: malformed matrix header")
+        rows, cols, total = (int(v) for v in header)
+        counts = loadtxt(fh, np.int64)
+    if counts.shape != (rows, cols):
+        raise ValueError(f"{path}: expected {rows}x{cols} matrix, got {counts.shape}")
+    matrix = FrequencyMatrix(counts)
+    if matrix.total != total:
+        raise ValueError(f"{path}: header total {total} != cell sum {matrix.total}")
+    return matrix
 
 
 # ---------------------------------------------------------------------------

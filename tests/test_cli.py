@@ -373,6 +373,16 @@ class TestEvaluate:
         assert "smoothing must be positive and finite" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("source", ["--queries", "--workload"])
+    def test_no_queries_exits_2(self, tmp_path, matrix_file, capsys, source):
+        hist, report, empty = tmp_path / "h.txt", tmp_path / "r.csv", tmp_path / "empty.txt"
+        run(["release", "--matrix", matrix_file, "--method", "uniform", "--out", hist])
+        empty.write_text("# no queries\n")
+        workload = [source, 0 if source == "--queries" else empty]
+        assert run(["evaluate", "--matrix", matrix_file, "--hist", hist, *workload, "--out", report]) == 2
+        assert "holds no queries" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_histogram_exits_3(self, tmp_path, matrix_file):
         assert run(["evaluate", "--matrix", matrix_file,
                     "--hist", tmp_path / "nope.txt", "--out", tmp_path / "r.csv"]) == 3
@@ -462,7 +472,9 @@ class TestSweep:
         assert len(calls["sample_gaussian_points"]) == 2 * 2  # sigmas x seeds
         assert len(calls["generate_workload"]) == 2 * 2  # sizes x seeds
 
-    @pytest.mark.parametrize("key, value", [("smoothing", "0"), ("n", "-1"), ("grid", "0"), ("queries", "-5")])
+    @pytest.mark.parametrize(
+        "key, value", [("smoothing", "0"), ("n", "-1"), ("grid", "0"), ("queries", "-5"), ("queries", "0")]
+    )
     def test_setting_of_every_row_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, key, value):
         built = []
         monkeypatch.setattr(cli, "build_release", lambda *args: built.append(args))

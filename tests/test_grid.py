@@ -1,12 +1,14 @@
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dphist import grid
 from dphist.grid import (
     FrequencyMatrix,
     discretize,
@@ -21,7 +23,9 @@ from dphist.grid import (
 
 from oracles import (
     discretize_allocating,
+    load_matrix_loadtxt,
     naive_region_sum,
+    outcome,
     prefix_table,
     sample_gaussian_points_all_rows,
     sample_gaussian_points_allocating,
@@ -453,3 +457,102 @@ class TestFileFormats:
         path.write_text("2 2 5\n1 1\n1 1\n")
         with pytest.raises(ValueError):
             load_matrix(path)
+
+
+@st.composite
+def matrices(draw) -> np.ndarray:
+    """Counts of 1 to 18 digits totalling below 2^63, on shapes that include 1x1, 1xM and Nx1."""
+    shape = st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 40)), st.sampled_from([(1, 1), (1, 40), (40, 1)]))
+    rows, cols = draw(shape)
+    room = 2**63 - 1
+    counts = np.empty(rows * cols, np.int64)
+    wide = draw(st.sampled_from([0, 1, 10]))  # cells in ten that may be wider than a digit: the array parse takes few
+    for i in range(len(counts)):
+        digits = draw(st.integers(1, 18)) if draw(st.integers(1, 10)) <= wide else 1
+        top = min(10**digits - 1, room)
+        counts[i] = draw(st.integers(min(10 ** (digits - 1), top) if digits > 1 else 0, top))
+        room -= int(counts[i])
+    return counts.reshape(rows, cols)
+
+
+def read_counts(path):
+    """The array parse of ``path``: its counts, or None where it hands the file to ``np.loadtxt``."""
+    with open(path, "rb") as fh:
+        read = grid._read_counts(fh)
+    return read and read[0]
+
+
+class TestMatrixReader:
+    """``load_matrix`` reads every file as the ``np.loadtxt`` reference does, on both sides of the hand-off."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(), st.sampled_from([1, 7, 64, grid._READ_BLOCK]))
+    def test_saved_matrix_equals_the_reference(self, tmp_path_factory, counts, block):
+        path = tmp_path_factory.mktemp("reader") / "matrix.txt"
+        save_matrix(FrequencyMatrix(counts), path)
+        with mock.patch.object(grid, "_READ_BLOCK", block):  # lines cross blocks, and a line can outgrow one
+            loaded = load_matrix(path)
+            array = read_counts(path)
+        assert loaded == load_matrix_loadtxt(path) == FrequencyMatrix(counts)
+        # a block is whole lines: one with more digits after each count's first than counts goes to np.loadtxt
+        extra = np.vectorize(lambda v: len(str(v)) - 1)(counts)
+        if (extra.sum(axis=1) <= counts.shape[1]).all():
+            assert array is not None
+        if extra.sum() > counts.size:
+            assert array is None
+
+    @pytest.mark.parametrize(
+        "shape, high, array",
+        [((1024, 1024), 10**12, False), ((1024, 1024), 1, True), ((1, 300_000), 10, True), ((3000, 100), 100, True)],
+        ids=["dense-12-digit", "sparse-one-18-digit-cell", "line-longer-than-a-block", "lines-across-blocks"],
+    )
+    def test_both_sides_of_the_hand_off(self, tmp_path, shape, high, array):
+        rng = np.random.default_rng(21)
+        counts = rng.integers(high // 10, high, size=shape)
+        if high == 1:
+            counts[rng.integers(shape[0]), rng.integers(shape[1])] = 10**18 - 1
+        path = tmp_path / "matrix.txt"
+        save_matrix(FrequencyMatrix(counts), path)
+        assert (read_counts(path) is not None) == array
+        assert load_matrix(path) == load_matrix_loadtxt(path) == FrequencyMatrix(counts)
+
+    @pytest.mark.parametrize(
+        "cols, edit, loads",
+        [
+            (7, lambda body: body.replace("\n", "\r\n"), True),
+            (7, lambda body: body.replace(" ", "\t"), True),
+            (7, lambda body: body.replace(" ", "  "), True),
+            (7, lambda body: " " + body, True),
+            (7, lambda body: body.replace(" ", " +"), True),
+            (7, lambda body: "# counts\n" + body.replace("\n", "\n# a line\n", 1), True),
+            (7, lambda body: body.replace("\n", "\n\n"), True),
+            (7, lambda body: body[:-1], True),
+            (7, lambda body: body.replace("\n", " ", 1).replace(" ", "\n", 1), False),
+            (7, lambda body: body[body.index(" "):], False),
+            (7, lambda body: body[:body.rindex("\n", 0, -1) + 1], False),
+            (7, lambda body: body + body[body.rindex("\n", 0, -1) + 1:], False),
+            (7, lambda body: body.replace("1", "a", 1), False),
+            (7, lambda body: "9" * 19 + body[body.index(" "):], False),
+            (1, lambda body: body + "5", False),
+        ],
+        ids=[
+            "crlf", "tabs", "runs-of-spaces", "leading-space", "signs", "comments", "blank-lines", "no-final-newline",
+            "count-moved-between-lines", "count-left-out", "line-missing", "line-extra", "letter",
+            "count-past-int64", "line-extra-without-newline",
+        ],
+    )
+    def test_other_layouts_go_through_loadtxt(self, tmp_path, cols, edit, loads):
+        matrix = FrequencyMatrix(np.random.default_rng(22).integers(0, 30, size=(9, cols)))
+        path = tmp_path / "matrix.txt"
+        save_matrix(matrix, path)
+        header, body = path.read_text().split("\n", 1)
+        path.write_bytes(f"{header}\n{edit(body)}".encode())
+        assert read_counts(path) is None
+        assert outcome(load_matrix, path) == outcome(load_matrix_loadtxt, path)
+        assert (outcome(load_matrix, path) == matrix) == loads
+
+    def test_header_larger_than_its_body_allocates_nothing(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("1000000 1000000 1\n1\n")  # 8 TB of counts
+        assert read_counts(path) is None
+        assert outcome(load_matrix, path) == outcome(load_matrix_loadtxt, path)

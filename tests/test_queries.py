@@ -215,6 +215,11 @@ class TestEvaluate:
         ) + f"# summary mre={report.mre:.12g} queries={len(true)} smoothing=20\n"
         assert path.read_text() == expected
 
+    def test_rejects_a_workload_of_no_queries(self):
+        # a mean over no queries is undefined, not a perfect score
+        with pytest.raises(ValueError, match="holds no queries"):
+            evaluate(fig_histogram(), FrequencyMatrix(FIG_GRID), Workload(queries=np.empty((0, 4))))
+
     def test_rejects_bad_queries_naming_the_first(self):
         matrix = FrequencyMatrix(FIG_GRID)
         hist = fig_histogram()
