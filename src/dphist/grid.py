@@ -165,7 +165,11 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     center = rng.uniform(0.0, [rows, cols])
-    pts = rng.standard_normal((n, 2)) * sigma + center  # center + rng.normal(0.0, sigma), bit for bit
+    pts = rng.standard_normal((n, 2))
+    pts *= sigma  # then + center: center + rng.normal(0.0, sigma), bit for bit, a column at a time
+    x, y = pts.T
+    x += center[0]
+    y += center[1]
     bad = np.flatnonzero(_outside(pts, rows, cols))
     for _ in range(100):
         if not len(bad):
@@ -173,7 +177,8 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
         pts[bad] = redrawn = rng.standard_normal((len(bad), 2)) * sigma + center
         bad = bad[_outside(redrawn, rows, cols)]
     # inside the far edge also as ``save_points`` prints it, to ten significant digits; only stragglers lie below 0
-    np.minimum(pts, np.array([rows, cols]) * (1.0 - 1e-9), out=pts)
+    np.minimum(x, rows * (1.0 - 1e-9), out=x)
+    np.minimum(y, cols * (1.0 - 1e-9), out=y)
     pts[bad] = np.maximum(pts[bad], 0.0)
     return pts
 

@@ -7,7 +7,8 @@ contributes its noisy count scaled by the overlap fraction (uniform
 density within the leaf). Exact counts come from
 ``FrequencyMatrix.region_sums``. Accuracy is reported as mean relative
 error with a smoothing floor in the denominator so zero-count queries
-stay defined.
+stay defined. Generated queries are those of scalar ``Generator.integers``
+calls, bit for bit, replayed on the generator's raw words in arrays.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ class Workload:
     spec: WorkloadSpec | None = None
 
     def __post_init__(self):
-        self.queries = np.asarray(self.queries, dtype=np.int64).reshape(-1, 4)
+        queries = np.asarray(self.queries, dtype=np.int64)
+        self.queries = queries.reshape(-1, 4) if queries.shape in ((0,), (4,)) else queries  # no query, or one
+        if self.queries.ndim != 2 or self.queries.shape[1] != 4:
+            raise ValueError(f"queries must be a (Q, 4) array of rectangles, got shape {queries.shape}")
 
     def __len__(self) -> int:
         return self.queries.shape[0]
@@ -105,27 +109,58 @@ def relative_error(count, answer, smoothing: float = DEFAULT_SMOOTHING):
 
 
 def generate_workload(spec: WorkloadSpec, rows: int, cols: int) -> Workload:
-    """Deterministic workload for a rows x cols grid."""
+    """Deterministic workload for a grid of 1 to 2^32 rows and columns: the query that would start at each
+    word the generator hands out is decoded, then the chain of next words is followed from the first."""
+    if not (1 <= rows <= 2**32 and 1 <= cols <= 2**32):
+        raise ValueError(f"a workload needs a grid of 1 to 2^32 rows and columns, got {rows}x{cols}")
+    rows, cols = int(rows), int(cols)
+    square = spec.shape == "square"
+    side = int(round(math.sqrt(float(spec.size) * rows * cols))) if square else 0
+    side_r, side_c = max(1, min(side, rows)), max(1, min(side, cols))
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-    queries = np.empty((spec.count, 4), dtype=np.int64)
-    if spec.shape == "square":
-        side = int(round(math.sqrt(float(spec.size) * rows * cols)))
-        side_r = max(1, min(side, rows))
-        side_c = max(1, min(side, cols))
-        for i in range(spec.count):
-            r_center = int(rng.integers(0, rows))
-            c_center = int(rng.integers(0, cols))
-            r_lo = min(max(r_center - side_r // 2, 0), rows - side_r)
-            c_lo = min(max(c_center - side_c // 2, 0), cols - side_c)
-            queries[i] = (r_lo, r_lo + side_r, c_lo, c_lo + side_c)
-    else:
-        for i in range(spec.count):
-            h = int(rng.integers(1, rows + 1))
-            w = int(rng.integers(1, cols + 1))
-            r_lo = int(rng.integers(0, rows - h + 1))
-            c_lo = int(rng.integers(0, cols - w + 1))
-            queries[i] = (r_lo, r_lo + h, c_lo, c_lo + w)
-    return Workload(queries=queries, spec=spec)
+    draws = 2 if square else 4
+    raw = rng.bit_generator.random_raw(draws * spec.count // 2 + 8)
+    while True:
+        end = 2 * len(raw)
+        words = np.full(end + draws, 0xFFFFFFFF, np.uint64)  # past the end, words that every draw accepts
+        words[0:end:2], words[1:end:2] = raw & 0xFFFFFFFF, raw >> 32  # PCG64 hands out the low half first
+        at = np.arange(end + 1)
+        if square:
+            r_center, at = _draw(words, at, rows)
+            c_center, at = _draw(words, at, cols)
+            r_lo = np.clip(r_center.astype(np.int64) - side_r // 2, 0, rows - side_r)
+            c_lo = np.clip(c_center.astype(np.int64) - side_c // 2, 0, cols - side_c)
+            columns = (r_lo, r_lo + side_r, c_lo, c_lo + side_c)
+        else:
+            h, at = _draw(words, at, rows)  # height - 1
+            w, at = _draw(words, at, cols)
+            r_lo, at = _draw(words, at, rows - h)
+            c_lo, at = _draw(words, at, cols - w)
+            columns = (r_lo, r_lo + h + 1, c_lo, c_lo + w + 1)
+        after = np.append(np.minimum(at, end + 1), end + 1)  # a query past the words leads to end + 1, and stays
+        starts, jump = np.zeros(1, np.intp), after
+        while len(starts) < spec.count:  # the starts of queries [0, k) give those of [k, 2k)
+            starts = np.concatenate([starts, jump[starts]])
+            jump = jump[jump]
+        starts = starts[: spec.count]
+        if (after[starts] <= end).all():
+            queries = np.stack([column[starts] for column in columns], axis=1)
+            return Workload(queries=queries.astype(np.int64, copy=False), spec=spec)
+        raw = np.concatenate([raw, rng.bit_generator.random_raw(len(raw))])
+
+
+def _draw(words, at, n):
+    """``integers(0, n)`` from the word at each offset ``at`` on, by Lemire's multiply and reject, as numpy draws
+    for n <= 2^32: the values, and the offset after each draw. A range of one value reads no word."""
+    m = words[at] * n
+    floor = (2**32 - n) % n
+    bad = np.flatnonzero((m & 0xFFFFFFFF) < floor)
+    while len(bad):  # a rejected word passes the draw to the next
+        at[bad] += 1
+        n_bad, floor_bad = (n[bad], floor[bad]) if np.ndim(n) else (n, floor)
+        m[bad] = words[at[bad]] * n_bad
+        bad = bad[(m[bad] & 0xFFFFFFFF) < floor_bad]
+    return m >> 32, at + (n > 1)
 
 
 def evaluate(

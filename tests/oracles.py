@@ -22,7 +22,9 @@ and so are the answering kernel that paints every cell
 (``cell_leaf_owner``, ``cell_answer_workload``) and the dataset helpers
 that allocate their temporaries (``sample_gaussian_points_allocating``,
 ``discretize_allocating``), the matrix reader that parses every file
-with ``np.loadtxt`` (``load_matrix_loadtxt``), and the preorder walk
+with ``np.loadtxt`` (``load_matrix_loadtxt``), the workload generator
+that draws each query with scalar ``rng.integers`` calls
+(``generate_workload_loop``), and the preorder walk
 that reads a hand-built ``Node`` tree into a table (``flatten_nodes``),
 where ``tree.grow`` sorts the nodes it grew.
 
@@ -71,6 +73,7 @@ from dphist.privacy import (
     require_positive,
 )
 from dphist.privacy import SPLIT as SPLIT_SITE
+from dphist.queries import Workload, WorkloadSpec
 from dphist.tree import Node
 
 
@@ -713,6 +716,30 @@ def load_matrix_loadtxt(path) -> FrequencyMatrix:
     if matrix.total != total:
         raise ValueError(f"{path}: header total {total} != cell sum {matrix.total}")
     return matrix
+
+
+def generate_workload_loop(spec: WorkloadSpec, rows: int, cols: int) -> Workload:
+    """``queries.generate_workload`` drawing each query with scalar ``rng.integers`` calls."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+    queries = np.empty((spec.count, 4), dtype=np.int64)
+    if spec.shape == "square":
+        side = int(round(math.sqrt(float(spec.size) * rows * cols)))
+        side_r = max(1, min(side, rows))
+        side_c = max(1, min(side, cols))
+        for i in range(spec.count):
+            r_center = int(rng.integers(0, rows))
+            c_center = int(rng.integers(0, cols))
+            r_lo = min(max(r_center - side_r // 2, 0), rows - side_r)
+            c_lo = min(max(c_center - side_c // 2, 0), cols - side_c)
+            queries[i] = (r_lo, r_lo + side_r, c_lo, c_lo + side_c)
+    else:
+        for i in range(spec.count):
+            h = int(rng.integers(1, rows + 1))
+            w = int(rng.integers(1, cols + 1))
+            r_lo = int(rng.integers(0, rows - h + 1))
+            c_lo = int(rng.integers(0, cols - w + 1))
+            queries[i] = (r_lo, r_lo + h, c_lo, c_lo + w)
+    return Workload(queries=queries, spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dphist.htf import (
 )
 from dphist.privacy import CELL, BudgetLedger, NoiseSource, geometric_level_budget, site_counters
 from dphist.tree import Node
-from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload
+from dphist.queries import Workload, WorkloadSpec, answer_workload, evaluate, generate_workload, save_workload
 
 from oracles import objective_argmins_exact, objective_scan, optimal_split_exact, smooth_nodes
 
@@ -432,3 +432,20 @@ def test_release_bytes_are_pinned(tmp_path):
             assert code == 0
             digests[method] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (hist, ledger))
         assert digests == pinned
+
+
+# sha256 of save_workload's file for test_workload_bytes_are_pinned, recorded with numpy 2.4.6 from the queries
+# scalar Generator.integers calls draw one query after another: (spec, rows, cols) -> digest
+WORKLOAD_DIGESTS = [
+    ((WorkloadSpec(2000, seed=1), 256, 256), "cb0cc7604665464da24642227f61345b5d1613896f4549b68bd68e12ec9dea9f"),
+    ((WorkloadSpec(2000, seed=1), 1024, 1024), "9a0b9522de2f22c40f969d61575f91032e539fe2b006b763cef61532e76b5b09"),
+    ((WorkloadSpec(500, "square", 0.02, seed=3), 512, 512), "d992247cc7422ce82c0eee0c23685a07ddc671e9653e6efdb6b5e22d0c8e1f03"),
+]
+
+
+def test_workload_bytes_are_pinned(tmp_path):
+    # also the check that another numpy draws the same workloads from a seed
+    path = tmp_path / "workload.txt"
+    for (spec, rows, cols), pinned in WORKLOAD_DIGESTS:
+        save_workload(generate_workload(spec, rows, cols), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned, (spec, rows, cols)

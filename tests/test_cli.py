@@ -4,6 +4,7 @@ from dphist import cli
 from dphist.cli import main
 from dphist.grid import load_matrix, load_points
 from dphist.histogram import PrivateHistogram
+from dphist.queries import WorkloadSpec, generate_workload, save_workload
 
 
 def run(args):
@@ -318,6 +319,19 @@ class TestEvaluate:
         assert run(["evaluate", "--matrix", matrix_file, "--hist", hist,
                     "--workload", wl, "--out", report]) == 0
         assert len(report.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("shape_args", [[], ["--qshape", "square", "--qsize", 0.05]], ids=["random", "square"])
+    def test_generated_workload_reports_as_its_file(self, tmp_path, matrix_file, shape_args):
+        hist = tmp_path / "hist.txt"
+        run(["release", "--matrix", matrix_file, "--method", "htf", "--eps-total", 0.5, "--seed", 1, "--out", hist])
+        generated, from_file = tmp_path / "generated.csv", tmp_path / "from-file.csv"
+        assert run(["evaluate", "--matrix", matrix_file, "--hist", hist, "--queries", 300, "--seed", 6,
+                    *shape_args, "--out", generated]) == 0
+        shape, size = ("square", 0.05) if shape_args else ("random", "random")
+        wl = tmp_path / "wl.txt"
+        save_workload(generate_workload(WorkloadSpec(300, shape, size, seed=6), 32, 32), wl)
+        assert run(["evaluate", "--matrix", matrix_file, "--hist", hist, "--workload", wl, "--out", from_file]) == 0
+        assert generated.read_bytes() == from_file.read_bytes()
 
     @pytest.mark.parametrize(
         "leaves",

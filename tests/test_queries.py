@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dphist import cli, histogram, kernels
 from dphist.grid import FrequencyMatrix, generate_gaussian
@@ -20,7 +22,7 @@ from dphist.queries import (
     save_workload,
 )
 
-from oracles import naive_region_sum
+from oracles import generate_workload_loop, naive_region_sum
 
 FIG_GRID = np.array([[0, 0, 4], [3, 3, 1], [3, 3, 1]])
 
@@ -146,6 +148,53 @@ class TestGenerateWorkload:
         assert (q[:, 0] >= 0).all() and (q[:, 1] <= 37).all()
         assert (q[:, 2] >= 0).all() and (q[:, 3] <= 53).all()
         assert (q[:, 1] > q[:, 0]).all() and (q[:, 3] > q[:, 2]).all()
+
+    # grid sides where Lemire's test rejects few words, and sides of 2^31 and above, where it rejects up to half
+    SIDES = st.one_of(
+        st.sampled_from([1, 2, 3, 5, 37, 64, 1024, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]),
+        st.integers(1, 2**32),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(0, 300),
+        rows=SIDES,
+        cols=SIDES,
+        size=st.none() | st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_the_per_query_loop(self, count, rows, cols, size, seed):
+        spec = WorkloadSpec(count, seed=seed) if size is None else WorkloadSpec(count, "square", size, seed=seed)
+        got = generate_workload(spec, rows, cols)
+        assert got.queries.dtype == np.int64 and got.spec == spec
+        assert np.array_equal(got.queries, generate_workload_loop(spec, rows, cols).queries)
+
+    @pytest.mark.parametrize(
+        "spec, rows, cols",
+        [
+            (WorkloadSpec(2000, seed=1), 1024, 1024),
+            (WorkloadSpec(500, seed=3), 1, 5),
+            (WorkloadSpec(500, seed=3), 2, 2),
+            (WorkloadSpec(50, seed=3), 1, 1),
+            # a quarter to a half of the words drawn over these ranges are rejected, so the words first read run out
+            (WorkloadSpec(300, seed=4), 3 * 2**30, 5),
+            (WorkloadSpec(300, seed=5), 7, 2**31 + 1),
+            (WorkloadSpec(300, "square", 0.1, seed=6), 3 * 2**30, 7),
+            (WorkloadSpec(300, "square", 1.0, seed=6), 1, 9),
+            # sides that round to 0, so every query is one cell
+            (WorkloadSpec(50, "square", 1e-6, seed=7), 1, 1),
+            (WorkloadSpec(50, "square", 1e-6, seed=7), 3, 3),
+        ],
+    )
+    def test_matches_the_per_query_loop_at_the_edges(self, spec, rows, cols):
+        assert np.array_equal(generate_workload(spec, rows, cols).queries, generate_workload_loop(spec, rows, cols).queries)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("shape, size", [("random", "random"), ("square", 0.5)])
+    @pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (-3, 5), (5, -1), (2**32 + 1, 5), (5, 2**32 + 1)])
+    def test_grid_outside_one_to_2_32_raises_naming_it(self, rows, cols, shape, size, count):
+        with pytest.raises(ValueError, match=f"grid of 1 to 2\\^32 rows and columns, got {rows}x{cols}"):
+            generate_workload(WorkloadSpec(count, shape, size, seed=1), rows, cols)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -316,6 +365,27 @@ class TestKeptPaint:
         hist = PrivateHistogram(shape=(2, 2), bounds=bounds, ncounts=[1.0, 2.0], eps_total=1.0)
         with pytest.raises(CoverageError):
             answer_workload(hist, Workload(queries=[(0, 1, 0, 1)]))
+
+
+class TestWorkloadShape:
+    @pytest.mark.parametrize(
+        "queries",
+        [np.arange(12).reshape(4, 3), np.arange(8), np.arange(3), np.zeros((2, 4, 1)), np.empty((0, 3)), 5],
+        ids=["4x3", "8", "3", "2x4x1", "0x3", "scalar"],
+    )
+    def test_anything_but_rectangles_raises(self, queries):
+        with pytest.raises(ValueError, match="queries must be a \\(Q, 4\\) array"):
+            Workload(queries)
+
+    @pytest.mark.parametrize(
+        "queries, rows",
+        [([], 0), (np.empty((0, 4)), 0), ((0, 1, 0, 2), 1), ([(0, 1, 0, 2), (1, 3, 0, 1)], 2)],
+        ids=["empty", "0x4", "one", "two"],
+    )
+    def test_rectangles_kept_as_rows(self, queries, rows):
+        got = Workload(queries).queries
+        assert got.shape == (rows, 4) and got.dtype == np.int64
+        assert np.array_equal(got.ravel(), np.ravel(queries))
 
 
 class TestWorkloadFiles:
