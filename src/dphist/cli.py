@@ -237,7 +237,7 @@ def cmd_sweep(args) -> int:
     n, grid_size, count = int(sweep["n"]), int(sweep["grid"]), int(sweep["queries"])
     smoothing = float(sweep["smoothing"])
     # settings every row shares fail the sweep, not each of its rows
-    for key, value, least in (("n", n, 0), ("grid", grid_size, 1), ("queries", count, 1)):
+    for key, value, least in (("n", n, 0), ("grid", grid_size, 1), ("queries", count, 1), ("seeds", min(seeds), 0)):
         if value < least:
             raise ValueError(f"sweep config key {key!r} must be at least {least}, got {value}")
     require_positive("sweep config key 'smoothing'", smoothing)
@@ -294,9 +294,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _seed(text: str) -> int:  # an integer of 0 or more, as np.random.SeedSequence takes, checked before any work
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

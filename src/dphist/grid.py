@@ -158,6 +158,10 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
     nearest boundary cell, so the output always has exactly ``n`` points.
     Each round redraws, in row order, only the rows still outside, and
     checks only those again. Coordinates are in cell units.
+
+    Each (x, y) pair moves as one ``complex128``: the centre is added to both parts in one pass, a redrawn point is
+    scattered whole. A coordinate, ``normal * sigma + centre`` with the centre in [+0, bound), is never -0.0 or NaN,
+    even where ``sigma`` overflows to +-inf, so it is outside exactly when its uint64 bits are the bound's or more.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -166,17 +170,21 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
         raise ValueError("grid dimensions must be positive")
     center = rng.uniform(0.0, [rows, cols])
     pts = rng.standard_normal((n, 2))
-    pts *= sigma  # then + center: center + rng.normal(0.0, sigma), bit for bit, a column at a time
-    x, y = pts.T
-    x += center[0]
-    y += center[1]
-    bad = np.flatnonzero(_outside(pts, rows, cols))
-    for _ in range(100):
-        if not len(bad):
-            break
-        pts[bad] = redrawn = rng.standard_normal((len(bad), 2)) * sigma + center
-        bad = bad[_outside(redrawn, rows, cols)]
+    z = pts.view(np.complex128).reshape(-1)
+    with np.errstate(over="ignore"):  # an overflowed +-inf coordinate is outside, so redrawn or clamped
+        pts *= sigma  # then + center: center + rng.normal(0.0, sigma), bit for bit
+        z += complex(*center)  # added part by part: each coordinate rounds as ``x + center[0]`` does
+        bad = np.flatnonzero(_outside(pts, rows, cols))
+        for _ in range(100):
+            if not len(bad):
+                break
+            redrawn = rng.standard_normal((len(bad), 2))
+            redrawn *= sigma
+            redrawn_z = redrawn.view(np.complex128).reshape(-1)
+            z[bad] = np.add(redrawn_z, complex(*center), out=redrawn_z)
+            bad = np.compress(_outside(redrawn, rows, cols), bad)  # a boolean index is slower on a mixed mask
     # inside the far edge also as ``save_points`` prints it, to ten significant digits; only stragglers lie below 0
+    x, y = pts.T
     np.minimum(x, rows * (1.0 - 1e-9), out=x)
     np.minimum(y, cols * (1.0 - 1e-9), out=y)
     pts[bad] = np.maximum(pts[bad], 0.0)
@@ -184,9 +192,9 @@ def sample_gaussian_points(n: int, sigma: float, rows: int, cols: int, rng) -> n
 
 
 def _outside(pts, rows: int, cols: int) -> np.ndarray:
-    """Which of the ``(k, 2)`` points lie outside [0, rows) x [0, cols), tested a column at a time."""
-    x, y = pts.T
-    return (x < 0.0) | (x >= rows) | (y < 0.0) | (y >= cols)
+    """Which of the ``(k, 2)`` points, none -0.0 or NaN, lie outside [0, rows) x [0, cols), tested on their bits."""
+    bits, bounds = pts.view(np.uint64), np.array([rows, cols], dtype=np.float64).view(np.uint64)
+    return (bits[:, 0] >= bounds[0]) | (bits[:, 1] >= bounds[1])
 
 
 def generate_gaussian(n: int, sigma: float, rows: int, cols: int, seed: int) -> FrequencyMatrix:

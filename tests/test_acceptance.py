@@ -16,7 +16,7 @@ from dphist.baselines import (
     build_uniform_grid,
 )
 from dphist.cli import main as cli_main
-from dphist.grid import FrequencyMatrix, generate_gaussian, save_matrix
+from dphist.grid import FrequencyMatrix, generate_gaussian, sample_gaussian_points, save_matrix
 from dphist.htf import (
     HtfParams,
     build_partitioning,
@@ -449,3 +449,53 @@ def test_workload_bytes_are_pinned(tmp_path):
     for (spec, rows, cols), pinned in WORKLOAD_DIGESTS:
         save_workload(generate_workload(spec, rows, cols), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned, (spec, rows, cols)
+
+
+def seeded(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def sweep_generator(sigma):
+    return NoiseSource(1).substream("data", str(sigma)).generator
+
+
+# sha256 of sample_gaussian_points' points and the PCG64 generator's final state (state, inc) for
+# test_dataset_bytes_are_pinned, recorded with numpy 2.4.6 on x86-64: (n, sigma, rows, cols, generator) -> pins.
+# The binned releases above would not see points that moved within their cells.
+DATASET_DIGESTS = [
+    # the benchmark's answer-fine set-up
+    ((1_000_000, 50.0, 512, 512, lambda: seeded(1)),
+     "7b716e13d27ff52f550c9f98bc5e36ad1bac7cc45bc3904217eaf702d05fb538",
+     (142424912819343156681992121171335848490, 194290289479364712180083596243593368443)),
+    # cli-htf-1m's `dphist generate`
+    ((1_000_000, 50.0, 1024, 1024, lambda: seeded(1)),
+     "52bacd86faa1a45199f0b9aef8c8b210d198be4c4499f83570b5e4f41205216f",
+     (266426595211869511535927597744500622963, 194290289479364712180083596243593368443)),
+    # sweep-256's three datasets
+    ((100_000, 20.0, 256, 256, lambda: sweep_generator(20.0)),
+     "85354547cd43c25c135712e0c2253829effb76334071aa729e526ab91f602e6e",
+     (10389069072319704126847493792954688383, 307575536758094277402841371430981285145)),
+    ((100_000, 50.0, 256, 256, lambda: sweep_generator(50.0)),
+     "4dec9bbf5bec53bde118dc0a2eaabb9587db868346b6d6bce56acb070a5f1901",
+     (271354395860570126587409933691431508608, 64140115057023079088725882619201123037)),
+    ((100_000, 100.0, 256, 256, lambda: sweep_generator(100.0)),
+     "d2900804c2768f4ed2a77d069469484d659f7d37b000823c456a865338c33f9b",
+     (339665311427186763108969818138692922336, 340180875793979578486326743158994883717)),
+    # a thin grid, and a 1x1 grid where every point is a straggler
+    ((5000, 9.0, 40, 7, lambda: seeded(1)),
+     "d695d89d91fc755bee7d8f9f83aaba2c272b46f841fc29fd7ae4d951a4c1d393",
+     (219532237733094254172358019391632871382, 194290289479364712180083596243593368443)),
+    ((500, 1e4, 1, 1, lambda: seeded(1)),
+     "e8f0914ca366283160a3f0ddc1170057ddfe6d786eea9205e203b190e942b54c",
+     (245719654699855940992834485076500353107, 194290289479364712180083596243593368443)),
+]
+
+
+def test_dataset_bytes_are_pinned():
+    for (n, sigma, rows, cols, generator), digest, (state, inc) in DATASET_DIGESTS:
+        rng = generator()
+        pts = sample_gaussian_points(n, sigma, rows, cols, rng)
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest, (n, sigma, rows, cols)
+        assert rng.bit_generator.state == {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }

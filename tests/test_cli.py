@@ -39,6 +39,27 @@ class TestGenerate:
         assert "sigma must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_sigma_clamps_every_point_without_a_warning(self, tmp_path, capsys):
+        # every draw times 1e308 overflows to +-inf, is redrawn 100 times and then clamped to a grid corner
+        out = tmp_path / "pts.txt"
+        assert run(["generate", "--out", out, "--n", 50, "--grid", 4, "--sigma", 1e308, "--seed", 1]) == 0
+        assert capsys.readouterr().err == ""
+        pts = load_points(out)
+        assert len(pts) == 50 and set(pts.ravel().tolist()) <= {0.0, 3.999999996}
+
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "pts.txt"
+        assert run(["generate", "--out", out, "--n", 10, "--grid", 8, "--seed", -1]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "pts.txt"
+        cfg.write_text("seed=-4\n")
+        assert run(["generate", "--config", cfg, "--out", out, "--n", 10, "--grid", 8]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-4'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(["generate", "--out", a, "--n", 500, "--sigma", 9, "--grid", 64, "--seed", 3])
@@ -95,6 +116,12 @@ class TestRelease:
         hist = PrivateHistogram.load(out)
         hist.validate_cover()
         assert (tmp_path / "hist.txt.ledger.csv").exists()
+
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, matrix_file):
+        out = tmp_path / "hist.txt"
+        assert run(["release", "--matrix", matrix_file, "--method", "ug", "--seed", -1, "--out", out]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_methods_run(self, tmp_path, matrix_file):
         for method in ("ug", "ag", "quadtree", "kdtree", "singular", "uniform"):
@@ -288,6 +315,13 @@ class TestRelease:
 
 
 class TestEvaluate:
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, matrix_file):
+        hist, report = tmp_path / "hist.txt", tmp_path / "report.csv"
+        run(["release", "--matrix", matrix_file, "--method", "ug", "--seed", 1, "--out", hist])
+        assert run(["evaluate", "--matrix", matrix_file, "--hist", hist, "--seed", -1, "--out", report]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_report_rows_match_query_count(self, tmp_path, matrix_file):
         hist = tmp_path / "hist.txt"
         run(["release", "--matrix", matrix_file, "--method", "ug",
@@ -487,7 +521,8 @@ class TestSweep:
         assert len(calls["generate_workload"]) == 2 * 2  # sizes x seeds
 
     @pytest.mark.parametrize(
-        "key, value", [("smoothing", "0"), ("n", "-1"), ("grid", "0"), ("queries", "-5"), ("queries", "0")]
+        "key, value",
+        [("smoothing", "0"), ("n", "-1"), ("grid", "0"), ("queries", "-5"), ("queries", "0"), ("seeds", "1,-1")],
     )
     def test_setting_of_every_row_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, key, value):
         built = []

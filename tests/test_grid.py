@@ -223,10 +223,36 @@ class CentredRng:
         return self.rng.standard_normal(size)
 
 
+class ScriptedRng(CentredRng):
+    """A ``CentredRng`` whose standard normal draws are given, one array per call, in order."""
+
+    def __init__(self, centre, draws):
+        super().__init__(centre, 0)
+        self.draws = [np.array(d, dtype=np.float64).reshape(-1, 2) for d in draws]
+
+    def normal(self, loc, scale, size):
+        return loc + scale * self.standard_normal(size)
+
+    def standard_normal(self, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == size
+        return draw
+
+
 def near(extent):
     """A coordinate in [0, extent): at either edge, a hair inside it, or anywhere."""
     edges = [0.0, 1e-9, extent - 1e-9, np.nextafter(extent, 0.0), extent / 2.0]
     return st.one_of(st.sampled_from(edges), st.floats(0.0, extent, exclude_max=True))
+
+
+# centres on the grid's corners, sigmas whose draws underflow to 0 or overflow to +-inf, and grids one cell wide
+EDGE_GRIDS = [(1, 37), (29, 1), (1, 1), (6, 9)]
+EDGE_SIGMAS = [5e-324, 1e308, 3.0]
+
+
+def corners(rows, cols):
+    """The centres at 0.0 and a hair below the far edge, on each axis."""
+    return [(x, y) for x in (0.0, np.nextafter(rows, 0.0)) for y in (0.0, np.nextafter(cols, 0.0))]
 
 
 class TestResamplingAgainstAllRowLoop:
@@ -249,6 +275,15 @@ class TestResamplingAgainstAllRowLoop:
         got = sample_gaussian_points(0, 5.0, 8, 8, CentredRng(centre, 1))
         assert got.shape == (0, 2)
         assert got.tobytes() == sample_gaussian_points_all_rows(0, 5.0, 8, 8, CentredRng(centre, 1)).tobytes()
+
+    @pytest.mark.parametrize("sigma", EDGE_SIGMAS)
+    @pytest.mark.parametrize("rows, cols", EDGE_GRIDS)
+    def test_corner_centres_and_extreme_sigmas(self, rows, cols, sigma):
+        for seed, centre in enumerate(corners(rows, cols)):
+            got = sample_gaussian_points(400, sigma, rows, cols, CentredRng(centre, seed))
+            with np.errstate(over="ignore"):
+                expected = sample_gaussian_points_all_rows(400, sigma, rows, cols, CentredRng(centre, seed))
+            assert got.tobytes() == expected.tobytes(), centre
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_generator_bit_identical(self, seed):
@@ -276,14 +311,39 @@ class TestInPlaceAgainstAllocating:
         assert got.tobytes() == expected.tobytes()
         assert got_rng.rng.bit_generator.state == expected_rng.rng.bit_generator.state
 
+    @pytest.mark.parametrize("sigma", EDGE_SIGMAS)
+    @pytest.mark.parametrize("rows, cols", EDGE_GRIDS)
+    def test_corner_centres_and_extreme_sigmas(self, rows, cols, sigma):
+        for seed, centre in enumerate(corners(rows, cols)):
+            got_rng, expected_rng = CentredRng(centre, seed), CentredRng(centre, seed)
+            got = sample_gaussian_points(400, sigma, rows, cols, got_rng)  # raises no overflow warning
+            with np.errstate(over="ignore"):
+                expected = sample_gaussian_points_allocating(400, sigma, rows, cols, expected_rng)
+            assert got.tobytes() == expected.tobytes(), centre
+            assert got_rng.rng.bit_generator.state == expected_rng.rng.bit_generator.state
+
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (2.0, 3.0)])
+    def test_coordinates_on_the_bounds_are_tested_exactly(self, centre):
+        # each point lands on 0 (inside, also from -0.0 + 0.0), on rows or cols (outside), or a hair below them
+        cx, cy = centre
+        first = [[-cx, -cy], [-0.0, -0.0], [4.0 - cx, 0.0], [0.0, 5.0 - cy], [np.nextafter(4.0, 0.0) - cx, 0.0],
+                 [0.0, np.nextafter(5.0, 0.0) - cy], [np.nextafter(-cx, -np.inf), 0.0]]
+        redraws = [[[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]]
+        got = sample_gaussian_points(7, 1.0, 4, 5, ScriptedRng(centre, [first, *redraws]))
+        expected = sample_gaussian_points_allocating(7, 1.0, 4, 5, ScriptedRng(centre, [first, *redraws]))
+        assert got.tobytes() == expected.tobytes()
+        assert np.signbit(got).sum() == 0 and (got[[2, 3, 6]] == np.add(centre, 0.5)).all()
+
     @pytest.mark.parametrize("seed", range(30))
     def test_seeded_datasets_are_identical(self, seed):
-        # n=0, a 1x1 grid at sigma 1e4 (every point a straggler, clamped), thin and wide grids
-        for n, sigma, rows, cols in ((0, 3.0, 8, 8), (500, 1e4, 1, 1), (5000, 40.0, 64, 32),
-                                     (2000, 2.0, 1, 50), (2000, 9.0, 30, 1), (3000, 200.0, 64, 64)):
+        # n=0, a 1x1 grid at sigma 1e4 (every point a straggler, clamped), thin and wide grids, and a sigma whose
+        # draws all overflow to +-inf (every point redrawn 100 times, then clamped to a corner)
+        for n, sigma, rows, cols in ((0, 3.0, 8, 8), (500, 1e4, 1, 1), (5000, 40.0, 64, 32), (2000, 2.0, 1, 50),
+                                     (2000, 9.0, 30, 1), (3000, 200.0, 64, 64), (300, 1e308, 5, 3)):
             got_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_gaussian_points(n, sigma, rows, cols, got_rng)
-            expected = sample_gaussian_points_allocating(n, sigma, rows, cols, expected_rng)
+            got = sample_gaussian_points(n, sigma, rows, cols, got_rng)  # raises no overflow warning
+            with np.errstate(over="ignore"):
+                expected = sample_gaussian_points_allocating(n, sigma, rows, cols, expected_rng)
             assert got.tobytes() == expected.tobytes()
             assert got_rng.bit_generator.state == expected_rng.bit_generator.state
             for bounds in ((0, rows, 0, cols), (0.25, rows - 0.25, -2.0, cols * 0.7)):
